@@ -76,9 +76,7 @@ def _workload(label: str) -> WorkloadConfig:
 #: machine: under 1 s is ``small`` (tracked mainly for counters and
 #: encode/compile trends), 1–10 s is ``mid`` (the tier speedup targets
 #: are stated over), above 10 s is ``large`` (skipped by ``--quick``).
-#: The two ``portfolio`` scenarios track the backend seam's overhead and
-#: win-rate counters release-over-release (deterministic mode, so their
-#: search counters stay machine-independent). The ``store`` column selects
+#: The ``store`` column selects
 #: the store backend the scenario's history records on (the timed region
 #: is the analysis, so sharded rows measure the sharded *workloads*, not
 #: routing overhead — recording happens once, outside the timer).
@@ -91,8 +89,6 @@ SCENARIOS = [
      "approx-relaxed", 1, "inprocess", "inmemory"),
     ("smallbank-small-rc-strict-k1", "small", "smallbank", "small", "rc",
      "approx-strict", 1, "inprocess", "inmemory"),
-    ("smallbank-tiny-portfolio2", "small", "smallbank", "tiny", "causal",
-     "approx-relaxed", 1, "portfolio:2:deterministic", "inmemory"),
     ("smallbank-small-k1", "mid", "smallbank", "small", "causal",
      "approx-relaxed", 1, "inprocess", "inmemory"),
     ("wikipedia-small-k1", "mid", "wikipedia", "small", "causal",
@@ -103,8 +99,6 @@ SCENARIOS = [
      "approx-relaxed", 4, "inprocess", "inmemory"),
     ("tpcc-small-rc-strict-k1", "mid", "tpcc", "small", "rc",
      "approx-strict", 1, "inprocess", "inmemory"),
-    ("smallbank-small-portfolio4", "mid", "smallbank", "small", "causal",
-     "approx-relaxed", 1, "portfolio:4:deterministic", "inmemory"),
     # -- sharded scenario workloads (PR 5) ------------------------------
     ("shardtransfer-small-sharded4-k1", "mid", "shardtransfer", "small",
      "causal", "approx-relaxed", 1, "inprocess", "sharded:4"),
@@ -350,7 +344,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--solver", default=None, metavar="SPEC",
         help="override the solver backend for every selected scenario "
-             "(e.g. portfolio:4:deterministic); scenario names gain a "
+             "(e.g. dimacs:minisat); scenario names gain a "
              "'@SPEC' suffix so per-backend profiles coexist in one file",
     )
     parser.add_argument(

@@ -33,7 +33,7 @@ bare :class:`~repro.history.model.History` (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .history.model import History
@@ -75,23 +75,8 @@ class AnalysisResult:
 
     @property
     def prediction(self) -> PredictionResult:
-        """The primary prediction (an empty UNSAT/UNKNOWN result if none).
-
-        Its ``stats`` carry the batch-level encoding/solving totals —
-        the figures a single ``predict`` call used to report.
-        """
-        best = self.batch.best
-        if best is not None:
-            # batch totals win: per-prediction stats are find-time snapshots
-            stats = dict(best.stats)
-            stats.update(self.batch.stats)
-            return replace(best, stats=stats)
-        return PredictionResult(
-            status=self.batch.status,
-            isolation=self.batch.isolation,
-            strategy=self.batch.strategy,
-            stats=dict(self.batch.stats),
-        )
+        """The primary prediction (see :attr:`PredictionBatch.primary`)."""
+        return self.batch.primary
 
     @property
     def confirmed(self) -> bool:
@@ -184,8 +169,7 @@ class Analysis:
         :class:`IsoPredict` (``max_candidates``, ``include_rank``,
         ``include_rw``, ``pco_mode``, ``fixpoint_rounds``,
         ``max_conflicts``, and the backend-seam knobs ``solver`` — e.g.
-        ``"portfolio:4:deterministic"`` or ``"dimacs:minisat"`` — and
-        ``budget``, e.g. ``"30s,20000c"``).
+        ``"dimacs:minisat"`` — and ``budget``, e.g. ``"30s,20000c"``).
         """
         if strategy is not None:
             if isinstance(strategy, str):

@@ -102,8 +102,8 @@ class RoundSpec:
 
     def __post_init__(self):
         _check_source(self.source)
-        # canonicalize so round ids are stable ("portfolio:4" and
-        # "portfolio:4:racing" are the same backend)
+        # canonicalize so round ids are stable ("DIMACS" and "dimacs"
+        # are the same backend)
         object.__setattr__(
             self, "solver", str(BackendSpec.parse(self.solver))
         )

@@ -4,7 +4,6 @@ Examples::
 
     isopredict analyze --app smallbank --seed 3 --isolation causal
     isopredict analyze --trace saved.json --isolation rc --k 3
-    isopredict analyze --app smallbank --solver portfolio --portfolio 4
     isopredict analyze --app tpcc --solver dimacs:minisat --budget 30s
     isopredict analyze --app shardtransfer --backend sharded:4
     isopredict analyze --app smallbank --backend sqlite:runs.sqlite
@@ -47,7 +46,7 @@ from .isolation import (
     pco_unserializable,
 )
 from .predict import PredictionStrategy
-from .smt import BackendUnavailable, Result
+from .smt import BackendSpec, BackendUnavailable, Result
 from .sources import BenchAppSource, FuzzSource, TraceFileSource
 from .viz import history_to_dot, history_to_text
 
@@ -134,26 +133,13 @@ def _print_prediction(result, args) -> None:
 
 
 def _solver_options(args) -> dict:
-    """The ``using()`` kwargs for the --solver/--portfolio/--budget flags."""
+    """The ``using()`` kwargs for the --solver/--budget flags."""
     spec = getattr(args, "solver", "inprocess")
-    portfolio = getattr(args, "portfolio", None)
-    if portfolio is not None:
-        if spec != "inprocess" and not spec.startswith("portfolio"):
-            print(
-                f"error: --portfolio conflicts with --solver {spec}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        spec = f"portfolio:{portfolio}"
-    if getattr(args, "deterministic", False):
-        if not spec.startswith("portfolio"):
-            print(
-                "error: --deterministic only applies to --solver portfolio",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        if "deterministic" not in spec:
-            spec += ":deterministic"
+    try:
+        BackendSpec.parse(spec)  # fail before recording, not mid-analysis
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     options = {"solver": spec}
     if getattr(args, "budget", None):
         options["budget"] = args.budget
@@ -871,18 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver(p):
         p.add_argument(
             "--solver", default="inprocess", metavar="SPEC",
-            help="solver backend: inprocess (default), dimacs[:binary] "
-                 "(external DIMACS solver subprocess), or portfolio[:N] "
-                 "(N diversified workers racing in processes)",
-        )
-        p.add_argument(
-            "--portfolio", type=int, default=None, metavar="N",
-            help="shorthand for --solver portfolio:N",
-        )
-        p.add_argument(
-            "--deterministic", action="store_true",
-            help="portfolio only: lowest-index definite verdict wins, "
-                 "making the winning model scheduling-independent",
+            help="solver backend: inprocess (default) or dimacs[:binary] "
+                 "(external DIMACS solver subprocess)",
         )
         p.add_argument(
             "--budget", default=None, metavar="SPEC",
@@ -1137,8 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_campaign.add_argument(
         "--solver", default="inprocess", metavar="SPEC",
-        help="solver backend per round: inprocess, dimacs[:binary], or "
-             "portfolio[:N[:deterministic]]",
+        help="solver backend per round: inprocess or dimacs[:binary]",
     )
     p_campaign.add_argument(
         "--backend", default="inmemory", metavar="SPEC",

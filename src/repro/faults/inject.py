@@ -238,7 +238,7 @@ def count_retry(key: str, times: int = 1) -> None:
 
 
 def count_downgrade(key: str, times: int = 1) -> None:
-    """Record a graceful degradation (e.g. portfolio -> in-process)."""
+    """Record a graceful degradation (e.g. dimacs -> in-process)."""
     _STATE.downgrades[key] += times
     _observe_fault("fault_downgrades", key, times)
 

@@ -20,7 +20,7 @@ merges into a single ordered trace file.
 **Cross-process stitching** works exactly like
 :data:`repro.faults.plan.FAULT_PLAN_ENV`: the sink path travels in
 :data:`TELEMETRY_ENV` and the current (trace id, span id) context in
-:data:`CONTEXT_ENV`.  A campaign pool worker, a portfolio solver worker,
+:data:`CONTEXT_ENV`.  A campaign pool worker, a fuzz worker,
 or any other child process lazily builds its own recorder from those two
 variables on its first span, so its spans land in the same trace with
 the propagated span as their parent.  Fork safety is explicit: a

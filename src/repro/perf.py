@@ -77,12 +77,8 @@ COUNTER_KEYS = (
     "predictions",
 )
 
-#: Backend-specific counter prefixes/keys also captured into profiles.
-#: ``portfolio_win_c<i>`` counters are how BENCH_*.json records portfolio
-#: win-rates (wins per configuration index, plus ``portfolio_solves`` as
-#: the denominator); the dimacs bridge contributes its subprocess and
-#: lazy-theory-refinement counts.
-BACKEND_COUNTER_PREFIXES = ("portfolio_",)
+#: Backend-specific counters also captured into profiles: the dimacs
+#: bridge contributes its subprocess and lazy-theory-refinement counts.
 BACKEND_COUNTER_KEYS = ("external_solves", "theory_refinements")
 
 #: Streaming-service counters (:mod:`repro.serve`): deterministic stream
@@ -127,12 +123,7 @@ def profile_from_stats(stats: dict) -> dict:
     counters = {
         key: int(stats[key]) for key in COUNTER_KEYS if key in stats
     }
-    for key, value in stats.items():
-        if key.startswith(BACKEND_COUNTER_PREFIXES) or (
-            key in BACKEND_COUNTER_KEYS
-        ):
-            counters[key] = int(value)
-    for key in STREAM_COUNTER_KEYS:
+    for key in BACKEND_COUNTER_KEYS + STREAM_COUNTER_KEYS:
         if key in stats:
             counters[key] = int(stats[key])
     profile = {"stages": stages, "counters": counters}

@@ -1,14 +1,15 @@
 """The IsoPredict façade: end-to-end predictive analysis (§3, §4).
 
-Orchestrates encoding, solving, decoding, and (for the exact strategy) the
-CEGIS refinement loop, and reports the timing/size statistics the paper's
-Tables 4 and 5 track (constraint generation time, literal count, solving
-time split by outcome).
+Orchestrates encoding, solving and decoding through one enumeration loop
+(:class:`PredictionEnumeration`, which also runs the exact strategy's
+approximate seeding and CEGIS refinement), and reports the timing/size
+statistics the paper's Tables 4 and 5 track (constraint generation time,
+literal count, solving time split by outcome).
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..history.model import History
@@ -125,6 +126,23 @@ class PredictionBatch:
         """The first prediction found (the one ``predict`` would return)."""
         return self.predictions[0] if self.predictions else None
 
+    @property
+    def primary(self) -> PredictionResult:
+        """The best prediction (an empty UNSAT/UNKNOWN result if none).
+
+        Its ``stats`` carry the batch-level encoding/solving totals, which
+        win over the find-time snapshot each prediction records.
+        """
+        best = self.best
+        if best is None:
+            return PredictionResult(
+                status=self.status,
+                isolation=self.isolation,
+                strategy=self.strategy,
+                stats=dict(self.stats),
+            )
+        return replace(best, stats={**best.stats, **self.stats})
+
     def __bool__(self) -> bool:
         return self.found
 
@@ -190,10 +208,13 @@ class IsoPredict:
 
     # ------------------------------------------------------------------
     def predict(self, observed: History) -> PredictionResult:
-        """Find one feasible unserializable prediction, or report none."""
-        if self.strategy.encoding is EncodingMode.APPROX:
-            return self._predict_approx(observed, self.strategy.boundary)
-        return self._predict_exact(observed)
+        """Find one feasible unserializable prediction, or report none.
+
+        The ``k = 1`` case of :meth:`predict_many`: the result carries the
+        enumeration's totals as its stats (see
+        :attr:`PredictionBatch.primary`).
+        """
+        return self.predict_many(observed, k=1).primary
 
     def predict_many(
         self, observed: History, k: Optional[int] = None
@@ -208,12 +229,11 @@ class IsoPredict:
         writer or some session's boundary — the space the blocking clause
         quantifies over.
 
-        ``max_seconds`` is treated as a budget for the whole enumeration
-        (``predict`` applies it to each individual check). ``k`` defaults to
-        ``max_candidates``. The exact strategies drain the approximate
-        model space first — each of its models is already a genuine exact
-        prediction — then fall back to CEGIS with the found assignments
-        pre-blocked (see :class:`PredictionEnumeration`).
+        ``max_seconds`` is treated as a budget for the whole enumeration.
+        ``k`` defaults to ``max_candidates``. The exact strategies drain the
+        approximate model space first — each of its models is already a
+        genuine exact prediction — then fall back to CEGIS with the found
+        assignments pre-blocked (see :class:`PredictionEnumeration`).
 
         For repeated queries over one observed history (k sweeps, a fluent
         :class:`repro.api.Analysis` session) use :meth:`enumerator`, which
@@ -279,113 +299,6 @@ class IsoPredict:
         }
         return enc, solver, timings
 
-    def _finish(
-        self,
-        enc: Encoding,
-        solver: Solver,
-        status: Result,
-        timings: dict,
-        candidates: int = 0,
-    ) -> PredictionResult:
-        stats = {
-            "literals": solver.num_literals,
-            "clauses": solver.num_clauses,
-            "vars": solver.num_vars,
-            "solve_seconds": solver.check_seconds,
-            "candidates": candidates,
-            "backend": self.solver_name,
-        }
-        stats.update(timings)
-        stats.update(solver.stats)
-        if status is not Result.SAT:
-            return PredictionResult(
-                status=status,
-                isolation=self.isolation,
-                strategy=self.strategy,
-                stats=stats,
-            )
-        decode_start = time.monotonic()
-        with obs_span("stage.decode"):
-            model = solver.model()
-            predicted = decode_history(enc, model)
-            boundaries = decode_boundaries(enc, model)
-        stats["decode_seconds"] = (
-            stats.get("decode_seconds", 0.0)
-            + time.monotonic()
-            - decode_start
-        )
-        return PredictionResult(
-            status=status,
-            isolation=self.isolation,
-            strategy=self.strategy,
-            predicted=predicted,
-            boundaries=boundaries,
-            cycle=pco_cycle(predicted),
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _predict_approx(
-        self, observed: History, boundary: BoundaryMode
-    ) -> PredictionResult:
-        enc, solver, timings = self._build(observed, boundary, unser=True)
-        status = solver.check(
-            max_conflicts=self.max_conflicts, max_seconds=self.max_seconds
-        )
-        return self._finish(enc, solver, status, timings)
-
-    def _predict_exact(self, observed: History) -> PredictionResult:
-        """Exact semantics via approx seeding plus CEGIS.
-
-        See ``docs/architecture.md`` ("The exact strategy"): try the cheap
-        approximate encoding first — any model it finds is already a valid
-        exact prediction — and only fall back to candidate enumeration with
-        per-candidate serializability checks when the approximation finds
-        nothing.
-        """
-        seeded = self._predict_approx(observed, self.strategy.boundary)
-        if seeded.status is Result.SAT:
-            seeded.strategy = self.strategy
-            return seeded
-        # approx found nothing: enumerate feasibility+isolation candidates
-        # and check each fixed candidate's serializability exactly.
-        enc, solver, timings = self._build(
-            observed, self.strategy.boundary, unser=False
-        )
-        for key in ("encode_seconds", "compile_seconds", "gen_seconds"):
-            timings[key] += seeded.stats.get(key, 0.0)
-        candidates = 0
-        while candidates < self.max_candidates:
-            status = solver.check(
-                max_conflicts=self.max_conflicts,
-                max_seconds=self.max_seconds,
-            )
-            if status is not Result.SAT:
-                # candidate space exhausted: genuinely no prediction
-                return self._finish(
-                    enc, solver, status, timings, candidates
-                )
-            candidates += 1
-            model = solver.model()
-            predicted = decode_history(enc, model)
-            if not is_serializable(predicted):
-                result = self._finish(
-                    enc, solver, Result.SAT, timings, candidates
-                )
-                return result
-            solver.add(blocking_clause(enc, model))
-        return PredictionResult(
-            status=Result.UNKNOWN,
-            isolation=self.isolation,
-            strategy=self.strategy,
-            stats={
-                "literals": solver.num_literals,
-                "solve_seconds": solver.check_seconds,
-                "candidates": candidates,
-                **timings,
-            },
-        )
-
 
 class PredictionEnumeration:
     """Persistent blocking-clause model walk over one observed history.
@@ -396,13 +309,14 @@ class PredictionEnumeration:
     solver twice more instead of re-encoding the history — the mechanism a
     fluent analysis session uses to make strategy/k sweeps cheap.
 
-    Phases mirror the exact strategy's structure. Phase one walks the
-    approximate (``unser``) encoding, whose every model decodes straight to
-    a prediction; for approximate strategies that is the whole story. For
-    exact strategies, once that space drains, phase two opens the
-    feasibility+isolation encoding with every found assignment pre-blocked
-    and runs CEGIS: each candidate model is individually checked for
-    serializability, keeping only unserializable ones.
+    The phases are the exact strategy (§4.2.1), and this is its only
+    implementation. Phase one walks the approximate (``unser``) encoding,
+    whose every model decodes straight to a prediction; for approximate
+    strategies that is the whole story. For exact strategies, once that
+    space drains, phase two opens the feasibility+isolation encoding with
+    every found assignment pre-blocked and runs CEGIS: each candidate model
+    is individually checked for serializability, keeping only
+    unserializable ones.
 
     A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call;
     hitting it reports :data:`Result.UNKNOWN` but leaves the solver state
@@ -423,6 +337,7 @@ class PredictionEnumeration:
         self._phase_decode_seconds = 0.0
         self._phase_candidates = 0
         self._closed_stats: dict = {}
+        self._released = False
 
     # -- phase management ----------------------------------------------
     def _open_phase(self, unser: bool) -> None:
@@ -485,7 +400,7 @@ class PredictionEnumeration:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if getattr(self, "_released", False):
+        if self._released:
             if len(self.predictions) >= k:
                 return  # already have them; nothing to extend
             raise RuntimeError(
@@ -576,7 +491,7 @@ class PredictionEnumeration:
 
     @property
     def released(self) -> bool:
-        return getattr(self, "_released", False)
+        return self._released
 
     def batch(self, k: Optional[int] = None) -> PredictionBatch:
         """The first ``k`` predictions (all of them when ``k`` is None)."""

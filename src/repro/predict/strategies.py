@@ -22,7 +22,7 @@ class Budget:
     Both limits apply *per solver call*: an incremental enumeration
     grants every re-check its own allowance, so a budget means the same
     thing on the long-lived in-process backend as on the fresh-start
-    external/portfolio backends.
+    external DIMACS backend.
     """
 
     max_seconds: Optional[float] = None

@@ -34,7 +34,6 @@ from .backends import (
     BackendUnavailable,
     DimacsProcessBackend,
     InProcessBackend,
-    PortfolioBackend,
     SolverBackend,
     make_backend,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "BudgetExceeded",
     "DimacsProcessBackend",
     "InProcessBackend",
-    "PortfolioBackend",
     "SolverBackend",
     "make_backend",
     "DifferenceTheory",

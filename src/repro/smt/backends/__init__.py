@@ -5,8 +5,6 @@ protocol and spec grammar. :func:`make_backend` is the one constructor
 the :class:`repro.smt.solver.Solver` facade calls::
 
     Solver()                                  # in-process CDCL (default)
-    Solver(backend="portfolio:4")             # 4-way racing portfolio
-    Solver(backend="portfolio:4:deterministic")
     Solver(backend="dimacs")                  # auto-detected external solver
     Solver(backend="dimacs:minisat")
     Solver(backend=lambda theory: ...)        # custom factory (tests)
@@ -18,26 +16,21 @@ from typing import Callable, Union
 from .base import (
     BackendSpec,
     BackendUnavailable,
-    ClauseStoreBackend,
     KNOWN_BACKENDS,
     SolverBackend,
 )
 from .dimacs_proc import DimacsProcessBackend, find_external_solver
 from .inprocess import InProcessBackend
-from .portfolio import PortfolioBackend, portfolio_configs
 
 __all__ = [
     "BackendSpec",
     "BackendUnavailable",
-    "ClauseStoreBackend",
     "DimacsProcessBackend",
     "InProcessBackend",
     "KNOWN_BACKENDS",
-    "PortfolioBackend",
     "SolverBackend",
     "find_external_solver",
     "make_backend",
-    "portfolio_configs",
 ]
 
 #: Anything `make_backend` accepts as a selection.
@@ -56,14 +49,8 @@ def make_backend(spec: BackendLike, theory=None) -> SolverBackend:
     if callable(spec) and not isinstance(spec, (str, BackendSpec)):
         return spec(theory)
     parsed = BackendSpec.parse(spec)
-    if parsed.kind == "inprocess":
-        return InProcessBackend(theory=theory)
     if parsed.kind == "dimacs":
         return DimacsProcessBackend(
             theory=theory, binary=parsed.option("binary")
         )
-    return PortfolioBackend(
-        theory=theory,
-        n=parsed.option("n", 4),
-        deterministic=bool(parsed.option("deterministic", False)),
-    )
+    return InProcessBackend(theory=theory)

@@ -3,9 +3,8 @@
 A *backend* is what actually decides the clause set the Tseitin compiler
 emits. :class:`repro.smt.solver.Solver` compiles expressions exactly as
 before, but every compiled clause now lands in a
-:class:`SolverBackend` — the in-process CDCL core by default, an external
-DIMACS solver subprocess, or a portfolio of diversified in-process workers
-racing in separate processes.
+:class:`SolverBackend` — the in-process CDCL core by default, or an
+external DIMACS solver subprocess.
 
 The protocol is deliberately the surface the compiler and the model layer
 already consumed from :class:`~repro.smt.sat.SatSolver`:
@@ -24,8 +23,7 @@ already consumed from :class:`~repro.smt.sat.SatSolver`:
   on it for correctness — only for cost models.
 
 Backends are selected by *spec*: a string like ``"inprocess"``,
-``"dimacs"``, ``"dimacs:minisat"``, ``"portfolio:4"`` or
-``"portfolio:4:deterministic"``, a parsed :class:`BackendSpec`, or a
+``"dimacs"`` or ``"dimacs:minisat"``, a parsed :class:`BackendSpec`, or a
 callable ``theory -> backend`` factory (used by tests to inject custom
 configurations such as a stub external solver).
 """
@@ -39,13 +37,12 @@ from ..errors import Result, SmtError
 __all__ = [
     "BackendSpec",
     "BackendUnavailable",
-    "ClauseStoreBackend",
     "KNOWN_BACKENDS",
     "SolverBackend",
 ]
 
 #: Backend kinds a spec string may name.
-KNOWN_BACKENDS = ("inprocess", "dimacs", "portfolio")
+KNOWN_BACKENDS = ("inprocess", "dimacs")
 
 
 class BackendUnavailable(SmtError):
@@ -145,7 +142,6 @@ class BackendSpec:
 
             inprocess
             dimacs[:<binary-name-or-path>]
-            portfolio[:<N>][:deterministic|:racing]
         """
         if isinstance(text, BackendSpec):
             return text
@@ -163,137 +159,11 @@ class BackendSpec:
                 )
             options = (("binary", rest[0]),) if rest else ()
             return cls("dimacs", options)
-        if kind == "portfolio":
-            n = 4
-            deterministic = False
-            for part in rest:
-                low = part.lower()
-                if low == "deterministic":
-                    deterministic = True
-                elif low == "racing":
-                    deterministic = False
-                else:
-                    try:
-                        n = int(part)
-                    except ValueError:
-                        raise ValueError(
-                            f"bad portfolio option {part!r} in {text!r}"
-                        ) from None
-                    if n < 1:
-                        raise ValueError("portfolio size must be >= 1")
-            return cls(
-                "portfolio",
-                (("deterministic", deterministic), ("n", n)),
-            )
         raise ValueError(
             f"unknown solver backend {kind!r}; "
             f"expected one of {KNOWN_BACKENDS}"
         )
 
     def __str__(self) -> str:
-        if self.kind == "inprocess":
-            return "inprocess"
-        if self.kind == "dimacs":
-            binary = self.option("binary")
-            return f"dimacs:{binary}" if binary else "dimacs"
-        n = self.option("n", 4)
-        mode = "deterministic" if self.option("deterministic") else "racing"
-        return f"portfolio:{n}:{mode}"
-
-
-class ClauseStoreBackend:
-    """Shared base for backends that keep the clause set as plain lists.
-
-    The DIMACS-subprocess and portfolio backends never run an in-process
-    search over the clauses directly; they accumulate ``(nvars, clauses)``
-    and re-submit the whole set on every ``solve`` — which is also what
-    makes incremental blocking-clause enumeration work on them without a
-    push/pop interface (``supports_push`` is False: correctness is
-    unaffected, each solve just starts cold).
-    """
-
-    supports_push = False
-    supports_theory = True
-
-    def __init__(self, theory=None):
-        self._theory = theory
-        self._nvars = 0
-        self._clauses: list[list[int]] = []
-        self._ok = True
-        self._assignment: Optional[list[int]] = None
-        self._core: Optional[list[int]] = None
-        self.stats: dict = {}
-
-    # -- problem construction -------------------------------------------
-    def new_var(self) -> int:
-        self._nvars += 1
-        return self._nvars
-
-    def add_clause(self, lits: Iterable[int]) -> bool:
-        self._assignment = None
-        nvars = self._nvars
-        seen: set[int] = set()
-        clause: list[int] = []
-        for lit in lits:
-            if lit == 0 or lit > nvars or lit < -nvars:
-                raise ValueError(f"literal {lit} out of range")
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            clause.append(lit)
-        if not clause:
-            self._ok = False
-            return False
-        self._clauses.append(clause)
-        return True
-
-    def add_clause_trusted(self, lits: list[int]) -> bool:
-        self._assignment = None
-        if not lits:
-            self._ok = False
-            return False
-        self._clauses.append(list(lits))
-        return True
-
-    @property
-    def num_vars(self) -> int:
-        return self._nvars
-
-    @property
-    def num_clauses(self) -> int:
-        return len(self._clauses)
-
-    # -- models ----------------------------------------------------------
-    def assignment(self) -> list[int]:
-        if self._assignment is None:
-            raise SmtError(f"{self.name}: no satisfying assignment available")
-        return list(self._assignment)
-
-    def model_value(self, var: int) -> Optional[bool]:
-        if self._assignment is None or var >= len(self._assignment):
-            return None
-        value = self._assignment[var]
-        if value < 0:
-            return None
-        return bool(value)
-
-    def int_values(self) -> dict[str, int]:
-        theory = self._theory
-        if theory is None:
-            return {}
-        return {name: theory.value(name) for name in theory._var_ids}
-
-    def core(self) -> Optional[list[int]]:
-        return self._core
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    # -- helpers for subclasses -----------------------------------------
-    def _theory_atoms(self) -> dict:
-        theory = self._theory
-        if theory is None:
-            return {}
-        return theory._atoms
+        binary = self.option("binary")
+        return f"{self.kind}:{binary}" if binary else self.kind

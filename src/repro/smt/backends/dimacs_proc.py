@@ -24,12 +24,12 @@ import subprocess
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ...faults import RetryPolicy, count_retry, fault_point, is_transient_fault
 from ...obs import span as obs_span
 from ..errors import Result, SmtError
-from .base import BackendUnavailable, ClauseStoreBackend
+from .base import BackendUnavailable
 
 __all__ = ["DimacsProcessBackend", "KNOWN_SOLVERS", "find_external_solver"]
 
@@ -60,8 +60,13 @@ def _style_for(name: str) -> str:
     return "stdout"
 
 
-class DimacsProcessBackend(ClauseStoreBackend):
+class DimacsProcessBackend:
     """Decide the clause set with an external DIMACS solver subprocess.
+
+    The clause set is kept as plain lists and re-submitted whole on every
+    ``solve``, which is also what makes incremental blocking-clause
+    enumeration work without a push/pop interface (``supports_push`` is
+    False: correctness is unaffected, each solve just starts cold).
 
     Selection, most specific wins:
 
@@ -77,6 +82,9 @@ class DimacsProcessBackend(ClauseStoreBackend):
     valid (if weak) core; external solvers give us nothing finer.
     """
 
+    supports_push = False
+    supports_theory = True
+
     def __init__(
         self,
         theory=None,
@@ -84,7 +92,12 @@ class DimacsProcessBackend(ClauseStoreBackend):
         binary: Optional[str] = None,
         max_refinements: int = 10_000,
     ):
-        super().__init__(theory=theory)
+        self._theory = theory
+        self._nvars = 0
+        self._clauses: list[list[int]] = []
+        self._ok = True
+        self._assignment: Optional[list[int]] = None
+        self._core: Optional[list[int]] = None
         self._max_refinements = max_refinements
         self._lemmas: list[list[int]] = []  # persistent theory lemmas
         self._asserted = 0  # theory assertions currently held by us
@@ -108,7 +121,7 @@ class DimacsProcessBackend(ClauseStoreBackend):
                 raise BackendUnavailable(
                     "no external DIMACS solver found on PATH "
                     f"(looked for: {names}); install one or use "
-                    "--solver inprocess / --solver portfolio"
+                    "--solver inprocess"
                 )
             name, path, style = found
             self._command = [path]
@@ -119,6 +132,70 @@ class DimacsProcessBackend(ClauseStoreBackend):
             "theory_refinements": 0,
             "subprocess_retries": 0,
         }
+
+    # -- problem construction -------------------------------------------
+    def new_var(self) -> int:
+        self._nvars += 1
+        return self._nvars
+
+    def add_clause(self, lits: Iterable[int]) -> bool:
+        self._assignment = None
+        nvars = self._nvars
+        seen: set[int] = set()
+        clause: list[int] = []
+        for lit in lits:
+            if lit == 0 or lit > nvars or lit < -nvars:
+                raise ValueError(f"literal {lit} out of range")
+            if -lit in seen:
+                return True  # tautology
+            if lit in seen:
+                continue
+            seen.add(lit)
+            clause.append(lit)
+        if not clause:
+            self._ok = False
+            return False
+        self._clauses.append(clause)
+        return True
+
+    def add_clause_trusted(self, lits: list[int]) -> bool:
+        self._assignment = None
+        if not lits:
+            self._ok = False
+            return False
+        self._clauses.append(list(lits))
+        return True
+
+    @property
+    def num_vars(self) -> int:
+        return self._nvars
+
+    @property
+    def num_clauses(self) -> int:
+        return len(self._clauses)
+
+    # -- models ----------------------------------------------------------
+    def assignment(self) -> list[int]:
+        if self._assignment is None:
+            raise SmtError(f"{self.name}: no satisfying assignment available")
+        return list(self._assignment)
+
+    def model_value(self, var: int) -> Optional[bool]:
+        if self._assignment is None or var >= len(self._assignment):
+            return None
+        value = self._assignment[var]
+        if value < 0:
+            return None
+        return bool(value)
+
+    def int_values(self) -> dict[str, int]:
+        theory = self._theory
+        if theory is None:
+            return {}
+        return {name: theory.value(name) for name in theory._var_ids}
+
+    def core(self) -> Optional[list[int]]:
+        return self._core
 
     # ------------------------------------------------------------------
     def _release_theory(self) -> None:
@@ -174,9 +251,9 @@ class DimacsProcessBackend(ClauseStoreBackend):
         repaired potential function; the next ``solve`` releases them.
         """
         theory = self._theory
-        atoms = self._theory_atoms()
-        if theory is None or not atoms:
+        if theory is None or not theory._atoms:
             return None
+        atoms = theory._atoms
         for sat_var in sorted(atoms):
             value = assign[sat_var] if sat_var < len(assign) else -1
             lit = sat_var if value == 1 else -sat_var

@@ -17,20 +17,15 @@ __all__ = ["InProcessBackend"]
 
 
 class InProcessBackend:
-    """Wraps one :class:`SatSolver` (optionally DPLL(T)-coupled) in-process.
-
-    ``solver_kwargs`` pass through to :class:`SatSolver` — the portfolio
-    backend's workers use them for diversification; direct users can set
-    the ablation flags the same way.
-    """
+    """Wraps one :class:`SatSolver` (optionally DPLL(T)-coupled) in-process."""
 
     name = "inprocess"
     supports_push = True  # incremental clause addition reuses learned state
     supports_theory = True
 
-    def __init__(self, theory=None, **solver_kwargs):
+    def __init__(self, theory=None):
         self._theory = theory
-        self._sat = SatSolver(theory=theory, **solver_kwargs)
+        self._sat = SatSolver(theory=theory)
         # direct bindings: the compiler calls these per clause/variable
         self.new_var = self._sat.new_var
         self.add_clause = self._sat.add_clause

@@ -35,7 +35,6 @@ neither), so no helper call sits on the hot path.
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -77,6 +76,11 @@ def luby(i: int) -> int:
 
 _UNASSIGNED = -1
 
+#: VSIDS activity decay: every conflict grows the bump increment by 1/0.95.
+VAR_DECAY = 0.95
+#: Conflicts per unit of the Luby restart schedule.
+RESTART_BASE = 100
+
 
 class SatSolver:
     """A CDCL SAT solver with an optional difference-logic theory plugin."""
@@ -87,33 +91,17 @@ class SatSolver:
         enable_vsids: bool = True,
         enable_learning: bool = True,
         enable_restarts: bool = True,
-        seed: Optional[int] = None,
-        var_decay: float = 0.95,
-        restart_base: int = 100,
-        default_phase: int = 0,
     ):
         """``enable_*`` flags exist for the solver-feature ablation bench.
 
         Disabling learning keeps conflict analysis (the backjump level and
         asserting literal still need it) but caps the learned-clause DB at
         a handful of clauses, approximating a non-learning DPLL search.
-
-        ``seed``/``var_decay``/``restart_base``/``default_phase`` are the
-        portfolio diversification knobs (see
-        :mod:`repro.smt.backends.portfolio`): a non-None ``seed`` jitters
-        initial variable activities so VSIDS tie-breaks differ per worker,
-        ``var_decay`` tunes activity aging, ``restart_base`` scales the
-        Luby restart schedule, and ``default_phase`` flips the polarity
-        tried first for never-assigned variables. The defaults reproduce
-        the historical search trajectory byte-for-byte.
         """
         self.theory = theory
         self.enable_vsids = enable_vsids
         self.enable_learning = enable_learning
         self.enable_restarts = enable_restarts
-        self._rng = random.Random(seed) if seed is not None else None
-        self._restart_base = restart_base
-        self._default_phase = 1 if default_phase else 0
         self._nvars = 0
         # flat clause arena: clause ci is _arena[_cbase[ci] : _cbase[ci] +
         # _csize[ci]]; _clbd[ci] is its LBD score (0 for problem clauses)
@@ -144,7 +132,6 @@ class SatSolver:
         self._heap_live: list[bool] = [False]
         self._seen: list[bool] = [False]  # scratch for _analyze, kept clean
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._ok = True
         self._core: Optional[list[int]] = None
         self.stats = {
@@ -169,21 +156,13 @@ class SatSolver:
         self._assign.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(-1)
-        self._phase.append(self._default_phase)
+        self._phase.append(0)
         self._watches.append([])
         self._watches.append([])
         self._seen.append(False)
-        if self._rng is None:
-            self._activity.append(0.0)
-            self._heap_act.append(0.0)
-            heapq.heappush(self._order, (0.0, self._nvars))
-        else:
-            # diversification: seeded activity jitter reorders VSIDS
-            # tie-breaks without touching the heuristic's dynamics
-            act = self._rng.random() * 1e-3
-            self._activity.append(act)
-            self._heap_act.append(act)
-            heapq.heappush(self._order, (-act, self._nvars))
+        self._activity.append(0.0)
+        self._heap_act.append(0.0)
+        heapq.heappush(self._order, (0.0, self._nvars))
         self._heap_live.append(True)
         return self._nvars
 
@@ -756,7 +735,7 @@ class SatSolver:
 
         deadline = time.monotonic() + max_seconds if max_seconds else None
         restart_idx = 1
-        budget = self._restart_base * luby(restart_idx)
+        budget = RESTART_BASE * luby(restart_idx)
         conflicts_here = 0
         # conflict budgets are per-call, like wall budgets: an incremental
         # caller re-checking the same solver grants each check its own
@@ -788,7 +767,7 @@ class SatSolver:
                 learned, back_level = self._analyze(conflict)
                 self._cancel_until(back_level)
                 self._record_learned(learned)
-                self._var_inc /= self._var_decay
+                self._var_inc /= VAR_DECAY
                 continue
             # no conflict
             if max_conflicts is not None and (
@@ -802,7 +781,7 @@ class SatSolver:
             if self.enable_restarts and conflicts_here >= budget:
                 conflicts_here = 0
                 restart_idx += 1
-                budget = self._restart_base * luby(restart_idx)
+                budget = RESTART_BASE * luby(restart_idx)
                 self.stats["restarts"] += 1
                 self._cancel_until(0)
                 self._reduce_learned()

@@ -147,13 +147,13 @@ class Solver:
     """An incremental SMT solver for the Bool+Enum+difference-logic fragment.
 
     ``backend`` selects what decides the compiled clauses — the in-process
-    CDCL core (default), an external DIMACS solver subprocess, or a
-    portfolio of racing workers; see :mod:`repro.smt.backends`. Expression
-    compilation, model extraction, and the incremental ``add``/``check``
-    contract are identical across backends.
+    CDCL core (default) or an external DIMACS solver subprocess; see
+    :mod:`repro.smt.backends`. Expression compilation, model extraction,
+    and the incremental ``add``/``check`` contract are identical across
+    backends.
 
     When a clause-store backend reports :class:`BackendUnavailable`
-    mid-run (solver binary vanished, worker pool died), ``check``
+    mid-run (solver binary vanished), ``check``
     degrades gracefully: the accumulated clauses (and any learned theory
     lemmas) are replayed into a fresh in-process backend, the downgrade
     is counted, and the query re-runs — the verdict is unaffected
@@ -217,12 +217,12 @@ class Solver:
     def _degrade_to_inprocess(self) -> None:
         """Swap a failed clause-store backend for the in-process core.
 
-        Clause-store backends (DIMACS bridge, portfolio) keep the full
-        clause set because they re-submit it on every solve; that makes
-        the in-process core a drop-in replacement: allocate the same
-        variable count, replay clauses plus learned theory lemmas, and
-        rebind the compiler. Only possible for clause stores — anything
-        else re-raises, since no complete state exists to replay.
+        Clause-store backends (the DIMACS bridge) keep the full clause
+        set because they re-submit it on every solve; that makes the
+        in-process core a drop-in replacement: allocate the same variable
+        count, replay clauses plus learned theory lemmas, and rebind the
+        compiler. Only possible for clause stores — anything else
+        re-raises, since no complete state exists to replay.
         """
         from .backends.inprocess import InProcessBackend
 

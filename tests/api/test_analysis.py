@@ -198,6 +198,22 @@ class TestRun:
         assert result.validation is not None
         assert result.confirmed == result.validation.validated
 
+    def test_run_exposes_the_recorded_run(self):
+        result = _session().run()
+        assert result.run.meta["app"] == "smallbank"
+        assert result.run.outcome.app.name == "smallbank"
+        assert result.run.outcome.store is not None
+        assert result.run.history is result.run.outcome.history
+        assert result.prediction.found
+        assert result.prediction.predicted is result.batch.best.predicted
+        assert result.validation is not None
+
+    def test_validate_false_skips_replay(self):
+        result = _session().run(validate=False)
+        assert result.batch.found
+        assert result.validation is None
+        assert not result.confirmed
+
     def test_run_skips_validation_when_impossible(self, tmp_path):
         path = tmp_path / "t.json"
         save_history(_session().history, path)

@@ -95,7 +95,61 @@ def test_unsat_history_yields_empty_batch():
     assert batch.status is Result.UNSAT
 
 
-def test_k1_equals_predict(sat_history):
+@pytest.mark.parametrize(
+    "isolation", [IsolationLevel.CAUSAL, IsolationLevel.READ_COMMITTED],
+    ids=str,
+)
+@pytest.mark.parametrize(
+    "strategy",
+    ["exact-strict", "exact-relaxed", "approx-strict", "approx-relaxed"],
+)
+def test_k1_equals_predict(sat_history, isolation, strategy):
+    analyzer = IsoPredict(
+        isolation, PredictionStrategy.parse(strategy), max_seconds=30.0
+    )
+    single = analyzer.predict(sat_history)
+    best = analyzer.predict_many(sat_history, k=1).primary
+    assert best.status is single.status
+    assert best.boundaries == single.boundaries
+    if single.found:
+        assert _fingerprint(best) == _fingerprint(single)
+
+
+def test_primary_carries_batch_totals(sat_history):
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    )
+    batch = analyzer.predict_many(sat_history, k=3)
+    primary = batch.primary
+    # the best prediction, with the enumeration totals winning over its
+    # find-time snapshot (one candidate when it was found)
+    assert batch.best.stats["candidates"] == 1
+    assert primary.predicted is batch.best.predicted
+    assert primary.boundaries == batch.best.boundaries
+    assert primary.stats["candidates"] == batch.stats["candidates"] == 3
+    assert primary.stats["literals"] == batch.stats["literals"]
+    assert batch.best.stats == {"candidates": 1}  # left untouched
+
+
+def test_primary_of_empty_batch_reports_status_and_stats():
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    )
+    batch = analyzer.predict_many(_observed(0), k=2)
+    primary = batch.primary
+    assert not primary.found and primary.predicted is None
+    assert primary.status is Result.UNSAT
+    assert primary.isolation is IsolationLevel.CAUSAL
+    assert primary.strategy is PredictionStrategy.APPROX_RELAXED
+    assert primary.stats == batch.stats
+    assert primary.stats is not batch.stats  # a copy, not an alias
+
+
+def test_predict_reports_single_prediction_enumeration_totals(sat_history):
     analyzer = IsoPredict(
         IsolationLevel.CAUSAL,
         PredictionStrategy.APPROX_RELAXED,
@@ -103,9 +157,27 @@ def test_k1_equals_predict(sat_history):
     )
     single = analyzer.predict(sat_history)
     batch = analyzer.predict_many(sat_history, k=1)
-    assert len(batch) == 1
-    assert _fingerprint(batch.best) == _fingerprint(single)
-    assert batch.best.boundaries == single.boundaries
+    for key in ("literals", "clauses", "vars", "candidates", "predictions",
+                "conflicts", "decisions", "backend"):
+        assert single.stats[key] == batch.stats[key], key
+    assert single.stats["predictions"] == 1
+
+
+def test_enumeration_released_flag_lifecycle(sat_history):
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    )
+    enum = analyzer.enumerator(sat_history)
+    assert enum.released is False
+    enum.ensure(1)
+    assert enum.released is False
+    enum.release()
+    assert enum.released is True
+    enum.ensure(1)  # already found: served without a solver
+    with pytest.raises(RuntimeError):
+        enum.ensure(2)
 
 
 def test_exact_strategy_enumeration(sat_history):

@@ -236,16 +236,21 @@ class TestSolverField:
         assert "solver=" not in round_.round_id  # legacy ids still resume
 
     def test_solver_propagates_and_canonicalizes(self):
-        spec = CampaignSpec(solver="portfolio:4", seeds=1)
-        assert spec.solver == "portfolio:4:racing"
+        spec = CampaignSpec(solver="DIMACS:minisat", seeds=1)
+        assert spec.solver == "dimacs:minisat"
         rounds = spec.rounds()
-        assert all(r.solver == "portfolio:4:racing" for r in rounds)
-        assert all("solver=portfolio:4:racing" in r.round_id for r in rounds)
+        assert all(r.solver == "dimacs:minisat" for r in rounds)
+        assert all("solver=dimacs:minisat" in r.round_id for r in rounds)
 
     def test_solver_changes_round_identity(self):
         base = CampaignSpec(seeds=1).rounds()[0]
-        portfolio = CampaignSpec(solver="portfolio:2", seeds=1).rounds()[0]
-        assert base.round_id != portfolio.round_id
+        dimacs = CampaignSpec(solver="dimacs", seeds=1).rounds()[0]
+        assert base.round_id != dimacs.round_id
+
+    def test_removed_portfolio_solver_is_rejected(self):
+        with pytest.raises(ValueError, match="inprocess") as info:
+            CampaignSpec(solver="portfolio:2")
+        assert "dimacs" in str(info.value)
 
     def test_bad_solver_fails_eagerly(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
@@ -258,7 +263,7 @@ class TestSolverField:
             )
 
     def test_solver_survives_mapping_roundtrip(self):
-        spec = CampaignSpec(solver="portfolio:2:deterministic", seeds=1)
+        spec = CampaignSpec(solver="dimacs:minisat", seeds=1)
         assert CampaignSpec.from_mapping(spec.to_mapping()) == spec
 
 

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: record → predict → validate across apps."""
 import pytest
 
+from repro.api import Analysis
 from repro.bench_apps import Smallbank, TPCC, Voter
 from repro.isolation import (
     IsolationLevel,
@@ -8,9 +9,25 @@ from repro.isolation import (
     is_valid_under,
     pco_unserializable,
 )
-from repro.pipeline import analyze
 from repro.predict import PredictionStrategy
 from repro.smt import Result
+from repro.sources import BenchAppSource
+
+
+def analyze(
+    app_cls,
+    seed=0,
+    isolation=IsolationLevel.CAUSAL,
+    strategy=PredictionStrategy.APPROX_RELAXED,
+    validate=True,
+):
+    """One record → predict → (validate) round through the session API."""
+    session = (
+        Analysis(BenchAppSource(app_cls, seed=seed))
+        .under(isolation)
+        .using(strategy)
+    )
+    return session.run(validate=validate)
 
 
 class TestPipelineBasics:
@@ -23,7 +40,7 @@ class TestPipelineBasics:
                 isolation=IsolationLevel.CAUSAL,
                 strategy=PredictionStrategy.APPROX_RELAXED,
             )
-            assert is_serializable(result.observed.history)
+            assert is_serializable(result.run.history)
             if result.prediction.found:
                 predicted = result.prediction.predicted
                 assert is_valid_under(predicted, IsolationLevel.CAUSAL)

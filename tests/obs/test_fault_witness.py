@@ -123,10 +123,10 @@ class TestTelemetryWitness:
         from repro.faults import count_downgrade
 
         with telemetry_session(str(tmp_path / "t.jsonl"), command="c"):
-            count_downgrade("portfolio->inprocess")
+            count_downgrade("solver.inprocess|dimacs:stub")
             reg = get_registry()
             assert reg.counter("fault_downgrades").value(
-                "portfolio->inprocess"
+                "solver.inprocess|dimacs:stub"
             ) == 1
 
     def test_faults_count_without_telemetry_too(self):

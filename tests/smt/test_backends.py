@@ -1,17 +1,17 @@
 """Protocol-conformance suite for the solver-backend seam.
 
-Every test in :class:`TestConformance` runs against all registered
-backends — the in-process CDCL core, the DIMACS subprocess bridge (driven
-by the stub solver script, so no external solver install is needed), and
-the portfolio in both arbitration modes. The contract: same verdicts
-everywhere, and in deterministic portfolio mode the same *models* as the
-seed solver.
+Every test in :class:`TestConformance` runs against both registered
+backends — the in-process CDCL core and the DIMACS subprocess bridge
+(driven by the stub solver script, so no external solver install is
+needed). The contract: same verdicts everywhere.
 """
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro.gallery as gallery_mod
 from repro.gallery import (
     deposit_observed,
     deposit_unserializable,
@@ -22,6 +22,7 @@ from repro.isolation import IsolationLevel
 from repro.predict import IsoPredict, PredictionStrategy
 from repro.smt import (
     And,
+    BackendSpec,
     Bool,
     Int,
     Not,
@@ -29,7 +30,7 @@ from repro.smt import (
     Result,
     Solver,
 )
-from repro.smt.backends import DimacsProcessBackend
+from repro.smt.backends import DimacsProcessBackend, InProcessBackend
 
 STUB = str(Path(__file__).parent / "stub_solver.py")
 
@@ -52,8 +53,6 @@ def stub_dimacs(theory):
 BACKENDS = {
     "inprocess": "inprocess",
     "dimacs-stub": stub_dimacs,
-    "portfolio-racing": "portfolio:2",
-    "portfolio-det": "portfolio:2:deterministic",
 }
 
 
@@ -157,6 +156,22 @@ class TestConformance:
         ).predict(history)
         assert result.status is reference.status
 
+    @pytest.mark.parametrize("name", sorted(GALLERY), ids=sorted(GALLERY))
+    def test_exact_gallery_verdicts_match_inprocess(self, backend, name):
+        # the exact strategy's CEGIS phase re-checks the solver after each
+        # blocking clause, so this drives the backend incrementally
+        history = GALLERY[name]()
+        reference = IsoPredict(
+            IsolationLevel.CAUSAL, PredictionStrategy.EXACT_STRICT
+        ).predict(history)
+        result = IsoPredict(
+            IsolationLevel.CAUSAL,
+            PredictionStrategy.EXACT_STRICT,
+            solver=backend,
+        ).predict(history)
+        assert result.status is reference.status
+        assert result.found == reference.found
+
     def test_enumeration_same_prediction_set(self, backend):
         """Distinct-prediction enumeration drains the same model space.
 
@@ -190,37 +205,128 @@ class TestConformance:
         assert projections(backend) == projections("inprocess")
 
 
-class TestDeterministicPortfolioModels:
-    """deterministic=True: winning models match the seed solver's."""
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes): UNSAT when pigeons > holes, and hard for CDCL."""
+    def var(p, h):
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return pigeons * holes, clauses
+
+
+def raw_backend(name):
+    """A theory-free backend of the named kind, for CNF-level tests."""
+    backend = BACKENDS[name]
+    if callable(backend):
+        return backend(None)
+    return InProcessBackend()
+
+
+def load(backend, nvars, clauses):
+    for _ in range(nvars):
+        backend.new_var()
+    for clause in clauses:
+        backend.add_clause(clause)
+
+
+class TestRawBackendProtocol:
+    """The CNF-level ``SolverBackend`` surface, below the Solver facade."""
+
+    @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
+    def raw(self, request):
+        backend = raw_backend(request.param)
+        yield backend
+        backend.close()
+
+    def test_model_satisfies_every_clause(self, raw):
+        nvars, clauses = pigeonhole(5, 5)
+        load(raw, nvars, clauses)
+        assert raw.solve() is Result.SAT
+        assignment = raw.assignment()
+        assert len(assignment) == nvars + 1
+        for clause in clauses:
+            assert any(
+                (assignment[abs(lit)] == 1) == (lit > 0) for lit in clause
+            ), clause
+        assert raw.model_value(1) == bool(assignment[1])
+
+    def test_unsat_pigeonhole(self, raw):
+        nvars, clauses = pigeonhole(4, 3)
+        load(raw, nvars, clauses)
+        assert raw.solve() is Result.UNSAT
+        assert raw.core() in (None, [])  # no assumptions, so no core
+
+    def test_incremental_blocking_across_solves(self, raw):
+        load(raw, 2, [[1, 2]])
+        models = set()
+        while raw.solve() is Result.SAT:
+            assignment = raw.assignment()
+            bits = tuple(assignment[1:3])
+            assert bits not in models
+            models.add(bits)
+            raw.add_clause([-(v if assignment[v] else -v) for v in (1, 2)])
+        assert len(models) == 3
+
+    def test_assumptions_and_core(self, raw):
+        load(raw, 3, [[-1, 2]])  # 1 -> 2
+        assert raw.solve(assumptions=[1, -2]) is Result.UNSAT
+        core = raw.core()
+        assert core is not None and set(core) <= {1, -2}
+        assert raw.solve(assumptions=[1, 2]) is Result.SAT
+        assert raw.model_value(2) is True
+
+    def test_wall_budget_reports_unknown(self, raw):
+        nvars, clauses = pigeonhole(9, 8)  # far beyond 50 ms of search
+        load(raw, nvars, clauses)
+        start = time.monotonic()
+        result = raw.solve(max_seconds=0.05)
+        assert result is Result.UNKNOWN
+        assert time.monotonic() - start < 10.0  # stopped, not awaited
+
+
+class TestInProcessBudgets:
+    def test_budget_then_full_solve_recovers(self):
+        backend = InProcessBackend()
+        nvars, clauses = pigeonhole(6, 5)
+        load(backend, nvars, clauses)
+        assert backend.solve(max_conflicts=1) is Result.UNKNOWN
+        assert backend.solve() is Result.UNSAT
+
+
+class TestDeterministicModels:
+    """The in-process backend is reproducible down to the model.
+
+    Campaign resume, fleet merging and the BENCH counters all assume two
+    fresh analyses of one history decode the same prediction.
+    """
 
     @pytest.mark.parametrize("name", sorted(GALLERY), ids=sorted(GALLERY))
-    def test_models_equal_inprocess(self, name):
-        history = GALLERY[name]()
-        kwargs = dict(max_candidates=8)
-        reference = IsoPredict(
-            IsolationLevel.CAUSAL,
-            PredictionStrategy.APPROX_STRICT,
-            **kwargs,
-        ).predict(history)
-        portfolio = IsoPredict(
-            IsolationLevel.CAUSAL,
-            PredictionStrategy.APPROX_STRICT,
-            solver="portfolio:2:deterministic",
-            **kwargs,
-        ).predict(history)
-        assert portfolio.status is reference.status
-        if reference.status is Result.SAT:
-            assert portfolio.boundaries == reference.boundaries
-            assert canon(portfolio.predicted) == canon(reference.predicted)
+    def test_fresh_analyses_decode_identical_predictions(self, name):
+        def run():
+            return IsoPredict(
+                IsolationLevel.CAUSAL,
+                PredictionStrategy.APPROX_STRICT,
+                max_candidates=8,
+            ).predict(GALLERY[name]())
 
-    def test_repeated_runs_stable(self):
+        first, second = run(), run()
+        assert first.status is second.status
+        if first.status is Result.SAT:
+            assert first.boundaries == second.boundaries
+            assert canon(first.predicted) == canon(second.predicted)
+
+    def test_repeated_runs_stable(self, backend):
         history = deposit_unserializable()
         outcomes = set()
         for _ in range(3):
             result = IsoPredict(
                 IsolationLevel.CAUSAL,
                 PredictionStrategy.APPROX_STRICT,
-                solver="portfolio:3:deterministic",
+                solver=backend,
             ).predict(history)
             outcomes.add(
                 (result.status, tuple(sorted(result.boundaries.items())))
@@ -228,34 +334,49 @@ class TestDeterministicPortfolioModels:
         assert len(outcomes) == 1
 
 
-class TestAcceptancePortfolio4:
-    """The PR acceptance invariant: ``--solver portfolio --portfolio 4``
-    verdicts equal ``--solver inprocess`` on *every* gallery scenario."""
+def full_gallery():
+    """Every gallery scenario as one name -> history map."""
+    histories = {}
+    for name in gallery_mod.__all__:
+        value = getattr(gallery_mod, name)()
+        if isinstance(value, dict):
+            # fig10_patterns: pattern -> (observed, predicted)
+            for key, pair in value.items():
+                for i, h in enumerate(
+                    pair if isinstance(pair, tuple) else (pair,)
+                ):
+                    histories[f"{name}:{key}:{i}"] = h
+        else:
+            histories[name] = value
+    return histories
 
-    @pytest.mark.slow
-    def test_portfolio4_verdicts_on_full_gallery(self):
-        import repro.gallery as gallery_mod
 
-        histories = {}
-        for name in gallery_mod.__all__:
-            value = getattr(gallery_mod, name)()
-            if isinstance(value, dict):
-                # fig10_patterns: pattern -> (observed, predicted)
-                for key, pair in value.items():
-                    for i, h in enumerate(
-                        pair if isinstance(pair, tuple) else (pair,)
-                    ):
-                        histories[f"{name}:{key}:{i}"] = h
-            else:
-                histories[name] = value
+class TestAcceptanceDimacs:
+    """The subprocess bridge reaches the in-process verdict on *every*
+    gallery scenario."""
+
+    def test_dimacs_verdicts_on_full_gallery(self):
+        histories = full_gallery()
         assert len(histories) >= 12
         for name, history in sorted(histories.items()):
             reference = IsoPredict(
                 IsolationLevel.CAUSAL, PredictionStrategy.APPROX_STRICT
             ).predict(history)
-            raced = IsoPredict(
+            bridged = IsoPredict(
                 IsolationLevel.CAUSAL,
                 PredictionStrategy.APPROX_STRICT,
-                solver="portfolio:4",
+                solver=stub_dimacs,
             ).predict(history)
-            assert raced.status is reference.status, name
+            assert bridged.status is reference.status, name
+
+
+class TestSpecGrammar:
+    @pytest.mark.parametrize(
+        "text",
+        ["portfolio", "portfolio:4", "portfolio:2:deterministic",
+         "portfolio:3:racing"],
+    )
+    def test_removed_portfolio_backend_is_rejected(self, text):
+        with pytest.raises(ValueError, match="inprocess") as info:
+            BackendSpec.parse(text)
+        assert "dimacs" in str(info.value)

@@ -1,6 +1,9 @@
 """CDCL core tests: hand-picked formulas, pigeonhole, random cross-checks."""
+import hashlib
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import Result, SatSolver, luby
@@ -294,3 +297,103 @@ class TestPerSolveConflictBudget:
         assert solver.stats["conflicts"] > spent
         # and with no budget the same solver still finishes the proof
         assert solver.solve() is Result.UNSAT
+
+
+def _php(pigeons: int, holes: int):
+    """PHP(pigeons, holes): UNSAT exactly when pigeons > holes."""
+    def var(p: int, h: int) -> int:
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return pigeons * holes, clauses
+
+
+def _random_3sat(seed: int, nvars: int, nclauses: int):
+    rng = random.Random(seed)
+    return nvars, [
+        [rng.choice((1, -1)) * v for v in rng.sample(range(1, nvars + 1), 3)]
+        for _ in range(nclauses)
+    ]
+
+
+def _model_digest(solver: SatSolver, nvars: int) -> str:
+    bits = "".join(
+        "1" if solver.model_value(v) else "0" for v in range(1, nvars + 1)
+    )
+    return hashlib.sha256(bits.encode()).hexdigest()[:16]
+
+
+class TestDefaultTrajectory:
+    """The default CDCL search trajectory is pinned.
+
+    VSIDS decay, the Luby restart unit, zero initial activities and the
+    negative default phase are constants, not constructor knobs. These
+    figures were recorded when they still were knobs (at their defaults);
+    any drift in them moves every BENCH counter and every golden
+    prediction, so it must be deliberate.
+    """
+
+    PINNED = {
+        # name: (instance, verdict, conflicts, decisions, propagations,
+        #        restarts, learned, model digest or None)
+        "php-5-5": (
+            lambda: _php(5, 5), Result.SAT, 0, 10, 25, 0, 0,
+            "7834fb7427eaaaa4",
+        ),
+        "php-4-3": (
+            lambda: _php(4, 3), Result.UNSAT, 7, 9, 55, 0, 6, None,
+        ),
+        "php-6-5": (
+            lambda: _php(6, 5), Result.UNSAT, 151, 184, 1808, 1, 150, None,
+        ),
+        "rand3-60-250": (
+            lambda: _random_3sat(7, 60, 250), Result.SAT, 66, 86, 1217, 0,
+            66, "77d24d948cd53056",
+        ),
+        "rand3-80-340": (
+            lambda: _random_3sat(11, 80, 340), Result.UNSAT, 342, 419, 6761,
+            2, 341, None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_counters_and_model_pinned(self, name):
+        build, verdict, conflicts, decisions, props, restarts, learned, \
+            digest = self.PINNED[name]
+        nvars, clauses = build()
+        solver = make_solver(nvars)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve() is verdict
+        stats = solver.stats
+        assert (
+            stats["conflicts"],
+            stats["decisions"],
+            stats["propagations"],
+            stats["restarts"],
+            stats["learned"],
+        ) == (conflicts, decisions, props, restarts, learned)
+        if digest is not None:
+            assert _model_digest(solver, nvars) == digest
+
+    @pytest.mark.parametrize(
+        "knob", ["seed", "var_decay", "restart_base", "default_phase"]
+    )
+    def test_search_knobs_are_not_constructor_options(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SatSolver(**{knob: 1})
+
+    def test_fresh_variables_start_cold_and_negative(self):
+        solver = make_solver(3)
+        assert solver._activity[1:] == [0.0, 0.0, 0.0]
+        assert solver._phase[1:] == [0, 0, 0]
+        # an unconstrained variable takes the default (negative) phase
+        solver.add_clause([1])
+        assert solver.solve() is Result.SAT
+        assert solver.model_value(1) is True
+        assert solver.model_value(2) is False
+        assert solver.model_value(3) is False

@@ -188,21 +188,33 @@ class TestValidateCommand:
 
 
 class TestSolverFlags:
-    def test_predict_with_portfolio_backend(self, tmp_path, capsys):
-        trace = tmp_path / "obs.json"
-        main(["record", "--app", "smallbank", "--seed", "1",
-              "--out", str(trace)])
-        capsys.readouterr()
+    def test_removed_portfolio_solver_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--app", "smallbank", "--solver", "portfolio"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "inprocess" in err and "dimacs" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--portfolio", "2"], ["--deterministic"]],
+        ids=["portfolio", "deterministic"],
+    )
+    def test_removed_portfolio_flags_are_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--app", "smallbank", *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_campaign_rejects_removed_portfolio_solver(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
         code = main(
-            ["predict", str(trace), "--isolation", "causal",
-             "--strategy", "approx-strict", "--max-seconds", "60",
-             "--solver", "portfolio", "--portfolio", "2",
-             "--deterministic", "--profile"]
+            ["campaign", "--apps", "smallbank", "--workloads", "tiny",
+             "--seeds", "1", "--solver", "portfolio:2", "--out", str(out)]
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "solver: portfolio:2:deterministic" in out
-        assert "portfolio_solves=" in out
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "inprocess" in err and "dimacs" in err
+        assert not out.exists()  # rejected before any round ran
 
     def test_budget_flag_parses_conflict_budgets(self, tmp_path, capsys):
         trace = tmp_path / "obs.json"
@@ -217,13 +229,6 @@ class TestSolverFlags:
         out = capsys.readouterr().out
         assert code == 2
         assert "prediction: unknown" in out
-
-    def test_deterministic_requires_portfolio(self, tmp_path):
-        trace = tmp_path / "obs.json"
-        main(["record", "--app", "smallbank", "--seed", "1",
-              "--out", str(trace)])
-        with pytest.raises(SystemExit):
-            main(["predict", str(trace), "--deterministic"])
 
     def test_missing_external_solver_reports_cleanly(
         self, tmp_path, capsys, monkeypatch

@@ -63,18 +63,16 @@ class TestIrrelevantTransactionsDropped:
 class TestEndToEnd:
     def test_minimized_benchmark_prediction(self):
         """Shrink a real Smallbank prediction down to its witness kernel."""
+        from repro.api import Analysis
         from repro.bench_apps import Smallbank
-        from repro.isolation import IsolationLevel
-        from repro.pipeline import analyze
-        from repro.predict import PredictionStrategy
+        from repro.sources import BenchAppSource
 
         for seed in range(4):
-            result = analyze(
-                Smallbank,
-                seed=seed,
-                isolation=IsolationLevel.READ_COMMITTED,
-                strategy=PredictionStrategy.APPROX_STRICT,
-                validate=False,
+            result = (
+                Analysis(BenchAppSource(Smallbank, seed=seed))
+                .under("rc")
+                .using("approx-strict")
+                .run(validate=False)
             )
             if not result.prediction.found:
                 continue
