@@ -99,6 +99,12 @@ SCENARIOS = [
      "approx-relaxed", 4, "inprocess", "inmemory"),
     ("tpcc-small-rc-strict-k1", "mid", "tpcc", "small", "rc",
      "approx-strict", 1, "inprocess", "inmemory"),
+    # -- Table 4's exact column: CEGIS with one serializability solve per
+    # candidate; the ``candidates`` counter tracks the refinement's reach
+    ("smallbank-tiny-exact-strict-k1", "small", "smallbank", "tiny",
+     "causal", "exact-strict", 1, "inprocess", "inmemory"),
+    ("shardtransfer-tiny-exact-strict-k1", "small", "shardtransfer", "tiny",
+     "causal", "exact-strict", 1, "inprocess", "inmemory"),
     # -- sharded scenario workloads (PR 5) ------------------------------
     ("shardtransfer-small-sharded4-k1", "mid", "shardtransfer", "small",
      "causal", "approx-relaxed", 1, "inprocess", "sharded:4"),

@@ -26,6 +26,8 @@ from .unserializability import (
     assignment_of,
     blocking_clause,
     blocking_clause_for,
+    not_serialized_by,
+    witness_order,
 )
 from .weak_isolation import isolation_constraints
 
@@ -315,8 +317,9 @@ class PredictionEnumeration:
     strategies that is the whole story. For exact strategies, once that
     space drains, phase two opens the feasibility+isolation encoding with
     every found assignment pre-blocked and runs CEGIS: each candidate model
-    is individually checked for serializability, keeping only
-    unserializable ones.
+    is checked for serializability; an unserializable one is a prediction,
+    and a serializable one's witness commit order refines the encoding
+    (see :meth:`_refine`).
 
     A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call;
     hitting it reports :data:`Result.UNKNOWN` but leaves the solver state
@@ -395,8 +398,9 @@ class PredictionEnumeration:
     def ensure(self, k: int, deadline: Optional[float] = None) -> None:
         """Extend the enumeration until ``k`` predictions exist (if any do).
 
-        Stops early when the candidate space exhausts (``UNSAT``) or the
-        deadline/candidate budget runs out (``UNKNOWN``, resumable).
+        Stops early when the candidate space exhausts (``UNSAT``), or when
+        the deadline/candidate budget runs out or a candidate's
+        serializability check is undecided (``UNKNOWN``, resumable).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -416,12 +420,10 @@ class PredictionEnumeration:
             if self._solver is None:
                 # between phases: the unser walk drained, CEGIS pending
                 self._open_phase(unser=False)
-            budget = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    self._status = Result.UNKNOWN
-                    return
+            budget = _remaining(deadline)
+            if budget == 0:
+                self._status = Result.UNKNOWN
+                return
             status = self._solver.check(
                 max_conflicts=self.analyzer.max_conflicts, max_seconds=budget
             )
@@ -441,37 +443,66 @@ class PredictionEnumeration:
                 model = self._solver.model()
                 predicted = decode_history(self._enc, model)
             self._phase_decode_seconds += time.monotonic() - decode_start
-            if self._phase_unser or not is_serializable(predicted):
-                decode_start = time.monotonic()
-                with obs_span("stage.decode", candidate=self._phase_candidates,
-                              part="boundaries"):
-                    boundaries = decode_boundaries(self._enc, model)
-                self._phase_decode_seconds += (
-                    time.monotonic() - decode_start
+            if not self._phase_unser:
+                report = is_serializable(
+                    predicted, max_seconds=_remaining(deadline)
                 )
-                self.predictions.append(
-                    PredictionResult(
-                        status=Result.SAT,
-                        isolation=self.analyzer.isolation,
-                        strategy=self.analyzer.strategy,
-                        predicted=predicted,
-                        boundaries=boundaries,
-                        cycle=pco_cycle(predicted),
-                        stats={"candidates": self._total_candidates()},
-                    )
-                )
-                self._assignments.append(assignment_of(self._enc, model))
-            else:
-                rejected += 1
-                if rejected >= self.analyzer.max_candidates:
-                    # block the rejected model before stopping: a later
-                    # ensure() resumes past it with a fresh candidate budget
-                    self._solver.add(blocking_clause(self._enc, model))
+                if report.result is Result.SAT:
+                    self._refine(model, report.commit_order)
+                    rejected += 1
+                    if rejected >= self.analyzer.max_candidates:
+                        # the refinement already excludes this candidate: a
+                        # later ensure() resumes with a fresh candidate budget
+                        self._status = Result.UNKNOWN
+                        return
+                    continue
+                if report.result is not Result.UNSAT:
+                    # no verdict, no witness: the model stays unblocked and
+                    # is re-served to a later ensure() (like a solver budget)
                     self._status = Result.UNKNOWN
                     return
-            self._solver.add(blocking_clause(self._enc, model))
+            self._accept(model, predicted)
         if len(self.predictions) >= k:
             self._status = Result.SAT
+
+    def _accept(self, model, predicted: History) -> None:
+        """Record an unserializable candidate as a prediction and block it."""
+        decode_start = time.monotonic()
+        with obs_span("stage.decode", candidate=self._phase_candidates,
+                      part="boundaries"):
+            boundaries = decode_boundaries(self._enc, model)
+        self._phase_decode_seconds += time.monotonic() - decode_start
+        self.predictions.append(
+            PredictionResult(
+                status=Result.SAT,
+                isolation=self.analyzer.isolation,
+                strategy=self.analyzer.strategy,
+                predicted=predicted,
+                boundaries=boundaries,
+                cycle=pco_cycle(predicted),
+                stats={"candidates": self._total_candidates()},
+            )
+        )
+        self._assignments.append(assignment_of(self._enc, model))
+        self._solver.add(blocking_clause(self._enc, model))
+
+    def _refine(self, model, commit_order: list[str]) -> None:
+        """Instantiate ``forall co`` at a serializable candidate's witness.
+
+        The clause excludes every candidate the witness order serializes —
+        this one included — and never an unserializable one.
+        """
+        refinement = not_serialized_by(
+            self._enc, witness_order(self._enc, commit_order)
+        )
+        if model.evaluate(refinement):
+            # the encoding and the decoder disagree about this candidate;
+            # adding the clause would re-serve the same model forever
+            raise RuntimeError(
+                "CEGIS refinement holds under the candidate it was built "
+                "from: the encoding and the decoded history disagree"
+            )
+        self._solver.add(refinement)
 
     def release(self) -> dict:
         """Drop the live solver, folding its stats; returns the totals.
@@ -513,6 +544,13 @@ class PredictionEnumeration:
             predictions=predictions,
             stats=stats,
         )
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left until ``deadline`` (None: unbounded)."""
+    if deadline is None:
+        return None
+    return max(0.0, deadline - time.monotonic())
 
 
 def predict_unserializable(

@@ -12,13 +12,14 @@ Two encodings:
   ``docs/architecture.md``): enumerate
   candidate predictions satisfying feasibility + isolation, check each fixed
   candidate's serializability with the existential encoding of
-  :mod:`repro.isolation.checkers`, and block serializable candidates.
+  :mod:`repro.isolation.checkers`, and instantiate the quantifier at each
+  serializable candidate's witness order (:func:`not_serialized_by`).
 """
 from __future__ import annotations
 
 import itertools
 
-from ..smt import And, Expr, Not, Or
+from ..smt import FALSE, TRUE, And, Expr, Not, Or
 from .encoder import Encoding
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "blocking_clause",
     "blocking_clause_for",
     "exact_expansion_constraints",
+    "not_serialized_by",
+    "witness_order",
 ]
 
 
@@ -46,12 +49,9 @@ def exact_expansion_constraints(enc: Encoding, max_txns: int = 7) -> list[Expr]:
     """B.2.1's quantified constraint, expanded over all commit orders.
 
     The paper asserts ``forall co. not IsSerializable(co)``. Over a finite
-    transaction set the quantifier is a finite conjunction: for every
-    permutation π (t0 first — it is so-before everything), the predicted
-    execution must *not* be serialized by π, i.e. some pair ordered by
-    so/wr/arbitration-under-π runs against π. With π fixed, all co
-    comparisons are constants, so each conjunct is a plain Boolean formula
-    over the choice variables.
+    transaction set the quantifier is a finite conjunction of
+    :func:`not_serialized_by` over every permutation π (t0 first — it is
+    so-before everything).
 
     Factorial blow-up restricts this to small histories (``max_txns``); it
     exists as the semantics-faithful oracle against which the CEGIS
@@ -63,29 +63,52 @@ def exact_expansion_constraints(enc: Encoding, max_txns: int = 7) -> list[Expr]:
             f"exact expansion over {len(tids) - 1} transactions exceeds "
             f"max_txns={max_txns} ({len(tids) - 1}! permutations)"
         )
-    constraints: list[Expr] = []
-    rest = tids[1:]
-    for perm in itertools.permutations(rest):
-        order = [tids[0], *perm]
-        position = {tid: i for i, tid in enumerate(order)}
-        violations: list[Expr] = []
-        for (t1, t2) in enc.pairs():
-            if position[t1] < position[t2]:
-                continue  # π respects this pair; cannot be the violation
-            ordered_by = [
-                TRUE_IF(enc.so(t1, t2)),
+    return [
+        not_serialized_by(enc, [tids[0], *perm])
+        for perm in itertools.permutations(tids[1:])
+    ]
+
+
+def not_serialized_by(enc: Encoding, order: list[str]) -> Expr:
+    """One instance of ``not IsSerializable(co)``: with co fixed to ``order``.
+
+    True exactly when the predicted execution is *not* serialized by
+    ``order`` (a permutation of ``enc.tids``): some pair that ``order``
+    runs backwards is ordered by so, wr or arbitration-under-``order``.
+    With the order fixed, every co comparison is a constant, so this is a
+    plain Boolean formula over the choice and boundary variables. The
+    exact strategy's CEGIS adds it for each serializable candidate's
+    witness order (lazy instantiation of the quantifier).
+    """
+    position = {tid: i for i, tid in enumerate(order)}
+    violations: list[Expr] = []
+    for (t1, t2) in enc.pairs():
+        if position[t1] < position[t2]:
+            continue  # the order respects this pair; cannot be the violation
+        violations.append(
+            Or(
+                TRUE if enc.so(t1, t2) else FALSE,
                 enc.wr(t1, t2),
                 _arbitration_under(enc, t1, t2, position),
-            ]
-            violations.append(Or(*ordered_by))
-        constraints.append(Or(*violations))
-    return constraints
+            )
+        )
+    return Or(*violations)
 
 
-def TRUE_IF(flag: bool) -> Expr:
-    from ..smt import FALSE, TRUE
+def witness_order(enc: Encoding, commit_order: list[str]) -> list[str]:
+    """A candidate's witness commit order, extended to all of ``enc.tids``.
 
-    return TRUE if flag else FALSE
+    ``commit_order`` serializes the candidate's own transactions; those its
+    boundaries excluded are appended per session in session order, so the
+    result is a permutation of ``enc.tids`` that respects so and can be
+    passed to :func:`not_serialized_by`.
+    """
+    seen = set(commit_order)
+    excluded = sorted(
+        (tid for tid in enc.tids if tid not in seen),
+        key=lambda tid: (enc.session_of(tid), enc.txn(tid).index),
+    )
+    return [*commit_order, *excluded]
 
 
 def _arbitration_under(
@@ -112,11 +135,11 @@ def _arbitration_under(
 
 
 def blocking_clause(enc: Encoding, model) -> Expr:
-    """Negate the model's choice/boundary assignment (CEGIS refinement).
+    """Negate the model's choice/boundary assignment (blocks a prediction).
 
     Any future model must differ in at least one read's writer or one
-    session's boundary, which is exactly the candidate space the exact
-    strategy enumerates.
+    session's boundary, which is exactly the space the k-prediction
+    enumeration walks.
     """
     choices, boundaries = assignment_of(enc, model)
     return blocking_clause_for(enc, choices, boundaries)

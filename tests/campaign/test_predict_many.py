@@ -225,13 +225,14 @@ def test_k_must_be_positive(sat_history):
 
 
 def test_enumeration_resumes_past_candidate_cap():
-    """A serializable candidate at the cap must be blocked, not re-served.
+    """A serializable candidate at the cap must be excluded, not re-served.
 
     A single-session history is serializable under every writer choice, so
     the exact strategy's CEGIS phase rejects every candidate; with
     max_candidates=1 each ensure() call gives up after one rejection.
-    Repeated calls must drain the finite candidate space (each call blocks
-    its rejected model) instead of re-receiving the same model forever.
+    Repeated calls must drain the finite candidate space (each call's
+    witness-order refinement excludes its rejected model) instead of
+    re-receiving the same model forever.
     """
     from repro.history import HistoryBuilder
     from repro.predict.strategies import BoundaryMode, EncodingMode
@@ -256,3 +257,32 @@ def test_enumeration_resumes_past_candidate_cap():
     else:
         raise AssertionError("enumeration never drained: cap not resumable")
     assert not enum.predictions  # single-session: nothing unserializable
+
+
+def test_cegis_reports_unknown_when_serializability_is_undecided(
+    sat_history, monkeypatch
+):
+    """An undecided serializability check is neither a prediction nor a
+    refinement: ``ensure`` stops with UNKNOWN and predicts nothing."""
+    from repro.isolation.checkers import SerializabilityReport
+    from repro.predict import analysis
+    from repro.predict.strategies import BoundaryMode, EncodingMode
+
+    calls = []
+
+    def undecided(history, **budget):
+        calls.append(history)
+        return SerializabilityReport(False, Result.UNKNOWN, None)
+
+    monkeypatch.setattr(analysis, "is_serializable", undecided)
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy(EncodingMode.EXACT, BoundaryMode.STRICT),
+        max_seconds=30.0,
+    )
+    # causal+strict admits no approx prediction on this history, so the
+    # first candidate reaches the CEGIS serializability check
+    batch = analyzer.predict_many(sat_history, k=1)
+    assert calls, "the CEGIS phase was never reached"
+    assert batch.status is Result.UNKNOWN
+    assert not batch.predictions
