@@ -43,6 +43,7 @@ from ..faults import (
     RetryPolicy,
     install_plan,
 )
+from ..jsonl import JsonlReader, open_append
 from ..obs import (
     deterministic as obs_deterministic,
     enabled as obs_enabled,
@@ -97,49 +98,14 @@ def pool_imap(fn, items, worker_count: int, ordered: bool = False):
 def load_results_counted(
     path: Union[str, Path],
 ) -> tuple[list[RoundResult], int]:
-    """Parse a results JSONL file; returns ``(results, skipped_lines)``.
-
-    A partially written final line (the process was killed mid-append)
-    is counted and skipped rather than fatal — exactly the case resume
-    exists for, and the same convention the watch tail uses for torn
-    trailing writes (``corrupt_lines``). That covers both a line that is
-    not valid JSON and one whose JSON no longer decodes to a loadable
-    round record (truncation can land on a field boundary).
-    """
-    out: list[RoundResult] = []
-    skipped = 0
-    path = Path(path)
-    if not path.exists():
-        return out, skipped
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not (isinstance(data, dict) and "round_id" in data):
-            skipped += 1
-            continue
-        try:
-            out.append(RoundResult.from_dict(data))
-        except TypeError:
-            # well-formed JSON but not a complete round record (a torn
-            # write that happened to close its braces, or a row from a
-            # future field layout) — count it like any other bad line
-            skipped += 1
-    return out, skipped
+    """Parse a results JSONL file under the :mod:`repro.jsonl` rule;
+    returns ``(results, torn_lines)``."""
+    reader = JsonlReader(path, RoundResult.from_dict)
+    return list(reader), reader.torn
 
 
 def load_results(path: Union[str, Path]) -> list[RoundResult]:
-    """Parse a results JSONL file, skipping blank/corrupt trailing lines.
-
-    The counting variant is :func:`load_results_counted`; this keeps the
-    original results-only signature for callers that don't report the
-    skips.
-    """
+    """:func:`load_results_counted` without the torn-line count."""
     return load_results_counted(path)[0]
 
 
@@ -217,6 +183,7 @@ class CampaignExecutor:
             "worker_stalls": 0,
             "rounds_resubmitted": 0,
             "rounds_quarantined": 0,
+            "torn_lines": 0,
         }
 
     # ------------------------------------------------------------------
@@ -286,11 +253,7 @@ class CampaignExecutor:
         if obs_enabled():
             events = self._events
             reg = get_registry()
-            for key in (
-                "worker_stalls",
-                "rounds_resubmitted",
-                "rounds_quarantined",
-            ):
+            for key in events:
                 if events[key]:
                     reg.counter(f"campaign_{key}").inc(events[key])
         return report
@@ -307,9 +270,11 @@ class CampaignExecutor:
         results = list(prior)
         cancelled = False
         sink = None
-        if self.out is not None:
+        if self.resume:
+            sink, self._events["torn_lines"] = open_append(self.out)
+        elif self.out is not None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
-            sink = self.out.open("a" if self.resume else "w")
+            sink = self.out.open("w")
         try:
             if pending:
                 worker_count = min(self.jobs, len(pending))

@@ -57,6 +57,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from ..faults import RetryPolicy, fault_point
+from ..jsonl import write_atomic
 from ..obs import span as obs_span
 from .executor import CampaignExecutor, load_results_counted
 from .report import CampaignReport
@@ -183,12 +184,9 @@ class FleetManifest:
         }
 
     def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return write_atomic(
+            path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         )
-        return path
 
 
 def plan_fleet(
@@ -351,8 +349,8 @@ class FleetMerge:
     """What one merge produced, and the bookkeeping of how.
 
     ``report`` is the authoritative merged campaign report. The counters
-    describe the raw worker streams: ``corrupt_lines`` follows the watch
-    tail convention (torn trailing writes are counted, never fatal),
+    describe the raw worker streams: ``corrupt_lines`` counts torn final
+    lines, skipped under the :mod:`repro.jsonl` rule (never fatal),
     ``duplicates`` are redundant non-error rows for a round another
     stream already completed, ``superseded`` are error rows replaced by
     a later success, and ``missing_before_heal`` is the gap the heal
@@ -395,25 +393,6 @@ class FleetMerge:
         }
 
 
-def _read_streams(
-    streams: Sequence[Union[str, Path]],
-) -> tuple[list[list[RoundResult]], int, int]:
-    """Load every worker stream; a missing file is an empty stream.
-
-    A worker that died before its first flush (or whose host never came
-    back) simply contributes nothing — that *is* the gap the heal step
-    exists for, not an error.
-    """
-    loaded: list[list[RoundResult]] = []
-    rows = corrupt = 0
-    for stream in streams:
-        results, skipped = load_results_counted(stream)
-        loaded.append(results)
-        rows += len(results)
-        corrupt += skipped
-    return loaded, rows, corrupt
-
-
 def merge_fleet(
     spec: CampaignSpec,
     streams: Sequence[Union[str, Path]],
@@ -428,7 +407,7 @@ def merge_fleet(
 
     The merge is pure bookkeeping plus (optionally) a local resume:
 
-    1. read every stream, counting torn/corrupt lines instead of raising;
+    1. read every stream, counting torn final lines instead of raising;
     2. keep one result per round id — first non-error row wins, later
        successes supersede earlier errors (a healed quarantine row), and
        redundant completions are counted as duplicates;
@@ -452,12 +431,15 @@ def merge_fleet(
             fault_point(
                 "fleet.merge", workers=len(streams), out=str(out)
             )
-            return _read_streams(streams)
+            # a missing stream (a worker that died before its first
+            # flush) is empty: that is the gap the heal step is for
+            return [load_results_counted(stream) for stream in streams]
 
         policy = RetryPolicy.from_env()
-        loaded, rows_read, corrupt = policy.call(
-            attempt, key=f"fleet.merge|{out}"
-        )
+        read = policy.call(attempt, key=f"fleet.merge|{out}")
+        loaded = [results for results, _ in read]
+        rows_read = sum(len(results) for results in loaded)
+        corrupt = sum(torn for _, torn in read)
 
         wanted = {r.round_id for r in spec.rounds()}
         final: dict[str, RoundResult] = {}
@@ -480,10 +462,9 @@ def merge_fleet(
                     duplicates += 1
 
         merged = sorted(final.values(), key=lambda r: r.round_id)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w") as sink:
-            for result in merged:
-                sink.write(json.dumps(result.to_dict()) + "\n")
+        write_atomic(
+            out, "".join(json.dumps(r.to_dict()) + "\n" for r in merged)
+        )
 
         completed = {
             r.round_id for r in merged if r.status != "error"

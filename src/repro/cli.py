@@ -45,6 +45,7 @@ from .isolation import (
     is_serializable,
     pco_unserializable,
 )
+from .jsonl import JsonlError, open_append
 from .predict import PredictionStrategy
 from .smt import BackendSpec, BackendUnavailable, Result
 from .sources import BenchAppSource, FuzzSource, TraceFileSource
@@ -709,7 +710,7 @@ def _cmd_watch(args) -> int:
             return 2
         if not args.quiet:
             print(f"metrics: http://{metrics_server.address}/metrics")
-    out_fh = open(args.out, "a") if args.out else None
+    out_fh = open_append(args.out)[0] if args.out else None
 
     def on_finding(finding):
         if out_fh is not None:
@@ -789,12 +790,7 @@ def _cmd_obs_report(args) -> int:
 
     from .obs import build_report, format_report, load_events
 
-    try:
-        events = load_events(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = build_report(events)
+    report = build_report(load_events(args.trace))
     try:
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
@@ -811,11 +807,7 @@ def _cmd_obs_validate(args) -> int:
     """Check a telemetry trace against the event schema."""
     from .obs import load_events, validate_events
 
-    try:
-        events = load_events(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    events = load_events(args.trace)
     problems = validate_events(events)
     for problem in problems:
         print(f"INVALID: {problem}")
@@ -1509,6 +1501,9 @@ def main(argv=None) -> int:
     except BackendUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (JsonlError, OSError) as exc:  # a corrupt or unreadable file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

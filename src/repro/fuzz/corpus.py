@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from ..history.model import History
 from ..history.trace import history_from_json, history_to_json
+from ..jsonl import JsonlReader, open_append
 from .plan import ProgramPlan
 
 __all__ = [
@@ -133,39 +134,20 @@ def make_witness_doc(history: History, meta: Optional[dict] = None) -> dict:
 
 
 def append_entry(path: Union[str, Path], entry: CorpusEntry) -> None:
-    """Append one corpus row (creates the file and parents as needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as out:
+    """Append one corpus row (creates the file and parents as needed;
+    a torn final row from an interrupted run is repaired first)."""
+    out, _ = open_append(path)
+    with out:
         out.write(entry.line() + "\n")
 
 
 def load_corpus(path: Union[str, Path]) -> list[CorpusEntry]:
     """Every corpus entry in ``path`` (empty list when the file is absent).
 
-    Tolerates a trailing partial line — an interrupted campaign must stay
-    resumable, mirroring the campaign executor's JSONL conventions.
+    Skips a torn final line under the :mod:`repro.jsonl` rule — an
+    interrupted campaign must stay resumable.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    out: list[CorpusEntry] = []
-    with path.open() as lines:
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # trailing partial write from an interrupted run
-            out.append(CorpusEntry.from_json(data))
-    return out
-
-
-def iter_corpus(path: Union[str, Path]) -> Iterator[CorpusEntry]:
-    """Streaming variant of :func:`load_corpus`."""
-    yield from load_corpus(path)
+    return list(JsonlReader(path, CorpusEntry.from_json))
 
 
 @dataclass

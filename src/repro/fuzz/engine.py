@@ -32,6 +32,7 @@ from typing import Callable, Optional, Union
 
 from ..faults import guarded_fault_point
 from ..isolation.levels import IsolationLevel
+from ..jsonl import write_atomic
 from ..obs import (
     enabled as obs_enabled,
     flush_process_metrics,
@@ -416,8 +417,7 @@ def fuzz(
     preload = load_corpus(corpus_path) if resume and corpus_path else []
     if jobs == 1:
         if corpus_path is not None and not resume:
-            Path(corpus_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(corpus_path).write_text("")
+            write_atomic(corpus_path, "")
         report = Fuzzer(
             config, corpus_path=corpus_path, preload=preload, log=log
         ).run()
@@ -425,10 +425,9 @@ def fuzz(
     else:
         report = _fuzz_pooled(config, jobs, preload, log)
         if corpus_path is not None:
-            path = Path(corpus_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                "".join(entry.line() + "\n" for entry in report.finds)
+            write_atomic(
+                corpus_path,
+                "".join(entry.line() + "\n" for entry in report.finds),
             )
     if finds_dir is not None:
         _write_finds(Path(finds_dir), report.finds)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from ..jsonl import JsonlReader
 from .events import Event, ReadEvent, WriteEvent
 from .model import History, Transaction
 
@@ -169,15 +170,11 @@ def load_trace(path: Union[str, Path]) -> Trace:
 def iter_traces(path: Union[str, Path]) -> Iterator[Trace]:
     """Yield every trace in ``path``.
 
-    A ``.jsonl`` file holds one document per line (blank lines skipped);
-    anything else is a single JSON document.
+    A ``.jsonl`` file holds one document per line, streamed under the
+    :mod:`repro.jsonl` rule; anything else is a single JSON document.
     """
     path = Path(path)
     if path.suffix.lower() == ".jsonl":
-        with path.open() as lines:  # line-at-a-time: files can be huge
-            for line in lines:
-                line = line.strip()
-                if line:
-                    yield trace_from_json(json.loads(line))
+        yield from JsonlReader(path, trace_from_json)
     else:
         yield trace_from_json(json.loads(path.read_text()))

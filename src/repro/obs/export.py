@@ -24,6 +24,8 @@ import json
 import os
 from typing import Optional
 
+from ..jsonl import JsonlReader, write_atomic
+from ..perf import COUNTER_KEYS
 from . import registry as _registry
 from . import trace as _trace
 
@@ -48,20 +50,10 @@ def flush_process_metrics() -> Optional[str]:
     return _registry.write_sidecar(sink)
 
 
-#: ``Analysis.stats()`` keys folded into registry counters. Mirrors
-#: ``repro.perf.COUNTER_KEYS`` plus prediction outputs; ``*_seconds``
-#: keys flow into a histogram instead (and are skipped entirely under
-#: the fixed clock, where real timings would break byte identity).
-_STAT_COUNTERS = (
-    "decisions",
-    "propagations",
-    "conflicts",
-    "learned_clauses",
-    "restarts",
-    "check_calls",
-    "blocked_models",
-    "predictions",
-)
+#: ``Analysis.stats()`` keys folded into registry counters; ``*_seconds``
+#: keys flow into a histogram instead (skipped under the fixed clock,
+#: where real timings would break byte identity).
+_STAT_COUNTERS = COUNTER_KEYS
 
 
 def observe_analysis_stats(stats: dict, prefix: str = "solver") -> None:
@@ -82,24 +74,6 @@ def observe_analysis_stats(stats: dict, prefix: str = "solver") -> None:
             reg.histogram(f"{prefix}_seconds").observe(value, key=key)
 
 
-def _read_events(path: str) -> list:
-    events = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    # a crashed writer can leave one torn final line
-                    continue
-    except OSError:
-        pass
-    return events
-
-
 def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
     """Merge part files + metric sidecars into the final trace file."""
     parts = sorted(glob.glob(glob.escape(path) + ".part.*"))
@@ -107,7 +81,8 @@ def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
 
     events = []
     for part in parts:
-        events.extend(_read_events(part))
+        # a crashed writer can leave one torn final line
+        events.extend(JsonlReader(part))
     events.sort(
         key=lambda e: (
             e.get("ts", 0.0),
@@ -123,13 +98,9 @@ def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
         # sidecars are cumulative snapshots; the merging process's live
         # registry supersedes its own sidecar (inline --jobs 1 rounds
         # flush one), so folding both would double-count
-        if sidecar == own_sidecar:
-            continue
-        try:
-            with open(sidecar) as fh:
-                merged.merge(json.load(fh))
-        except (OSError, ValueError):
-            continue
+        if sidecar != own_sidecar:
+            for snapshot in JsonlReader(sidecar):  # one line, or none
+                merged.merge(snapshot)
     merged.merge(_registry.get_registry().snapshot())
 
     meta = {
@@ -145,17 +116,12 @@ def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
         meta["python"] = platform.python_version()
         meta["argv"] = sys.argv[1:]
 
-    tmp = path + ".tmp"
-    dump = lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(tmp, "w") as fh:
-        fh.write(dump(meta) + "\n")
-        for event in events:
-            fh.write(dump(event) + "\n")
-        fh.write(
-            dump({"event": "metrics", "trace": trace_id,
-                  "metrics": merged.snapshot()}) + "\n"
-        )
-    os.replace(tmp, path)
+    metrics = {"event": "metrics", "trace": trace_id,
+               "metrics": merged.snapshot()}
+    write_atomic(path, "".join(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        for doc in [meta, *events, metrics]
+    ))
 
     for stale in parts + sidecars:
         try:

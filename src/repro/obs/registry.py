@@ -33,6 +33,8 @@ import os
 import threading
 from typing import Dict, Optional
 
+from ..jsonl import write_atomic
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -343,9 +345,6 @@ def write_sidecar(path: str) -> str:
     leaves its last consistent snapshot behind for the merge.
     """
     sidecar = f"{path}.metrics.{os.getpid()}.json"
-    tmp = sidecar + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(get_registry().snapshot(), fh, sort_keys=True,
-                  separators=(",", ":"))
-    os.replace(tmp, sidecar)
+    write_atomic(sidecar, json.dumps(get_registry().snapshot(),
+                                     sort_keys=True, separators=(",", ":")))
     return sidecar

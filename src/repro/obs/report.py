@@ -18,10 +18,10 @@ straddling the span boundary).
 """
 from __future__ import annotations
 
-import json
+import os
 from collections import defaultdict
-from typing import Optional
 
+from ..jsonl import JsonlReader
 from .trace import SCHEMA_VERSION
 
 __all__ = [
@@ -48,20 +48,10 @@ NEST_SLOP = 0.005
 
 
 def load_events(path: str) -> list:
-    """Parse a telemetry JSONL into a list of event dicts."""
-    events = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
-    return events
+    """Parse a telemetry JSONL into a list of event dicts (a torn final
+    line is skipped; any other bad line raises with its ``path:line``)."""
+    os.stat(path)  # a missing trace is an error here, not an empty one
+    return list(JsonlReader(path))
 
 
 def validate_events(events: list) -> list:

@@ -16,18 +16,19 @@ interrupted run by the keys. (The keys are the byte-identical finding
 identity — :func:`repro.serve.dedup.finding_key` is a pure function of
 the prediction and window history.)
 
-Saves are write-to-temp → flush → fsync → ``os.replace``: a crash during
-the save leaves either the old checkpoint or the new one, never a torn
-file. A missing or corrupt checkpoint loads as ``None`` — the watch
-starts fresh, which is always safe (at-least-once analysis, exactly-once
+Saves go through :func:`repro.jsonl.write_atomic`: a crash during the
+save leaves either the old checkpoint or the new one, never a torn file.
+A missing or corrupt checkpoint loads as ``None`` — the watch starts
+fresh, which is always safe (at-least-once analysis, exactly-once
 emission still guaranteed by the dedup keys inside the new session).
 """
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable, Optional, Union
+
+from ..jsonl import write_atomic
 
 __all__ = ["WatchCheckpoint"]
 
@@ -70,13 +71,7 @@ class WatchCheckpoint:
             "runs": runs,
             "findings": findings,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w") as fh:
-            json.dump(doc, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        write_atomic(self.path, json.dumps(doc))
 
     def clear(self) -> None:
         """Remove the checkpoint (a completed bounded session)."""

@@ -163,26 +163,58 @@ class TestLoadResultsCounted:
         assert len(results) == 4 and skipped == 1
         assert load_results(out) == results  # the plain loader agrees
 
-    def test_well_formed_json_wrong_shape_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row", ['["not", "a", "row"]', '{"no_round_id": true}',
+                '{"round_id": "x"}'],
+    )
+    def test_well_formed_json_wrong_shape_is_an_error(self, tmp_path, row):
+        """A torn prefix of a row is never valid JSON, so a parsed line
+        that is not a round record is corruption, not a torn write —
+        an error naming ``path:line``, even on the final line."""
         from repro.campaign import load_results_counted
+        from repro.jsonl import JsonlError
 
         out = self._stream(tmp_path)
         with out.open("a") as sink:
-            sink.write('["not", "a", "row"]\n')
-            sink.write('{"no_round_id": true}\n')
-            sink.write('{"round_id": "x"}\n')  # torn on a field boundary
-        results, skipped = load_results_counted(out)
-        assert len(results) == 4 and skipped == 3
+            sink.write(row + "\n")
+        with pytest.raises(JsonlError, match=rf"{out.name}:5: rejected"):
+            load_results_counted(out)
+
+    def test_mid_file_garbage_is_an_error(self, tmp_path):
+        from repro.campaign import load_results_counted
+        from repro.jsonl import JsonlError
+
+        out = self._stream(tmp_path)
+        lines = out.read_text().splitlines()
+        lines[1] = lines[1][:10]
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JsonlError, match=rf"{out.name}:2: not valid"):
+            load_results_counted(out)
+        with pytest.raises(JsonlError):
+            run_campaign(SPEC, jobs=1, out=out, resume=True)
 
     def test_resume_over_a_torn_stream(self, tmp_path):
-        """The fix in situ: a resume over a crashed writer's stream used
-        to raise; now the torn line is simply re-run if needed."""
+        """The re-run rows land on a repaired stream: the torn fragment
+        is dropped and counted, and nothing glues onto it."""
+        from repro.campaign import load_results_counted
+
         out = self._stream(tmp_path)
         text = out.read_text().splitlines()
         out.write_text("\n".join(text[:2]) + "\n" + text[2][: len(text[2]) // 2])
         resumed = run_campaign(SPEC, jobs=1, out=out, resume=True)
         assert len(resumed.results) == 4
         assert resumed.errors == 0
+        results, torn = load_results_counted(out)
+        assert sorted(r.round_id for r in results) == sorted(
+            r.round_id for r in SPEC.rounds()
+        )
+        assert torn == 0
+        assert resumed.counters["torn_lines"] == 1
+        assert "torn_lines=1" in resumed.summary()
+        # so a second resume has nothing left to run
+        again = run_campaign(SPEC, jobs=1, out=out, resume=True)
+        assert again.counters["torn_lines"] == 0
+        assert len(load_results(out)) == 4
 
     def test_missing_file_is_empty(self, tmp_path):
         from repro.campaign import load_results_counted

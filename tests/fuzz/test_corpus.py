@@ -69,6 +69,20 @@ class TestFileLayout:
             out.write(entry.line()[: len(entry.line()) // 2])
         assert load_corpus(path) == [entry]
 
+    def test_append_after_a_torn_row_repairs_the_tail(self, tmp_path, entry):
+        """An append after an interrupted run drops the torn fragment
+        instead of gluing the new row onto it."""
+        path = tmp_path / "corpus.jsonl"
+        first, second = entry, CorpusEntry.from_json(
+            {**entry.to_json(), "id": "second"}
+        )
+        append_entry(path, first)
+        append_entry(path, second)
+        with path.open("a") as out:
+            out.write(entry.line()[: len(entry.line()) // 2])
+        append_entry(path, entry)
+        assert load_corpus(path) == [first, second, entry]
+
     def test_blank_lines_are_skipped(self, tmp_path, entry):
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n" + entry.line() + "\n\n")

@@ -129,6 +129,28 @@ class TestAnalysisStats:
                 "encode_seconds"
             )["count"] == 1
 
+    def test_every_folded_name_is_a_real_stats_key(self, tmp_path):
+        """The folded names and a real ``PredictionBatch.stats`` share one
+        vocabulary, so learned-clause counts reach the registry."""
+        from repro.api import Analysis
+        from repro.obs.export import _STAT_COUNTERS
+        from repro.sources import BenchAppSource
+
+        batch = (
+            Analysis(BenchAppSource("smallbank", seed=2))
+            .under("causal")
+            .predict(2)
+        )
+        assert [k for k in _STAT_COUNTERS if k not in batch.stats] == []
+        with telemetry_session(str(tmp_path / "t.jsonl"), command="t"):
+            observe_analysis_stats(batch.stats)
+            reg = get_registry()
+            assert batch.stats["learned"] > 0
+            assert (
+                reg.counter("solver_learned").value()
+                == batch.stats["learned"]
+            )
+
     def test_seconds_are_skipped_under_the_fixed_clock(self, tmp_path):
         with telemetry_session(str(tmp_path / "t.jsonl"), command="t",
                                clock="fixed"):
