@@ -9,9 +9,17 @@ functions over transaction pairs become:
 * **plain expressions** where the definition is non-recursive
   (``phi_wr_k``, ``phi_wr``, ``phi_wwcausal``, ``phi_wwrc``) — hash-consing
   shares the subterms across every use;
-* **named Boolean variables with Iff definitions** where the definition is
-  recursive (``phi_hb``, ``phi_pco``, ``phi_ww``, ``phi_rw``);
-* **one-hot enum variables** for ``choice(s, i)`` and ``boundary(s)``;
+* **named Boolean variables with defining constraints** where the
+  definition is recursive (``phi_hb``, ``phi_pco``, ``phi_ww``,
+  ``phi_rw``) — but only for a cell the solver has something to decide.
+  Static facts are substituted, never named: an hb cell that session
+  order fixes is ``TRUE`` or ``FALSE``, and a closure or ww/rw cell whose
+  definition folds to a constant or a single literal *is* that constant
+  or literal (``Encoding._name``). Constraints over a substituted cell
+  still apply; they fold, so the SAT core never has to prove a fact the
+  encoder already knew;
+* **one-hot enum variables** for ``choice(s, i)`` and ``boundary(s)``
+  (the atom of a single-candidate domain is ``TRUE``);
 * **difference-logic integers** for ``rank`` and the commit orders.
 
 The prediction boundary (§4.5) is woven through every relation exactly as in
@@ -308,7 +316,7 @@ class Encoding:
     # Recursive pair relations
     # ------------------------------------------------------------------
     def hb(self, t1: str, t2: str) -> Expr:
-        """``phi_hb``: recursive happens-before variable (B.3)."""
+        """``phi_hb``: the recursive happens-before cell (B.3)."""
         if not self._built_hb:
             self._build_hb()
         return self._hb.get((t1, t2), FALSE)
@@ -327,13 +335,20 @@ class Encoding:
         """
         self._built_hb = True
         for (t1, t2) in self.pairs():
-            self._hb[(t1, t2)] = Bool(f"hb[{t1},{t2}]")
-        for (t1, t2) in self.pairs():
-            var = self._hb[(t1, t2)]
             if self.so(t1, t2):
-                self._defs.append(var)
+                cell = TRUE
+            elif self.so(t2, t1):
+                # hb both ways is impossible under any weak level the
+                # analysis targets
+                cell = FALSE
             else:
-                self._defs.append(Implies(self.wr(t1, t2), var))
+                cell = Bool(f"hb[{t1},{t2}]")
+            self._hb[(t1, t2)] = cell
+        for (t1, t2) in self.pairs():
+            # substituted, never dropped: a FALSE cell still forbids its
+            # wr edge and folds into its transitivity clauses
+            cell = self._hb[(t1, t2)]
+            self._defs.append(Implies(self.wr(t1, t2), cell))
             for t in self.tids:
                 if t in (t1, t2):
                     continue
@@ -341,14 +356,9 @@ class Encoding:
                     Or(
                         Not(self._hb[(t1, t)]),
                         Not(self._hb[(t, t2)]),
-                        var,
+                        cell,
                     )
                 )
-            if self.so(t2, t1):
-                # hb both ways is impossible under any weak level the
-                # analysis targets; pruning the reverse direction early
-                # saves the solver from discovering it via co conflicts
-                self._defs.append(Not(var))
 
     def rank(self, t1: str, t2: str) -> IntTerm:
         return Int(f"rank[{t1},{t2}]")
@@ -396,9 +406,11 @@ class Encoding:
         encoding computes the same least fixpoint *structurally*:
 
         * round 0: ``P = closure(so ∪ wr)`` by ``ceil(log2(n-1))`` layers of
-          path doubling — each layer is an Iff over the previous one, so
-          unit propagation evaluates the closure deterministically from the
-          choice variables, with no decisions;
+          path doubling — each layer is defined over the previous one (a
+          cell that does not change from one layer to the next keeps its
+          literal; see :meth:`_name`), so unit propagation evaluates the
+          closure deterministically from the choice variables, with no
+          decisions;
         * round r: derive ``ww_r``/``rw_r`` against the round r-1 closure
           (their §4.2.2 definitions, boundary guards included), then close
           again over the enriched edge set.
@@ -427,16 +439,14 @@ class Encoding:
             ww_r: dict[tuple[str, str], Expr] = {}
             rw_r: dict[tuple[str, str], Expr] = {}
             for (t1, t2) in self.pairs():
-                ww_var = Bool(f"ww{round_no}[{t1},{t2}]")
-                self._defs.append(
-                    Iff(ww_var, self._ww_from(t1, t2, closure))
+                ww_r[(t1, t2)] = self._name(
+                    f"ww{round_no}[{t1},{t2}]",
+                    self._ww_from(t1, t2, closure),
                 )
-                ww_r[(t1, t2)] = ww_var
-                rw_var = Bool(f"rw{round_no}[{t1},{t2}]")
-                self._defs.append(
-                    Iff(rw_var, self._rw_from(t1, t2, closure))
+                rw_r[(t1, t2)] = self._name(
+                    f"rw{round_no}[{t1},{t2}]",
+                    self._rw_from(t1, t2, closure),
                 )
-                rw_r[(t1, t2)] = rw_var
             enriched = {
                 (t1, t2): Or(
                     closure[(t1, t2)],
@@ -469,18 +479,30 @@ class Encoding:
         for d in range(1, layers + 1):
             nxt: dict[tuple[str, str], Expr] = {}
             for (t1, t2) in self.pairs():
-                var = Bool(f"{tag}.c{d}[{t1},{t2}]")
                 chains = [
                     And(current[(t1, t)], current[(t, t2)])
                     for t in self.tids
                     if t not in (t1, t2)
                 ]
-                self._defs.append(
-                    Iff(var, Or(current[(t1, t2)], *chains))
+                nxt[(t1, t2)] = self._name(
+                    f"{tag}.c{d}[{t1},{t2}]",
+                    Or(current[(t1, t2)], *chains),
                 )
-                nxt[(t1, t2)] = var
             current = nxt
         return current
+
+    def _name(self, name: str, definition: Expr) -> Expr:
+        """The relation cell ``name``, defined as ``definition``.
+
+        Only a composite definition gets a named variable and its Iff. A
+        constant or a single literal *is* the cell: naming it would add a
+        variable whose value the solver can only copy.
+        """
+        if definition.kind not in ("and", "or"):
+            return definition
+        var = Bool(name)
+        self._defs.append(Iff(var, definition))
+        return var
 
     def _ww_from(
         self, t1: str, t2: str, reach: dict[tuple[str, str], Expr]
@@ -613,5 +635,11 @@ class Encoding:
 
     # ------------------------------------------------------------------
     def definitions(self) -> list[Expr]:
-        """All Iff definitions accumulated so far (call after building)."""
-        return list(self._defs)
+        """The defining constraints of the relation cells built so far.
+
+        Call after building (``hb``/``pco`` build on first use). These are
+        the hb containment clauses and one Iff per *named* cell; cells
+        that folded to a constant or a single literal need no definition,
+        and constraints that folded to TRUE are left out.
+        """
+        return [d for d in self._defs if d is not TRUE]

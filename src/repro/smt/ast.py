@@ -402,11 +402,17 @@ class EnumVar:
             raise SortError(f"enum var {name!r} has an empty domain")
 
     def eq(self, value: object) -> Expr:
-        """Atom: this variable equals ``value`` (FALSE if not a candidate)."""
-        self.sort.index_of(value)
+        """Atom: this variable equals ``value``.
+
+        FALSE if ``value`` is not a candidate, TRUE if it is the only one
+        (the exactly-one constraint would pin the atom anyway).
+        """
+        index = self.sort.index_of(value)
         if value not in self.candidates:
             return FALSE
-        return Expr("enum_eq", (self, self.sort.index_of(value)))
+        if len(self.candidates) == 1:
+            return TRUE
+        return Expr("enum_eq", (self, index))
 
     def ne(self, value: object) -> Expr:
         return Not(self.eq(value))

@@ -1,0 +1,105 @@
+"""The approximate encoding's model space is pinned, not its search order.
+
+For each configuration — the five tiny bench apps, record seeds 0–1,
+causal and rc, approx-strict and approx-relaxed (40 in all) — the
+prediction enumeration is drained until the solver answers UNSAT, and
+the *set* of (choice, boundary) assignments it blocked is reduced to a
+count and a sha256 digest. The set is what the encoding means; the
+order the solver visits it in is a property of the search. Encoder or
+SAT-core changes that only renumber variables or move the search
+trajectory keep every digest; a change to the encoding's semantics moves
+at least one.
+
+``model_space.json`` was generated from the repository root with::
+
+    PYTHONPATH=src python tests/predict/test_model_space.py \\
+        > tests/predict/model_space.json
+
+on the commit before the encoder started folding statically known
+relation cells, so the folded encoding is checked against the unfolded
+one.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
+from repro.isolation import IsolationLevel
+from repro.predict import IsoPredict, PredictionStrategy
+from repro.smt import Result
+
+FIXTURE = Path(__file__).parent / "model_space.json"
+
+APPS = ("smallbank", "tpcc", "voter", "wikipedia", "shardtransfer")
+SEEDS = (0, 1)
+LEVELS = ("causal", "rc")
+STRATEGIES = ("approx-strict", "approx-relaxed")
+DRAIN = 4096  # larger than any configuration's space: ensure() ends on UNSAT
+
+CONFIGS = [
+    f"{app}/{seed}/{level}/{strategy}"
+    for app in APPS
+    for seed in SEEDS
+    for level in LEVELS
+    for strategy in STRATEGIES
+]
+
+
+def model_space(config: str) -> dict:
+    """Drain one configuration; its prediction count and assignment digest."""
+    app_name, seed, level, strategy = config.split("/")
+    app = {a.name: a for a in ALL_APPS}[app_name]
+    history = record_observed(app(WorkloadConfig.tiny()), int(seed)).history
+    analyzer = IsoPredict(
+        IsolationLevel.parse(level), PredictionStrategy.parse(strategy)
+    )
+    enum = analyzer.enumerator(history)
+    enum.ensure(DRAIN)
+    status = enum.batch().status
+    # the blocked assignments, keyed by the encoding's stable identifiers
+    rows = sorted(
+        json.dumps(
+            [
+                sorted([*key, value] for key, value in choices.items()),
+                sorted(boundaries.items()),
+            ]
+        )
+        for choices, boundaries in enum._assignments
+    )
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    return {
+        "status": status.value,
+        "predictions": len(rows),
+        "sha256": digest,
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_configuration(pinned):
+    assert sorted(pinned) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_model_space_matches_fixture(config, pinned):
+    got = model_space(config)
+    assert got["status"] == Result.UNSAT.value  # drained, not cut short
+    assert got == pinned[config]
+
+
+if __name__ == "__main__":
+    json.dump(
+        {config: model_space(config) for config in CONFIGS},
+        sys.stdout,
+        indent=1,
+        sort_keys=True,
+    )
+    sys.stdout.write("\n")

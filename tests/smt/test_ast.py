@@ -144,6 +144,12 @@ class TestEnums:
         v = EnumVar("c", sort, candidates=["r", "g"])
         assert v.eq("b") is FALSE
 
+    def test_eq_sole_candidate_is_true(self):
+        sort = EnumSort("color", ["r", "g", "b"])
+        v = EnumVar("c", sort, candidates=["g"])
+        assert v.eq("g") is TRUE
+        assert v.eq("r") is FALSE
+
     def test_eq_non_member_raises(self):
         sort = EnumSort("color", ["r", "g", "b"])
         v = EnumVar("c", sort)
