@@ -105,6 +105,10 @@ SCENARIOS = [
      "causal", "exact-strict", 1, "inprocess", "inmemory"),
     ("shardtransfer-tiny-exact-strict-k1", "small", "shardtransfer", "tiny",
      "causal", "exact-strict", 1, "inprocess", "inmemory"),
+    # an exact UNSAT answer: the CEGIS walk exhausts its candidates (CI
+    # gates the verdict and the candidate count, not the wall)
+    ("tpcc-small-exact-strict-k1", "mid", "tpcc", "small", "causal",
+     "exact-strict", 1, "inprocess", "inmemory"),
     # -- sharded scenario workloads (PR 5) ------------------------------
     ("shardtransfer-small-sharded4-k1", "mid", "shardtransfer", "small",
      "causal", "approx-relaxed", 1, "inprocess", "sharded:4"),

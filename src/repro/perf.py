@@ -134,6 +134,8 @@ def profile_from_stats(stats: dict) -> dict:
         profile["rates"] = rates
     if stats.get("backend"):
         profile["backend"] = str(stats["backend"])
+    if stats.get("status"):
+        profile["verdict"] = str(stats["status"])
     return profile
 
 
@@ -190,6 +192,7 @@ class ScenarioResult:
     counters: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)  # streaming scenarios only
     backend: str = ""  # solver backend the scenario ran on ("" = default)
+    verdict: str = ""  # the analysis verdict (sat/unsat/unknown), if any
 
     @property
     def wall_median(self) -> float:
@@ -217,6 +220,8 @@ class ScenarioResult:
             doc["rates"] = {k: round(v, 6) for k, v in self.rates.items()}
         if self.backend:
             doc["backend"] = self.backend
+        if self.verdict:
+            doc["verdict"] = self.verdict
         return doc
 
 
@@ -252,6 +257,7 @@ def run_measured(
         counters=representative["counters"],
         rates=representative.get("rates", {}),
         backend=representative.get("backend", ""),
+        verdict=representative.get("verdict", ""),
     )
 
 

@@ -1,8 +1,8 @@
 """The IsoPredict façade: end-to-end predictive analysis (§3, §4).
 
 Orchestrates encoding, solving and decoding through one enumeration loop
-(:class:`PredictionEnumeration`, which also runs the exact strategy's
-approximate seeding and CEGIS refinement), and reports the timing/size
+(:class:`PredictionEnumeration`, which is also the exact strategy's CEGIS
+loop), and reports the timing/size
 statistics the paper's Tables 4 and 5 track (constraint generation time,
 literal count, solving time split by outcome).
 """
@@ -25,7 +25,6 @@ from .unserializability import (
     approx_unserializability_constraints,
     assignment_of,
     blocking_clause,
-    blocking_clause_for,
     not_serialized_by,
     witness_order,
 )
@@ -232,10 +231,9 @@ class IsoPredict:
         quantifies over.
 
         ``max_seconds`` is treated as a budget for the whole enumeration.
-        ``k`` defaults to ``max_candidates``. The exact strategies drain the
-        approximate model space first — each of its models is already a
-        genuine exact prediction — then fall back to CEGIS with the found
-        assignments pre-blocked (see :class:`PredictionEnumeration`).
+        ``k`` defaults to ``max_candidates``. The exact strategies walk the
+        feasibility+isolation models by CEGIS, blocking each prediction the
+        same way (see :class:`PredictionEnumeration`).
 
         For repeated queries over one observed history (k sweeps, a fluent
         :class:`repro.api.Analysis` session) use :meth:`enumerator`, which
@@ -306,18 +304,16 @@ class PredictionEnumeration:
     """Persistent blocking-clause model walk over one observed history.
 
     Produced by :meth:`IsoPredict.enumerator`. The encoding is generated
-    and asserted once per phase and kept alive between calls: asking for
-    three predictions and later for five re-checks the *same* incremental
+    and asserted once and kept alive between calls: asking for three
+    predictions and later for five re-checks the *same* incremental
     solver twice more instead of re-encoding the history — the mechanism a
     fluent analysis session uses to make strategy/k sweeps cheap.
 
-    The phases are the exact strategy (§4.2.1), and this is its only
-    implementation. Phase one walks the approximate (``unser``) encoding,
-    whose every model decodes straight to a prediction; for approximate
-    strategies that is the whole story. For exact strategies, once that
-    space drains, phase two opens the feasibility+isolation encoding with
-    every found assignment pre-blocked and runs CEGIS: each candidate model
-    is checked for serializability; an unserializable one is a prediction,
+    An approximate strategy asserts the pco-closure unserializability
+    encoding, so every model decodes straight to a prediction. An exact
+    strategy (§4.2.1), whose only implementation this is, asserts
+    feasibility+isolation alone and runs CEGIS: each candidate model is
+    checked for serializability; an unserializable one is a prediction,
     and a serializable one's witness commit order refines the encoding
     (see :meth:`_refine`).
 
@@ -330,69 +326,37 @@ class PredictionEnumeration:
         self.analyzer = analyzer
         self.observed = observed
         self.predictions: list[PredictionResult] = []
-        self._assignments: list = []
+        #: each prediction's (choice, boundary) assignment (``assignment_of``)
+        self.assignments: list[tuple[dict, dict]] = []
+        self._exact = analyzer.strategy.encoding is EncodingMode.EXACT
         self._status = Result.UNSAT  # verdict that stopped the last extension
         self._exhausted = False  # the whole candidate space is drained
         self._enc = None
         self._solver = None
-        self._phase_unser = True
-        self._phase_timings: dict = {}
-        self._phase_decode_seconds = 0.0
-        self._phase_candidates = 0
-        self._closed_stats: dict = {}
+        self._timings: dict = {}
+        self._decode_seconds = 0.0
+        self._candidates = 0
+        self._released_stats: dict = {}
         self._released = False
-
-    # -- phase management ----------------------------------------------
-    def _open_phase(self, unser: bool) -> None:
-        enc, solver, timings = self.analyzer._build(
-            self.observed, self.analyzer.strategy.boundary, unser=unser
-        )
-        if not unser:
-            for choices, boundaries in self._assignments:
-                solver.add(blocking_clause_for(enc, choices, boundaries))
-        self._enc, self._solver = enc, solver
-        self._phase_unser = unser
-        self._phase_timings = timings
-        self._phase_decode_seconds = 0.0
-        self._phase_candidates = 0
-
-    def _phase_stats(self) -> dict:
-        if self._solver is None:
-            return {}
-        stats = {
-            "literals": self._solver.num_literals,
-            "clauses": self._solver.num_clauses,
-            "vars": self._solver.num_vars,
-            "solve_seconds": self._solver.check_seconds,
-            "decode_seconds": self._phase_decode_seconds,
-            "candidates": self._phase_candidates,
-        }
-        stats.update(self._phase_timings)
-        stats.update(self._solver.stats)
-        return stats
-
-    def _close_phase(self) -> None:
-        for key, value in self._phase_stats().items():
-            if isinstance(value, (int, float)):
-                self._closed_stats[key] = (
-                    self._closed_stats.get(key, 0) + value
-                )
-        self._enc = self._solver = None
-
-    def _total_candidates(self) -> int:
-        return self._closed_stats.get("candidates", 0) + (
-            self._phase_candidates if self._solver is not None else 0
-        )
 
     @property
     def stats(self) -> dict:
-        """Cumulative size/timing stats across every phase so far."""
-        merged = dict(self._closed_stats)
-        for key, value in self._phase_stats().items():
-            if isinstance(value, (int, float)):
-                merged[key] = merged.get(key, 0) + value
-        merged["predictions"] = len(self.predictions)
-        return merged
+        """Size/timing stats of the enumeration so far."""
+        if self._solver is None:
+            stats = dict(self._released_stats)
+        else:
+            stats = {
+                "literals": self._solver.num_literals,
+                "clauses": self._solver.num_clauses,
+                "vars": self._solver.num_vars,
+                "solve_seconds": self._solver.check_seconds,
+                "decode_seconds": self._decode_seconds,
+                "candidates": self._candidates,
+                **self._timings,
+                **self._solver.stats,
+            }
+        stats["predictions"] = len(self.predictions)
+        return stats
 
     # -- the walk -------------------------------------------------------
     def ensure(self, k: int, deadline: Optional[float] = None) -> None:
@@ -411,15 +375,14 @@ class PredictionEnumeration:
                 "enumeration was released; its solver is gone — build a "
                 "fresh enumerator to search further"
             )
-        exact = self.analyzer.strategy.encoding is EncodingMode.EXACT
+        if self._solver is None:  # first call ever
+            self._enc, self._solver, self._timings = self.analyzer._build(
+                self.observed,
+                self.analyzer.strategy.boundary,
+                unser=not self._exact,
+            )
         rejected = 0  # serializable CEGIS candidates seen by THIS call
-        if self._solver is None and not self._exhausted:
-            if not self.predictions and not self._closed_stats:
-                self._open_phase(unser=True)  # first call ever
         while len(self.predictions) < k and not self._exhausted:
-            if self._solver is None:
-                # between phases: the unser walk drained, CEGIS pending
-                self._open_phase(unser=False)
             budget = _remaining(deadline)
             if budget == 0:
                 self._status = Result.UNKNOWN
@@ -428,22 +391,19 @@ class PredictionEnumeration:
                 max_conflicts=self.analyzer.max_conflicts, max_seconds=budget
             )
             if status is Result.UNSAT:
-                if self._phase_unser and exact:
-                    self._close_phase()
-                    continue
                 self._status = Result.UNSAT
                 self._exhausted = True
                 return
             if status is not Result.SAT:
                 self._status = status  # a budget ran out; resumable
                 return
-            self._phase_candidates += 1
+            self._candidates += 1
             decode_start = time.monotonic()
-            with obs_span("stage.decode", candidate=self._phase_candidates):
+            with obs_span("stage.decode", candidate=self._candidates):
                 model = self._solver.model()
                 predicted = decode_history(self._enc, model)
-            self._phase_decode_seconds += time.monotonic() - decode_start
-            if not self._phase_unser:
+            self._decode_seconds += time.monotonic() - decode_start
+            if self._exact:
                 report = is_serializable(
                     predicted, max_seconds=_remaining(deadline)
                 )
@@ -468,10 +428,10 @@ class PredictionEnumeration:
     def _accept(self, model, predicted: History) -> None:
         """Record an unserializable candidate as a prediction and block it."""
         decode_start = time.monotonic()
-        with obs_span("stage.decode", candidate=self._phase_candidates,
+        with obs_span("stage.decode", candidate=self._candidates,
                       part="boundaries"):
             boundaries = decode_boundaries(self._enc, model)
-        self._phase_decode_seconds += time.monotonic() - decode_start
+        self._decode_seconds += time.monotonic() - decode_start
         self.predictions.append(
             PredictionResult(
                 status=Result.SAT,
@@ -480,10 +440,10 @@ class PredictionEnumeration:
                 predicted=predicted,
                 boundaries=boundaries,
                 cycle=pco_cycle(predicted),
-                stats={"candidates": self._total_candidates()},
+                stats={"candidates": self._candidates},
             )
         )
-        self._assignments.append(assignment_of(self._enc, model))
+        self.assignments.append(assignment_of(self._enc, model))
         self._solver.add(blocking_clause(self._enc, model))
 
     def _refine(self, model, commit_order: list[str]) -> None:
@@ -505,18 +465,18 @@ class PredictionEnumeration:
         self._solver.add(refinement)
 
     def release(self) -> dict:
-        """Drop the live solver, folding its stats; returns the totals.
+        """Drop the live solver, keeping its stats; returns the totals.
 
         The predictions found so far stay readable (``predictions``,
         :meth:`batch`), but the enumeration can no longer be extended —
         a later :meth:`ensure` asking for more raises instead of
-        silently re-encoding into the wrong phase. This is how bounded
-        long-running sessions (the streaming service's window families)
-        keep one window's solver alive at a time without leaking every
-        previous window's SAT state.
+        silently re-encoding. This is how bounded long-running sessions
+        (the streaming service's window families) keep one window's
+        solver alive at a time without leaking every previous window's
+        SAT state.
         """
-        if self._solver is not None:
-            self._close_phase()
+        self._released_stats = self.stats
+        self._enc = self._solver = None
         self._released = True
         return self.stats
 

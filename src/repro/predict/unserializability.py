@@ -26,7 +26,6 @@ __all__ = [
     "approx_unserializability_constraints",
     "assignment_of",
     "blocking_clause",
-    "blocking_clause_for",
     "exact_expansion_constraints",
     "not_serialized_by",
     "witness_order",
@@ -142,17 +141,22 @@ def blocking_clause(enc: Encoding, model) -> Expr:
     enumeration walks.
     """
     choices, boundaries = assignment_of(enc, model)
-    return blocking_clause_for(enc, choices, boundaries)
+    fixed = [
+        enc.choice[key].eq(value) for key, value in choices.items()
+    ] + [
+        enc.boundary[session].eq(value)
+        for session, value in boundaries.items()
+    ]
+    return Or(*[Not(f) for f in fixed])
 
 
 def assignment_of(enc: Encoding, model) -> tuple[dict, dict]:
     """The model's (choice, boundary) enum assignment, by encoding key.
 
     Keyed by the encoding's stable identifiers — ``(tid, read position)``
-    for choices, session name for boundaries — so an assignment extracted
-    under one :class:`Encoding` can be blocked in another encoding of the
-    same observed history (used when the k-prediction enumeration switches
-    from the approximate to the exact phase).
+    for choices, session name for boundaries — so assignments from
+    different encodings of one observed history (an approximate and an
+    exact strategy's, say) compare directly.
     """
     choices = {
         key: model.enum_value(var) for key, var in enc.choice.items()
@@ -162,16 +166,3 @@ def assignment_of(enc: Encoding, model) -> tuple[dict, dict]:
         for session, var in enc.boundary.items()
     }
     return choices, boundaries
-
-
-def blocking_clause_for(
-    enc: Encoding, choices: dict, boundaries: dict
-) -> Expr:
-    """A blocking clause from a key→value assignment (see ``assignment_of``)."""
-    fixed = [
-        enc.choice[key].eq(value) for key, value in choices.items()
-    ] + [
-        enc.boundary[session].eq(value)
-        for session, value in boundaries.items()
-    ]
-    return Or(*[Not(f) for f in fixed])

@@ -196,26 +196,6 @@ def test_exact_strategy_enumeration(sat_history):
     assert len({_fingerprint(p) for p in batch}) == 2
 
 
-def test_exact_cegis_phase_excludes_approx_findings():
-    """When approx exhausts below k, CEGIS continues without duplicates."""
-    from repro.predict.strategies import BoundaryMode, EncodingMode
-
-    exact_relaxed = PredictionStrategy(
-        EncodingMode.EXACT, BoundaryMode.RELAXED
-    )
-    analyzer = IsoPredict(
-        IsolationLevel.CAUSAL, exact_relaxed, max_seconds=30.0
-    )
-    # causal+relaxed on seed 3 has exactly 2 approx predictions; asking for
-    # more forces the second (CEGIS) phase with the first two blocked
-    batch = analyzer.predict_many(_observed(3), k=4)
-    assert len(batch) >= 2
-    fingerprints = [_fingerprint(p) for p in batch]
-    assert len(fingerprints) == len(set(fingerprints))
-    for prediction in batch:
-        assert not is_serializable(prediction.predicted)
-
-
 def test_k_must_be_positive(sat_history):
     analyzer = IsoPredict(
         IsolationLevel.CAUSAL, PredictionStrategy.APPROX_RELAXED
@@ -228,7 +208,7 @@ def test_enumeration_resumes_past_candidate_cap():
     """A serializable candidate at the cap must be excluded, not re-served.
 
     A single-session history is serializable under every writer choice, so
-    the exact strategy's CEGIS phase rejects every candidate; with
+    the exact strategy's CEGIS walk rejects every candidate; with
     max_candidates=1 each ensure() call gives up after one rejection.
     Repeated calls must drain the finite candidate space (each call's
     witness-order refinement excludes its rejected model) instead of
@@ -280,9 +260,7 @@ def test_cegis_reports_unknown_when_serializability_is_undecided(
         PredictionStrategy(EncodingMode.EXACT, BoundaryMode.STRICT),
         max_seconds=30.0,
     )
-    # causal+strict admits no approx prediction on this history, so the
-    # first candidate reaches the CEGIS serializability check
     batch = analyzer.predict_many(sat_history, k=1)
-    assert calls, "the CEGIS phase was never reached"
+    assert calls, "the CEGIS serializability check was never reached"
     assert batch.status is Result.UNKNOWN
     assert not batch.predictions

@@ -1,4 +1,4 @@
-"""The size of the phase-one (approximate) encoding is pinned.
+"""The size of the approximate and exact encodings is pinned.
 
 Encoding size is what the solver pays for on every round, so a change to
 it must be deliberate. ``test_model_space.py`` pins what the encoding
@@ -9,7 +9,7 @@ import pytest
 from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.history import HistoryBuilder
 from repro.isolation import IsolationLevel
-from repro.predict import IsoPredict, PredictionStrategy
+from repro.predict import IsoPredict, PredictionStrategy, analysis
 from repro.predict.encoder import Encoding, INFINITY_POS
 from repro.predict.strategies import BoundaryMode
 from repro.smt import FALSE, TRUE, Result, Solver
@@ -80,3 +80,45 @@ class TestStaticCells:
         solver.add(enc.choice[("t1", 0)].eq("t2"))
         solver.add(enc.boundary["s1"].eq(INFINITY_POS))
         assert solver.check() is Result.UNSAT
+
+
+class TestExactEncoding:
+    """Exact strategies assert feasibility+isolation only and run CEGIS.
+
+    The approximate (pco-closure) encoding is never built for them: every
+    approximate model is also a CEGIS prediction, so proving it UNSAT
+    first would only delay the search that decides the verdict.
+    """
+
+    @pytest.mark.parametrize("strategy", ["exact-strict", "exact-relaxed"])
+    def test_never_builds_the_approximate_encoding(
+        self, monkeypatch, strategy
+    ):
+        def forbidden(enc):
+            raise AssertionError("exact strategy built the approx encoding")
+
+        monkeypatch.setattr(
+            analysis, "approx_unserializability_constraints", forbidden
+        )
+        app = {a.name: a for a in ALL_APPS}["smallbank"]
+        history = record_observed(app(WorkloadConfig.tiny()), 0).history
+        result = IsoPredict(
+            IsolationLevel.READ_COMMITTED, PredictionStrategy.parse(strategy)
+        ).predict(history)
+        assert result.found
+
+    def test_mid_tier_unsat_walk_pinned(self):
+        """tpcc, small workload, record seed 1, causal, exact-strict.
+
+        When exact strategies first proved the approximate encoding UNSAT,
+        the round reported the two encodings' clauses summed (76,602), and
+        the CEGIS walk alone took the same 20 candidates.
+        """
+        app = {a.name: a for a in ALL_APPS}["tpcc"]
+        history = record_observed(app(WorkloadConfig.small()), 1).history
+        batch = IsoPredict(
+            IsolationLevel.CAUSAL, PredictionStrategy.EXACT_STRICT
+        ).predict_many(history, k=1)
+        assert batch.status is Result.UNSAT
+        assert batch.stats["candidates"] == 20
+        assert batch.stats["clauses"] == 7064

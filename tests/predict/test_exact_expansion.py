@@ -2,9 +2,11 @@
 
 On small histories the literal B.2.1 semantics ("no commit order
 serializes the prediction") is decidable by expanding the universal
-quantifier over all permutations. Both the CEGIS exact strategy and the
-approximate pco encoding must agree with it here — the paper's empirical
-finding that approx never missed an exact prediction, made into a test.
+quantifier over all permutations. The exact strategy runs CEGIS alone,
+on SAT histories as well as UNSAT ones, so its verdict is checked
+against the expansion's either way. The approximate pco encoding must
+agree too — the paper's empirical finding that approx never missed an
+exact prediction, made into a test.
 """
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ CAUSAL = IsolationLevel.CAUSAL
 
 
 def _base_solver(enc, isolation):
-    """Feasibility + isolation: the CEGIS phase's candidate space."""
+    """Feasibility + isolation: the CEGIS walk's candidate space."""
     solver = Solver()
     for c in enc.feasibility_constraints():
         solver.add(c)

@@ -8,7 +8,9 @@ count and a sha256 digest. The set is what the encoding means; the
 order the solver visits it in is a property of the search. Encoder or
 SAT-core changes that only renumber variables or move the search
 trajectory keep every digest; a change to the encoding's semantics moves
-at least one.
+at least one. The exact strategy's space is checked against the pinned
+one rather than pinned itself: draining exact-X over the same history
+must reach every approx-X assignment.
 
 ``model_space.json`` was generated from the repository root with::
 
@@ -21,6 +23,7 @@ one.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -30,7 +33,12 @@ import pytest
 
 from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.isolation import IsolationLevel
-from repro.predict import IsoPredict, PredictionStrategy
+from repro.isolation.checkers import is_serializable
+from repro.predict import (
+    IsoPredict,
+    PredictionEnumeration,
+    PredictionStrategy,
+)
 from repro.smt import Result
 
 FIXTURE = Path(__file__).parent / "model_space.json"
@@ -50,8 +58,14 @@ CONFIGS = [
 ]
 
 
-def model_space(config: str) -> dict:
-    """Drain one configuration; its prediction count and assignment digest."""
+@functools.lru_cache(maxsize=None)
+def drain(config: str) -> PredictionEnumeration:
+    """Every prediction of one configuration, its solver released.
+
+    ``ensure`` is re-called until the solver answers UNSAT: an exact
+    strategy's call stops with UNKNOWN after ``max_candidates`` rejected
+    candidates and resumes on the next.
+    """
     app_name, seed, level, strategy = config.split("/")
     app = {a.name: a for a in ALL_APPS}[app_name]
     history = record_observed(app(WorkloadConfig.tiny()), int(seed)).history
@@ -59,21 +73,34 @@ def model_space(config: str) -> dict:
         IsolationLevel.parse(level), PredictionStrategy.parse(strategy)
     )
     enum = analyzer.enumerator(history)
-    enum.ensure(DRAIN)
-    status = enum.batch().status
-    # the blocked assignments, keyed by the encoding's stable identifiers
-    rows = sorted(
+    for _ in range(DRAIN):
+        enum.ensure(DRAIN)
+        if enum.batch().status is Result.UNSAT:
+            break
+    enum.release()
+    return enum
+
+
+def assignment_rows(enum: PredictionEnumeration) -> list[str]:
+    """The blocked assignments, keyed by the encoding's stable identifiers."""
+    return [
         json.dumps(
             [
                 sorted([*key, value] for key, value in choices.items()),
                 sorted(boundaries.items()),
             ]
         )
-        for choices, boundaries in enum._assignments
-    )
+        for choices, boundaries in enum.assignments
+    ]
+
+
+def model_space(config: str) -> dict:
+    """Drain one configuration; its prediction count and assignment digest."""
+    enum = drain(config)
+    rows = sorted(assignment_rows(enum))
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     return {
-        "status": status.value,
+        "status": enum.batch().status.value,
         "predictions": len(rows),
         "sha256": digest,
     }
@@ -93,6 +120,26 @@ def test_model_space_matches_fixture(config, pinned):
     got = model_space(config)
     assert got["status"] == Result.UNSAT.value  # drained, not cut short
     assert got == pinned[config]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_exact_model_space_contains_approx(config):
+    """Approx is sufficient for exact: CEGIS finds every approx prediction.
+
+    Each approximate model is feasible, isolation-valid and unserializable,
+    so the exact strategy's walk over the same boundary mode must reach
+    its assignment too; the converse need not hold.
+    """
+    boundary = config.rsplit("-", 1)[1]
+    approx = drain(config)
+    exact = drain(f"{config.rsplit('/', 1)[0]}/exact-{boundary}")
+    assert exact.batch().status is Result.UNSAT
+    exact_rows = assignment_rows(exact)
+    assert set(assignment_rows(approx)) <= set(exact_rows)
+    assert len(set(exact_rows)) == len(exact_rows)  # pairwise distinct
+    for prediction in exact.predictions:
+        assert not is_serializable(prediction.predicted)
+        assert prediction.cycle
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ class TestExactStrategy:
 
     def test_exact_agrees_with_approx_on_unsat(self):
         """§7.2: Exact never found more than Approx in the evaluation; the
-        CEGIS phase confirms UNSAT by exhausting candidates."""
+        CEGIS walk confirms UNSAT by exhausting candidates."""
         result = IsoPredict(
             CAUSAL,
             PredictionStrategy.EXACT_STRICT,

@@ -158,8 +158,8 @@ class TestConformance:
 
     @pytest.mark.parametrize("name", sorted(GALLERY), ids=sorted(GALLERY))
     def test_exact_gallery_verdicts_match_inprocess(self, backend, name):
-        # the exact strategy's CEGIS phase re-checks the solver after each
-        # blocking clause, so this drives the backend incrementally
+        # the exact strategy's CEGIS walk re-checks the solver after each
+        # refinement, so this drives the backend incrementally
         history = GALLERY[name]()
         reference = IsoPredict(
             IsolationLevel.CAUSAL, PredictionStrategy.EXACT_STRICT
