@@ -3,6 +3,11 @@
 ``History`` is immutable once constructed; use
 :class:`repro.history.builder.HistoryBuilder` or the store's recorder to
 produce one.
+
+Transactions are frozen too, so derived views are computed once and kept:
+a transaction's ``reads``/``writes``/``read_keys``/``write_keys``, and a
+history's per-key writer and reader indexes. Derived forms (``with_wr``,
+``restrict``) are new objects and build their own.
 """
 from __future__ import annotations
 
@@ -32,19 +37,19 @@ class Transaction:
     events: tuple[Event, ...]
     commit_pos: int
 
-    @property
+    @cached_property
     def reads(self) -> tuple[ReadEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, ReadEvent))
 
-    @property
+    @cached_property
     def writes(self) -> tuple[WriteEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, WriteEvent))
 
-    @property
+    @cached_property
     def read_keys(self) -> frozenset[str]:
         return frozenset(e.key for e in self.reads)
 
-    @property
+    @cached_property
     def write_keys(self) -> frozenset[str]:
         return frozenset(e.key for e in self.writes)
 
@@ -113,16 +118,26 @@ class History:
             ),
             commit_pos=len(keys),
         )
+        self._writers = self._index(self.all_transactions(), "write_keys")
         self._validate_wr()
 
+    @staticmethod
+    def _index(txns, keys: str) -> dict[str, tuple[str, ...]]:
+        """Per-key tids, in ``txns`` order; ``keys`` names the key view."""
+        index: dict[str, list[str]] = {}
+        for txn in txns:
+            for key in getattr(txn, keys):
+                index.setdefault(key, []).append(txn.tid)
+        return {key: tuple(tids) for key, tids in index.items()}
+
+    @cached_property
+    def _readers(self) -> dict[str, tuple[str, ...]]:
+        return self._index(self._txns.values(), "read_keys")
+
     def _validate_wr(self) -> None:
-        writers_by_key: dict[str, set[str]] = {}
-        for txn in self.all_transactions():
-            for w in txn.writes:
-                writers_by_key.setdefault(w.key, set()).add(txn.tid)
         for txn in self.transactions():
             for r in txn.reads:
-                writers = writers_by_key.get(r.key, set())
+                writers = self._writers.get(r.key, ())
                 if r.writer == txn.tid:
                     raise ValueError(
                         f"{txn.tid} reads {r.key!r} from itself; own-writes "
@@ -169,17 +184,12 @@ class History:
         return frozenset(w.key for w in self.t0.writes)
 
     def writers_of(self, key: str) -> tuple[str, ...]:
-        """Transactions (including t0) whose last write is to ``key``."""
-        out = [INIT_TID] if key in self.t0.write_keys else []
-        out.extend(
-            t.tid for t in self._txns.values() if key in t.write_keys
-        )
-        return tuple(out)
+        """Transactions writing ``key``: t0 first, then insertion order."""
+        return self._writers.get(key, ())
 
     def readers_of(self, key: str) -> tuple[str, ...]:
-        return tuple(
-            t.tid for t in self._txns.values() if key in t.read_keys
-        )
+        """Transactions reading ``key``, in insertion order."""
+        return self._readers.get(key, ())
 
     def reads(self) -> list[tuple[Transaction, ReadEvent]]:
         return [

@@ -21,9 +21,9 @@ from ..history.relations import hb_pairs, is_acyclic, wr_k_pairs
 from ..smt import Distinct, Implies, Int, Result, Solver
 from .axioms import (
     pco_fixpoint,
-    ww_causal_pairs,
     ww_rc_pairs,
     ww_read_atomic_pairs,
+    ww_with_support,
 )
 from .levels import IsolationLevel
 
@@ -42,7 +42,7 @@ __all__ = [
 def is_causal(history: History) -> bool:
     """Whether the history is causally consistent (Equation 3)."""
     hb = hb_pairs(history)
-    ww = ww_causal_pairs(history)
+    ww = ww_with_support(history, hb)  # ww_causal_pairs, reusing this hb
     return is_acyclic(set(hb) | set(ww))
 
 

@@ -100,18 +100,6 @@ class Encoding:
         self._pairs: list[tuple[str, str]] = [
             (t1, t2) for t1 in self.tids for t2 in self.tids if t1 != t2
         ]
-        self._readers_of: dict[str, list[str]] = {}
-        self._writers_of_key: dict[str, list[str]] = {}
-        for tid in self.tids:
-            txn = self._txn[tid]
-            # sorted: key-set iteration order must not depend on the
-            # per-process string-hash seed (PYTHONHASHSEED), or CNF
-            # variable order — and the whole search trajectory — wanders
-            # between runs
-            for key in sorted(txn.read_keys):
-                self._readers_of.setdefault(key, []).append(tid)
-            for key in sorted(txn.write_keys):
-                self._writers_of_key.setdefault(key, []).append(tid)
         # --- boundary variables: one per session ------------------------
         # Only boundary-candidate values ever enter the positions sort:
         # strict boundaries range over read positions, relaxed ones over
@@ -193,13 +181,13 @@ class Encoding:
         """All ordered pairs of distinct transactions (t0 included)."""
         return self._pairs
 
-    def readers_of(self, key: str) -> list[str]:
+    def readers_of(self, key: str) -> tuple[str, ...]:
         """Transactions reading ``key``, in ``tids`` order."""
-        return self._readers_of.get(key, [])
+        return self.observed.readers_of(key)
 
-    def writers_of(self, key: str) -> list[str]:
+    def writers_of(self, key: str) -> tuple[str, ...]:
         """Transactions writing ``key``, in ``tids`` order."""
-        return self._writers_of_key.get(key, [])
+        return self.observed.writers_of(key)
 
     # ------------------------------------------------------------------
     # Boundary helpers

@@ -6,8 +6,10 @@ lives under the key ``table:pk1[:pk2...]``, stored as a column dict. A point
 ``put`` (a transactional read-modify-write); ``INSERT`` compiles to ``put``;
 ``DELETE`` writes a tombstone.
 
-Statements are parsed once and cached by text, so hot benchmark loops do not
-re-lex.
+Statements are parsed through one process-wide plan cache
+(:func:`repro.sqlkv.parser.parse` is memoised by statement text), so the
+engines of every session, recording and validation replay share their
+plans instead of re-lexing the same statements.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .ast_nodes import (
     Literal,
     Param,
     Select,
-    Statement,
     Update,
 )
 from .errors import SqlRuntimeError
@@ -92,7 +93,6 @@ class SqlEngine:
         self._schemas: dict[str, _Schema] = (
             schemas if schemas is not None else {}
         )
-        self._plan_cache: dict[str, Statement] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -105,13 +105,6 @@ class SqlEngine:
         except KeyError:
             raise SqlRuntimeError(f"unknown table {table!r}") from None
 
-    def _plan(self, sql: str) -> Statement:
-        stmt = self._plan_cache.get(sql)
-        if stmt is None:
-            stmt = parse(sql)
-            self._plan_cache[sql] = stmt
-        return stmt
-
     # ------------------------------------------------------------------
     def execute(
         self, sql: str, params: Sequence[object] = ()
@@ -122,7 +115,7 @@ class SqlEngine:
         internal KV operations never interleave with other sessions,
         modelling per-statement row locking in real stores.
         """
-        stmt = self._plan(sql)
+        stmt = parse(sql)
         if isinstance(stmt, CreateTable):
             self._schemas[stmt.table] = _Schema(stmt)
             return []

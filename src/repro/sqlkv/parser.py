@@ -1,6 +1,8 @@
 """Recursive-descent parser for the SQL subset."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -222,6 +224,12 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=1024)
 def parse(sql: str) -> Statement:
-    """Parse one SQL statement into its AST."""
+    """Parse one SQL statement into its AST.
+
+    Memoised by statement text for the whole process: the AST is frozen
+    dataclasses over tuples, so every engine can share one plan. Errors
+    are not cached; a malformed statement raises on every call.
+    """
     return _Parser(tokenize(sql)).statement()

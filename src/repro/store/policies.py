@@ -1,16 +1,22 @@
 """Read policies: who does a read read from?
 
-The central helper is :func:`legal_writers`, the axiomatic legality check:
-a candidate writer is legal when extending the current history with the
-in-progress transaction (including the candidate write–read edge) keeps the
-execution valid under the target isolation level. The paper's observation
-that "it is always possible to keep executing while preserving causal or rc"
-holds here because the latest committed writer is always legal.
+The central check is :meth:`ReadContext.is_legal`, the axiomatic legality
+test: a candidate writer is legal when extending the current history with
+the in-progress transaction (including the candidate write–read edge) keeps
+the execution valid under the target isolation level. Each answer is
+memoised for the read, as each costs a trial history and an isolation check.
+The paper's observation that "it is always possible to keep executing while
+preserving causal or rc" holds here because the latest committed writer is
+always legal.
+
+:func:`legal_writers` checks every candidate. Only the random policy needs
+that full set; directed replay asks about at most three writers and falls
+back to the full set only when none of them is legal.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..history.events import Event, ReadEvent
@@ -39,6 +45,7 @@ class ReadContext:
     key: str
     position: int
     fragment_builder: Callable[[Optional[Event]], Transaction]
+    _legal: dict = field(default_factory=dict, init=False, repr=False)
 
     def candidates(self) -> list[str]:
         """Committed writers of the key (including t0), excluding self."""
@@ -56,12 +63,18 @@ class ReadContext:
         )
         return self.store.trial_history(self.fragment_builder(candidate))
 
+    def is_legal(self, writer: Optional[str], level: IsolationLevel) -> bool:
+        """Whether ``writer`` is a candidate whose choice keeps ``level``."""
+        if (writer, level) not in self._legal:
+            self._legal[writer, level] = writer in self.candidates() and (
+                is_valid_under(self.trial(writer), level)
+            )
+        return self._legal[writer, level]
+
 
 def legal_writers(ctx: ReadContext, level: IsolationLevel) -> list[str]:
     """Candidate writers whose choice keeps the execution valid under level."""
-    return [
-        w for w in ctx.candidates() if is_valid_under(ctx.trial(w), level)
-    ]
+    return [w for w in ctx.candidates() if ctx.is_legal(w, level)]
 
 
 class ReadPolicy:
@@ -119,6 +132,7 @@ class DirectedReplayPolicy(ReadPolicy):
     in the validating execution too, and (3) the choice is legal under the
     weak isolation model. Otherwise the execution *diverges*: fall back to
     the observed writer when legal, else the latest legal writer.
+    Legality is checked only for these writers, in this order.
 
     Transaction aborts rewind the per-transaction read cursor (§6).
     """
@@ -193,7 +207,6 @@ class DirectedReplayPolicy(ReadPolicy):
         index = self._cursor.get(ctx.tid, 0)
         self._cursor[ctx.tid] = index + 1
         predicted = self._predicted_read(ctx, index)
-        legal = set(legal_writers(ctx, self.level))
         if predicted is not None:
             predicted_writer = self._validating_tid(predicted.writer)
             # the three conditions of §5, checked in order so the
@@ -206,7 +219,7 @@ class DirectedReplayPolicy(ReadPolicy):
                 reason = "writer-missing"
             elif predicted_writer == ctx.tid:
                 reason = "self-read"
-            elif predicted_writer not in legal:
+            elif not ctx.is_legal(predicted_writer, self.level):
                 reason = "isolation-illegal"
             else:
                 return predicted_writer
@@ -225,14 +238,15 @@ class DirectedReplayPolicy(ReadPolicy):
         observed = self._observed_read(ctx, index)
         if observed is not None and observed.key == ctx.key:
             observed_writer = self._validating_tid(observed.writer)
-            if observed_writer in legal:
+            if ctx.is_legal(observed_writer, self.level):
                 return observed_writer
         latest = ctx.store.latest_writer(ctx.key)
-        if latest in legal:
+        if ctx.is_legal(latest, self.level):
             return latest
-        # every candidate failed the legality check (should not happen:
+        # none of the three preferred writers is legal (should not happen:
         # the latest committed writer is always legal) — degrade gracefully
-        return latest if not legal else sorted(legal)[0]
+        legal = legal_writers(ctx, self.level)
+        return sorted(legal)[0] if legal else latest
 
     def on_commit(self, tid: str, session: str, index: int) -> None:
         self._validating_by_slot[(session, index)] = tid

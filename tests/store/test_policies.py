@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from repro.history import INIT_TID
+from repro.api import Analysis
+from repro.bench_apps import TPCC, WorkloadConfig
+from repro.history import INIT_TID, HistoryBuilder
 from repro.isolation import (
     IsolationLevel,
     is_causal,
     is_read_committed,
     is_serializable,
 )
+from repro.sources import BenchAppSource
 from repro.store import (
     Client,
     DataStore,
@@ -17,6 +20,7 @@ from repro.store import (
     LatestWriterPolicy,
     RandomIsolationPolicy,
     legal_writers,
+    policies,
 )
 from repro import gallery
 
@@ -155,3 +159,81 @@ class TestDirectedReplayPolicy:
         txn = store.history().transaction(tid)
         assert txn.reads[0].writer == INIT_TID
         assert not policy.diverged
+
+
+class TestLazyLegality:
+    """Directed replay checks only the writers it asks about, in order."""
+
+    def replay_one_read(self, allowed, monkeypatch):
+        """x is written by t1..t4 (sessions s1..s4), then s5 reads it.
+
+        The read is predicted from t2 and observed from t1; t4 is the
+        latest writer. ``is_valid_under`` accepts exactly ``allowed``.
+        """
+        def history(reads_from):
+            b = HistoryBuilder(initial={"x": 0})
+            for i in range(1, 5):
+                b.txn(f"t{i}", f"s{i}").write("x", i)
+            b.txn("t5", "s5").read("x", writer=reads_from)
+            return b.build()
+
+        policy = DirectedReplayPolicy(
+            history("t2"), IsolationLevel.CAUSAL, observed=history("t1")
+        )
+        store = DataStore(initial={"x": 0})
+        for i in range(1, 5):
+            client = Client(store, f"s{i}", policy)
+            client.put("x", i)
+            client.commit()
+        asked = []
+
+        def only_allowed(trial, level):
+            (reader,) = trial.sessions()["s5"]
+            asked.append(reader.reads[-1].writer)
+            return reader.reads[-1].writer in allowed
+
+        monkeypatch.setattr(policies, "is_valid_under", only_allowed)
+        reader = Client(store, "s5", policy)
+        reader.get("x")
+        tid = reader.commit()
+        return store.history().transaction(tid).reads[0].writer, policy, asked
+
+    def test_predicted_writer_is_the_only_check(self, monkeypatch):
+        chosen, policy, asked = self.replay_one_read({"t2"}, monkeypatch)
+        assert (chosen, asked) == ("t2", ["t2"])
+        assert not policy.diverged
+
+    def test_observed_then_latest_in_order(self, monkeypatch):
+        chosen, policy, asked = self.replay_one_read({"t4"}, monkeypatch)
+        assert (chosen, asked) == ("t4", ["t2", "t1", "t4"])
+        assert policy.divergences[0]["reason"] == "isolation-illegal"
+
+    @pytest.mark.parametrize("legal", [{"t3"}, {"t0", "t3"}])
+    def test_fallback_takes_the_least_legal_writer(self, legal, monkeypatch):
+        chosen, _, asked = self.replay_one_read(legal, monkeypatch)
+        assert chosen == sorted(legal)[0]
+        # the three preferred writers are asked once each; the full
+        # candidate set is only evaluated in this fallback
+        assert asked == ["t2", "t1", "t4", "t0", "t3"]
+
+    def test_fallback_reads_latest_when_nothing_is_legal(self, monkeypatch):
+        chosen, _, _ = self.replay_one_read(set(), monkeypatch)
+        assert chosen == "t4"
+
+    def test_replay_check_count_is_pinned(self, monkeypatch):
+        session = (
+            Analysis(BenchAppSource(TPCC, WorkloadConfig.tiny(), 7))
+            .under("causal")
+            .using("approx-relaxed", max_seconds=30.0)
+        )
+        assert session.predict().found
+        calls = []
+        real = policies.is_valid_under
+        monkeypatch.setattr(
+            policies,
+            "is_valid_under",
+            lambda h, level: calls.append(1) or real(h, level),
+        )
+        assert session.validate().validated
+        # the eager policy checked every candidate writer of every read: 17
+        assert len(calls) == 14
