@@ -1,15 +1,12 @@
 """Ablation: SMT substrate micro-benchmarks.
 
 Times the solver layers the analysis leans on — CDCL propagation on
-structured instances, difference-logic assertion/repair throughput, and the
-fixed-history serializability check that validation calls in its inner
-loop.
+structured instances and difference-logic assertion/repair throughput.
+(The fixed-history serializability check that validation calls does not
+use the solver; ``bench_fig9_boundary.py`` times it.)
 """
 import random
 
-
-from repro import gallery
-from repro.isolation import is_serializable
 from repro.smt import Bool, Distinct, Implies, Int, Result, Solver
 from repro.smt.difference import DifferenceTheory
 from repro.smt.sat import SatSolver
@@ -77,13 +74,6 @@ def test_guarded_order_instance(benchmark):
         return solver.check()
 
     assert benchmark(run) in (Result.SAT, Result.UNSAT)
-
-
-def test_fixed_history_serializability_check(benchmark):
-    """Validation's inner check on the Fig. 9 observed history."""
-    h = gallery.fig9_observed()
-    report = benchmark(lambda: is_serializable(h))
-    assert report
 
 
 def test_feature_flag_ablation(capsys):

@@ -102,3 +102,11 @@ def test_fig9d_validation_catches_false_prediction(benchmark, capsys):
             f"(validating sessions: {sorted(sessions)}); validating "
             "execution is serializable -> false prediction rejected"
         )
+
+
+def test_fixed_history_serializability_check(benchmark):
+    """Validation's inner check on the Fig. 9 observed history: the
+    session-frontier search, which runs without the SMT substrate."""
+    h = gallery.fig9_observed()
+    report = benchmark(lambda: is_serializable(h))
+    assert report

@@ -2,7 +2,8 @@
 
 Graph-based polynomial checks for causal and read committed, the sound
 pco-cycle unserializability witness of §4.2.2, and serializability decision
-procedures (SMT-based for real use, brute force as a test oracle).
+procedures (a session-frontier search for real use, brute force as a test
+oracle). None of them uses the SMT substrate whose predictions they check.
 """
 from .levels import IsolationLevel
 from .axioms import (
@@ -13,7 +14,6 @@ from .axioms import (
     ww_causal_pairs,
     ww_rc_pairs,
     ww_read_atomic_pairs,
-    ww_serializable_pairs,
 )
 from .checkers import (
     SerializabilityReport,
@@ -43,5 +43,4 @@ __all__ = [
     "ww_causal_pairs",
     "ww_rc_pairs",
     "ww_read_atomic_pairs",
-    "ww_serializable_pairs",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "ww_causal_pairs",
     "ww_read_atomic_pairs",
     "ww_rc_pairs",
-    "ww_serializable_pairs",
     "rw_edges",
     "pco_fixpoint",
     "pco_edges",
@@ -95,23 +94,6 @@ def ww_rc_pairs(history: History) -> frozenset[Pair]:
                 if t1 in (t2, t3.tid):
                     continue
                 if t1 in writers:
-                    out.add((t1, t2))
-    return frozenset(out)
-
-
-def ww_serializable_pairs(
-    history: History, co: dict[str, int]
-) -> frozenset[Pair]:
-    """Serializable arbitration order (Equation 1) for a given commit order."""
-    wr_k = wr_k_pairs(history)
-    out: set[Pair] = set()
-    for key, pairs in wr_k.items():
-        writers = set(history.writers_of(key))
-        for (t2, t3) in pairs:
-            for t1 in writers:
-                if t1 in (t2, t3):
-                    continue
-                if co[t1] < co[t3]:
                     out.add((t1, t2))
     return frozenset(out)
 

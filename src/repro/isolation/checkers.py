@@ -5,20 +5,20 @@
   and by validation.
 * :func:`pco_unserializable` — the sound §4.2.2 witness: a cyclic pco least
   fixpoint proves unserializability.
-* :func:`is_serializable` — complete decision via the SMT substrate
-  (an existential commit-order encoding; checking a *fixed* history is
-  "more efficient than unserializable" exactly as §5 notes).
+* :func:`is_serializable` — complete decision by the session-frontier
+  search of Biswas & Enea, without the SMT substrate (checking a *fixed*
+  history is "more efficient than unserializable" exactly as §5 notes).
 * :func:`is_serializable_bruteforce` — permutation search; the test oracle.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from ..history.model import History
 from ..history.relations import hb_pairs, is_acyclic, wr_k_pairs
-from ..smt import Distinct, Implies, Int, Result, Solver
 from .axioms import (
     pco_fixpoint,
     ww_rc_pairs,
@@ -68,8 +68,7 @@ def is_valid_under(history: History, level: IsolationLevel) -> bool:
         return is_read_atomic(history)
     if level is IsolationLevel.READ_COMMITTED:
         return is_read_committed(history)
-    report = is_serializable(history)
-    return bool(report)
+    return bool(is_serializable(history))
 
 
 def pco_unserializable(history: History) -> bool:
@@ -86,65 +85,91 @@ def pco_unserializable(history: History) -> bool:
 class SerializabilityReport:
     """Outcome of a serializability decision.
 
-    ``commit_order`` lists transaction ids in a witnessing serial order when
-    serializable; ``result`` keeps the raw solver answer (UNKNOWN possible
-    under tight budgets).
+    ``commit_order`` lists transaction ids, ``t0`` first, in a witnessing
+    serial order when serializable, and is ``None`` otherwise.
     """
 
     serializable: bool
-    result: Result
     commit_order: Optional[list[str]] = None
 
     def __bool__(self) -> bool:
         return self.serializable
 
 
-def is_serializable(
-    history: History,
-    max_conflicts: Optional[int] = None,
-    max_seconds: Optional[float] = None,
-) -> SerializabilityReport:
-    """Decide serializability of a fixed history via the SMT substrate.
+def is_serializable(history: History) -> SerializabilityReport:
+    """Decide serializability by a depth-first search over session frontiers.
 
-    Encodes an existential commit order ``co``: integer positions per
-    transaction, pairwise distinct, respecting hb, with the Equation 1
-    arbitration rule as implications ``co(t1) < co(t3) => co(t1) < co(t2)``
-    for every wr_k(t2, t3) and third writer t1 of k.
+    The search of Biswas & Enea (OOPSLA 2019) builds a commit order one
+    transaction at a time. Since it extends so, the placed transactions are
+    one prefix length per session: a *frontier*. A session's next
+    transaction t is appended when everything t reads from is placed and,
+    for each key k that t writes, no ``wr_k(w, r)`` with w, r ≠ t has w
+    placed and r not (Equation 1's arbitration rule). Dead frontiers are
+    memoised, so at most ∏(|session| + 1) are expanded. ``t0`` goes first,
+    sessions are tried in sorted-name order, and the loop is iterative:
+    traces can hold thousands of transactions.
     """
-    tids = [t.tid for t in history.all_transactions()]
-    co = {tid: Int(f"co[{tid}]") for tid in tids}
-    solver = Solver()
-    solver.add(Distinct(list(co.values())))
-    # sorted: pair sets hash strings, and assertion order fixes the SAT
-    # variable numbering — keep trajectories hash-seed-independent
-    for (a, b) in sorted(hb_pairs(history)):
-        solver.add(co[a] < co[b])
-    for key, pairs in sorted(wr_k_pairs(history).items()):
-        writers = history.writers_of(key)
-        for (t2, t3) in sorted(pairs):
-            for t1 in writers:
-                if t1 in (t2, t3):
-                    continue
-                solver.add(
-                    Implies(co[t1] < co[t3], co[t1] < co[t2])
-                )
-    result = solver.check(
-        max_conflicts=max_conflicts, max_seconds=max_seconds
-    )
-    if result is Result.SAT:
-        model = solver.model()
-        order = sorted(tids, key=lambda tid: model.int_value(f"co[{tid}]"))
-        return SerializabilityReport(True, result, order)
-    return SerializabilityReport(False, result, None)
+    sessions = [txns for _, txns in sorted(history.sessions().items())]
+    session_of = {t.tid: s for s, txns in enumerate(sessions) for t in txns}
+    reads_from = defaultdict(list)  # tid -> [(key, writer)]
+    feeds = defaultdict(list)  # tid -> [key, once per reader]
+    for key, pairs in wr_k_pairs(history).items():
+        for (w, r) in pairs:
+            reads_from[r].append((key, w))
+            feeds[w].append(key)
+    # key -> how many wr_k(w, r) have w placed and r not
+    open_reads = Counter(feeds[history.t0.tid])
+    frontier = [0] * len(sessions)
+    placed = {history.t0.tid}
+
+    def ready(s: int) -> bool:
+        if frontier[s] == len(sessions[s]):
+            return False
+        txn = sessions[s][frontier[s]]
+        pairs = reads_from[txn.tid]
+        if any(w not in placed for _, w in pairs):
+            return False
+        own = Counter(key for key, _ in pairs)  # t's reads are open too
+        return all(open_reads[k] == own[k] for k in txn.write_keys)
+
+    def move(tid: str, sign: int) -> None:
+        frontier[session_of[tid]] += sign
+        (placed.add if sign > 0 else placed.remove)(tid)
+        for key, _ in reads_from[tid]:
+            open_reads[key] -= sign
+        for key in feeds[tid]:
+            open_reads[key] += sign
+
+    order = [history.t0.tid]
+    dead: set[tuple[int, ...]] = set()
+    tried = [0]  # per placed transaction: the next session to try after it
+    while len(order) <= len(history):
+        s = next((s for s in range(tried[-1], len(sessions)) if ready(s)),
+                 None)
+        if s is None:  # nothing can follow this frontier
+            dead.add(tuple(frontier))
+            tried.pop()
+            if not tried:
+                return SerializabilityReport(False)
+            move(order.pop(), -1)
+            continue
+        tried[-1] = s + 1
+        order.append(sessions[s][frontier[s]].tid)
+        move(order[-1], 1)
+        if tuple(frontier) in dead:
+            move(order.pop(), -1)
+        else:
+            tried.append(0)
+    return SerializabilityReport(True, order)
 
 
-def _witnesses(history: History, order: list[str]) -> bool:
+def _witnesses(history: History, order: list[str], hb=None, wr_k=None) -> bool:
     """Whether a total order witnesses serializability of the history."""
     pos = {tid: i for i, tid in enumerate(order)}
-    for (a, b) in hb_pairs(history):
+    for (a, b) in hb or hb_pairs(history):
         if pos[a] >= pos[b]:
             return False
-    for key, pairs in wr_k_pairs(history).items():
+    for key, pairs in (wr_k or wr_k_pairs(history)).items():
         writers = history.writers_of(key)
         for (t2, t3) in pairs:
             for t1 in writers:
@@ -158,9 +183,9 @@ def _witnesses(history: History, order: list[str]) -> bool:
 def is_serializable_bruteforce(history: History) -> SerializabilityReport:
     """Permutation-search oracle (only sensible for small histories)."""
     tids = [t.tid for t in history.all_transactions()]
-    rest = tids[1:]
-    for perm in itertools.permutations(rest):
+    hb, wr_k = hb_pairs(history), wr_k_pairs(history)  # once, not per order
+    for perm in itertools.permutations(tids[1:]):
         order = [tids[0], *perm]  # t0 first: it is so-before everything
-        if _witnesses(history, order):
-            return SerializabilityReport(True, Result.SAT, order)
-    return SerializabilityReport(False, Result.UNSAT, None)
+        if _witnesses(history, order, hb, wr_k):
+            return SerializabilityReport(True, order)
+    return SerializabilityReport(False)

@@ -363,8 +363,7 @@ class PredictionEnumeration:
         """Extend the enumeration until ``k`` predictions exist (if any do).
 
         Stops early when the candidate space exhausts (``UNSAT``), or when
-        the deadline/candidate budget runs out or a candidate's
-        serializability check is undecided (``UNKNOWN``, resumable).
+        the deadline/candidate budget runs out (``UNKNOWN``, resumable).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -404,10 +403,8 @@ class PredictionEnumeration:
                 predicted = decode_history(self._enc, model)
             self._decode_seconds += time.monotonic() - decode_start
             if self._exact:
-                report = is_serializable(
-                    predicted, max_seconds=_remaining(deadline)
-                )
-                if report.result is Result.SAT:
+                report = is_serializable(predicted)
+                if report:
                     self._refine(model, report.commit_order)
                     rejected += 1
                     if rejected >= self.analyzer.max_candidates:
@@ -416,11 +413,6 @@ class PredictionEnumeration:
                         self._status = Result.UNKNOWN
                         return
                     continue
-                if report.result is not Result.UNSAT:
-                    # no verdict, no witness: the model stays unblocked and
-                    # is re-served to a later ensure() (like a solver budget)
-                    self._status = Result.UNKNOWN
-                    return
             self._accept(model, predicted)
         if len(self.predictions) >= k:
             self._status = Result.SAT

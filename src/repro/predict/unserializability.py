@@ -11,7 +11,7 @@ Two encodings:
   substrate realizes the same semantics by CEGIS (see
   ``docs/architecture.md``): enumerate
   candidate predictions satisfying feasibility + isolation, check each fixed
-  candidate's serializability with the existential encoding of
+  candidate's serializability with the session-frontier search of
   :mod:`repro.isolation.checkers`, and instantiate the quantifier at each
   serializable candidate's witness order (:func:`not_serialized_by`).
 """

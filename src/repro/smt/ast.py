@@ -7,8 +7,8 @@ generation needs (paper §4 and Appendix B):
 * Finite-domain variables (``EnumVar``) compared against constants
   (``EnumEq``), used for ``choice(s, i)`` and ``boundary(s)``.
 * Integer variables under *difference logic*: atoms of the form
-  ``x - y <= c``, used for ``rank`` and commit-order positions, plus the
-  ``Distinct`` sugar the serializability encoding needs.
+  ``x - y <= c``, used for ``rank`` and commit-order positions, plus
+  ``Distinct`` sugar for pairwise-distinct positions.
 
 Expressions are immutable and interned (hash-consed), so structurally equal
 subterms are the same object; the Tseitin transform in :mod:`repro.smt.cnf`

@@ -733,7 +733,7 @@ class SatSolver:
                 raise ValueError(f"assumption literal {lit} out of range")
             assume.append((lit << 1) if lit > 0 else ((-lit) << 1) | 1)
 
-        deadline = time.monotonic() + max_seconds if max_seconds else None
+        deadline = None if max_seconds is None else time.monotonic() + max_seconds
         restart_idx = 1
         budget = RESTART_BASE * luby(restart_idx)
         conflicts_here = 0
@@ -775,7 +775,7 @@ class SatSolver:
             ):
                 self._cancel_until(0)
                 return Result.UNKNOWN
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 self._cancel_until(0)
                 return Result.UNKNOWN
             if self.enable_restarts and conflicts_here >= budget:

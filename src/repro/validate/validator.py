@@ -9,10 +9,10 @@ predicted prefix — each is either on its session's boundary or so-before it
 (§5's "on the boundary or happens-before a transaction on the boundary") —
 then the remaining program suffixes are halted.
 
-The final check encodes the validating history's serializability exactly
-(fixed history, existential commit order — "more efficient than
-unserializable", §5): UNSAT means the prediction is confirmed as a feasible
-unserializable execution.
+The final check decides the validating history's serializability exactly
+(fixed history — "more efficient than unserializable", §5): an
+unserializable verdict confirms the prediction as a feasible unserializable
+execution.
 """
 from __future__ import annotations
 

@@ -237,30 +237,3 @@ def test_enumeration_resumes_past_candidate_cap():
     else:
         raise AssertionError("enumeration never drained: cap not resumable")
     assert not enum.predictions  # single-session: nothing unserializable
-
-
-def test_cegis_reports_unknown_when_serializability_is_undecided(
-    sat_history, monkeypatch
-):
-    """An undecided serializability check is neither a prediction nor a
-    refinement: ``ensure`` stops with UNKNOWN and predicts nothing."""
-    from repro.isolation.checkers import SerializabilityReport
-    from repro.predict import analysis
-    from repro.predict.strategies import BoundaryMode, EncodingMode
-
-    calls = []
-
-    def undecided(history, **budget):
-        calls.append(history)
-        return SerializabilityReport(False, Result.UNKNOWN, None)
-
-    monkeypatch.setattr(analysis, "is_serializable", undecided)
-    analyzer = IsoPredict(
-        IsolationLevel.CAUSAL,
-        PredictionStrategy(EncodingMode.EXACT, BoundaryMode.STRICT),
-        max_seconds=30.0,
-    )
-    batch = analyzer.predict_many(sat_history, k=1)
-    assert calls, "the CEGIS serializability check was never reached"
-    assert batch.status is Result.UNKNOWN
-    assert not batch.predictions

@@ -1,6 +1,11 @@
 """Property tests: random histories, oracle cross-checks, level ordering."""
+import ast
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
+import repro.isolation
 from repro.history import HistoryBuilder
 from repro.isolation import (
     is_causal,
@@ -9,6 +14,7 @@ from repro.isolation import (
     is_serializable_bruteforce,
     pco_unserializable,
 )
+from repro.isolation.checkers import _witnesses
 
 KEYS = ["x", "y"]
 
@@ -21,8 +27,8 @@ def random_history(draw):
     transactions that write the key (or t0). Generated histories are always
     structurally valid but make no isolation guarantee — that is the point.
     """
-    n_sessions = draw(st.integers(min_value=1, max_value=3))
-    n_txns = draw(st.integers(min_value=1, max_value=5))
+    n_sessions = draw(st.integers(min_value=1, max_value=4))
+    n_txns = draw(st.integers(min_value=1, max_value=7))
     plans = []
     for i in range(n_txns):
         session = draw(st.integers(min_value=0, max_value=n_sessions - 1))
@@ -54,10 +60,16 @@ def random_history(draw):
 class TestOracleAgreement:
     @given(random_history())
     @settings(max_examples=120, deadline=None)
-    def test_smt_serializability_matches_bruteforce(self, history):
-        smt = bool(is_serializable(history))
-        brute = bool(is_serializable_bruteforce(history))
-        assert smt == brute
+    def test_frontier_search_matches_bruteforce(self, history):
+        report = is_serializable(history)
+        brute = is_serializable_bruteforce(history)
+        assert bool(report) == bool(brute)
+        for order in (report.commit_order, brute.commit_order):
+            if order is not None:
+                assert sorted(order) == sorted(
+                    t.tid for t in history.all_transactions()
+                )
+                assert _witnesses(history, order)
 
     @given(random_history())
     @settings(max_examples=120, deadline=None)
@@ -75,12 +87,39 @@ class TestOracleAgreement:
             assert is_read_committed(history)
 
 
-class TestWitnessOrders:
-    @given(random_history())
-    @settings(max_examples=80, deadline=None)
-    def test_serializability_witness_is_valid(self, history):
-        from repro.isolation.checkers import _witnesses
-
+class TestFrontierSearch:
+    def test_dead_end_is_backtracked(self):
+        """s1's t1 is placeable first, but then t2 (s2) can never follow:
+        t1 → t3 (wr on y) is open and t2 also writes y. Only backtracking
+        to place t2 before t1 finds the serial order."""
+        b = HistoryBuilder(initial={"y": 0})
+        b.txn("t1", "s1").write("y", 1)
+        b.txn("t2", "s2").write("y", 2)
+        b.txn("t3", "s2").read("y", writer="t1")
+        history = b.build()
         report = is_serializable(history)
-        if report:
-            assert _witnesses(history, report.commit_order)
+        assert report.commit_order == ["t0", "t2", "t1", "t3"]
+        assert bool(is_serializable_bruteforce(history))
+
+    def test_isolation_does_not_import_the_solver(self):
+        """The checkers stay independent of the SMT substrate whose
+        predictions they check."""
+        package = Path(repro.isolation.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = importlib.util.resolve_name(
+                        "." * node.level + (node.module or ""),
+                        "repro.isolation",
+                    )
+                    modules = [module] + [
+                        f"{module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[:2] != ["repro", "smt"], (
+                        f"{path.name} imports {module}"
+                    )

@@ -112,7 +112,10 @@ class TestExactEncoding:
 
         When exact strategies first proved the approximate encoding UNSAT,
         the round reported the two encodings' clauses summed (76,602), and
-        the CEGIS walk alone took the same 20 candidates.
+        the CEGIS walk alone took the same 20 candidates. Refinement clauses
+        depend on each candidate's witness order: the SMT serializability
+        checker's witnesses gave 7,064 clauses, and the session-frontier
+        search's give 6,987.
         """
         app = {a.name: a for a in ALL_APPS}["tpcc"]
         history = record_observed(app(WorkloadConfig.small()), 1).history
@@ -121,4 +124,4 @@ class TestExactEncoding:
         ).predict_many(history, k=1)
         assert batch.status is Result.UNSAT
         assert batch.stats["candidates"] == 20
-        assert batch.stats["clauses"] == 7064
+        assert batch.stats["clauses"] == 6987

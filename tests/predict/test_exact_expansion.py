@@ -146,7 +146,7 @@ class TestWitnessRefinement:
             model = solver.model()
             candidate = decode_history(enc, model)
             report = is_serializable(candidate)
-            if report.result is not Result.SAT:
+            if not report:
                 solver.add(blocking_clause(enc, model))
                 continue
             order = witness_order(enc, report.commit_order)

@@ -287,6 +287,14 @@ class TestRawBackendProtocol:
         assert result is Result.UNKNOWN
         assert time.monotonic() - start < 10.0  # stopped, not awaited
 
+    def test_zero_wall_budget_reports_unknown(self, raw):
+        """A 0-second budget is spent before the search starts; it is not
+        the absence of a budget."""
+        nvars, clauses = pigeonhole(7, 6)  # UNSAT, but not at level 0
+        load(raw, nvars, clauses)
+        assert raw.solve(max_seconds=0) is Result.UNKNOWN
+        assert raw.solve() is Result.UNSAT  # the budget did not stick
+
 
 class TestInProcessBudgets:
     def test_budget_then_full_solve_recovers(self):
