@@ -3,7 +3,7 @@
 The paper's small/large columns (Tables 4/5) show constraint size and
 solving time growing with transaction count; this bench sweeps session ×
 transaction shapes on Smallbank and reports the growth curve for the
-default stratified encoding.
+approximate strategy (feasibility + isolation, pco checked per candidate).
 """
 import time
 

@@ -99,7 +99,7 @@ SCENARIOS = [
      "approx-relaxed", 4, "inprocess", "inmemory"),
     ("tpcc-small-rc-strict-k1", "mid", "tpcc", "small", "rc",
      "approx-strict", 1, "inprocess", "inmemory"),
-    # -- Table 4's exact column: CEGIS with one serializability solve per
+    # -- Table 4's exact column: CEGIS with one serializability check per
     # candidate; the ``candidates`` counter tracks the refinement's reach
     ("smallbank-tiny-exact-strict-k1", "small", "smallbank", "tiny",
      "causal", "exact-strict", 1, "inprocess", "inmemory"),
@@ -109,6 +109,10 @@ SCENARIOS = [
     # gates the verdict and the candidate count, not the wall)
     ("tpcc-small-exact-strict-k1", "mid", "tpcc", "small", "causal",
      "exact-strict", 1, "inprocess", "inmemory"),
+    # the same history's approx UNSAT: CEGIS with a pco-cycle check per
+    # candidate (CI gates the verdict and the candidate count)
+    ("tpcc-small-approx-strict-k1", "mid", "tpcc", "small", "causal",
+     "approx-strict", 1, "inprocess", "inmemory"),
     # -- sharded scenario workloads (PR 5) ------------------------------
     ("shardtransfer-small-sharded4-k1", "mid", "shardtransfer", "small",
      "causal", "approx-relaxed", 1, "inprocess", "sharded:4"),

@@ -166,9 +166,8 @@ class Analysis:
 
         ``max_seconds`` is the whole-enumeration solver budget (an explicit
         ``None`` removes it); ``analyzer_kwargs`` pass through to
-        :class:`IsoPredict` (``max_candidates``, ``include_rank``,
-        ``include_rw``, ``pco_mode``, ``fixpoint_rounds``,
-        ``max_conflicts``, and the backend-seam knobs ``solver`` — e.g.
+        :class:`IsoPredict` (``max_candidates``, ``max_conflicts``, and
+        the backend-seam knobs ``solver`` — e.g.
         ``"dimacs:minisat"`` — and ``budget``, e.g. ``"30s,20000c"``).
         """
         if strategy is not None:

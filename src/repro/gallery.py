@@ -69,9 +69,10 @@ def fig5_history() -> History:
 def fig6_history() -> History:
     """Fig. 6: the circular-dependency scenario that motivates rank.
 
-    t1 and t2 write k; t3 reads k from t2. Without rank constraints a naive
-    encoding can assert the self-justifying pair ww(t1,t2) / pco(t1,t3) and
-    wrongly report a cycle; the history is in fact serializable.
+    t1 and t2 write k; t3 reads k from t2. A naive encoding of pco can
+    assert the self-justifying pair ww(t1,t2) / pco(t1,t3) and wrongly
+    report a cycle; the history is in fact serializable, and its pco least
+    fixpoint (built bottom-up from so ∪ wr) is acyclic.
     """
     b = HistoryBuilder(initial={"k": 0})
     b.txn("t1", "s1").write("k", 1)

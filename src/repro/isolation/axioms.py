@@ -140,10 +140,10 @@ def pco_fixpoint(history: History) -> frozenset[Pair]:
     """The least fixpoint pco = (so ∪ wr ∪ ww ∪ rw)+ of §4.2.2.
 
     Computed by monotone iteration from (so ∪ wr)+, deriving ww/rw from the
-    current approximation and re-closing until stable. This is the graph
-    analogue of the rank-guarded SMT encoding: starting from the base
-    relations and only ever *adding* justified edges yields exactly the
-    minimal relation the rank constraints characterize.
+    current approximation and re-closing until stable. Starting from the
+    base relations and only ever *adding* justified edges yields the least
+    relation, so no edge can justify itself (the paper's Fig. 6). The
+    approximate strategy checks each candidate prediction with this.
     """
     nodes = [t.tid for t in history.all_transactions()]
     pco = transitive_closure(

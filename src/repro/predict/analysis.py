@@ -1,10 +1,11 @@
 """The IsoPredict façade: end-to-end predictive analysis (§3, §4).
 
 Orchestrates encoding, solving and decoding through one enumeration loop
-(:class:`PredictionEnumeration`, which is also the exact strategy's CEGIS
-loop), and reports the timing/size
-statistics the paper's Tables 4 and 5 track (constraint generation time,
-literal count, solving time split by outcome).
+(:class:`PredictionEnumeration`, a CEGIS loop shared by all four
+strategies, which differ only in how each candidate is checked), and
+reports the timing/size statistics the paper's Tables 4 and 5 track
+(constraint generation time, literal count, solving time split by
+outcome).
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .decode import decode_boundaries, decode_history
 from .encoder import Encoding
 from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
 from .unserializability import (
-    approx_unserializability_constraints,
     assignment_of,
     blocking_clause,
     not_serialized_by,
@@ -157,10 +157,8 @@ class PredictionBatch:
 class IsoPredict:
     """Predicts feasible unserializable executions from an observed one.
 
-    Parameters mirror the paper's configuration space plus the two ablation
-    switches (see ``docs/architecture.md``: rank and rw can be disabled to
-    demonstrate why they are needed; disabling rank makes the analysis
-    unsound on Fig. 6-style histories).
+    Parameters mirror the paper's configuration space (isolation level and
+    strategy) plus the solver backend and its budgets.
     """
 
     def __init__(
@@ -170,10 +168,6 @@ class IsoPredict:
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
         max_candidates: int = 64,
-        include_rank: bool = True,
-        include_rw: bool = True,
-        pco_mode: str = "stratified",
-        fixpoint_rounds: int = 2,
         solver: object = "inprocess",
         budget: "Budget | str | None" = None,
     ):
@@ -190,10 +184,6 @@ class IsoPredict:
         self.max_conflicts = max_conflicts
         self.max_seconds = max_seconds
         self.max_candidates = max_candidates
-        self.include_rank = include_rank
-        self.include_rw = include_rw
-        self.pco_mode = pco_mode
-        self.fixpoint_rounds = fixpoint_rounds
         # backend selection: a spec string/BackendSpec (validated eagerly
         # so typos fail before any encoding work) or a factory callable
         if isinstance(solver, (str, BackendSpec)):
@@ -222,16 +212,16 @@ class IsoPredict:
     ) -> PredictionBatch:
         """Enumerate up to ``k`` *distinct* unserializable predictions.
 
-        The encoding is generated and asserted once; after each model a
-        blocking clause over the choice/boundary variables is added and the
-        same incremental solver is re-checked, so successive predictions
-        cost one solver call each instead of a full re-encoding. Two
-        predictions are distinct exactly when they disagree on some read's
-        writer or some session's boundary — the space the blocking clause
-        quantifies over.
+        The encoding is generated and asserted once; after each candidate a
+        blocking or refinement clause is added and the same incremental
+        solver is re-checked, so successive predictions cost a few solver
+        calls each instead of a full re-encoding. Two predictions are
+        distinct exactly when they disagree on some session's boundary or
+        on the writer of some read inside the boundaries — that is, when
+        they decode to different histories.
 
         ``max_seconds`` is treated as a budget for the whole enumeration.
-        ``k`` defaults to ``max_candidates``. The exact strategies walk the
+        ``k`` defaults to ``max_candidates``. Every strategy walks the
         feasibility+isolation models by CEGIS, blocking each prediction the
         same way (see :class:`PredictionEnumeration`).
 
@@ -259,9 +249,10 @@ class IsoPredict:
 
     # ------------------------------------------------------------------
     def _build(
-        self, observed: History, boundary: BoundaryMode, unser: bool
+        self, observed: History, boundary: BoundaryMode
     ) -> tuple[Encoding, Solver, dict]:
-        """Build and compile one encoding, timing the two stages apart.
+        """Build and compile the feasibility+isolation encoding, timing the
+        two stages apart.
 
         Returns ``(encoding, solver, timings)`` where ``timings`` carries
         ``encode_seconds`` (expression generation), ``compile_seconds``
@@ -269,26 +260,17 @@ class IsoPredict:
         ``gen_seconds`` (the stat the paper's tables report).
         """
         start = time.monotonic()
-        with obs_span("stage.encode", unser=unser) as enc_span:
-            enc = Encoding(
-                observed,
-                boundary=boundary,
-                include_rank=self.include_rank,
-                include_rw=self.include_rw,
-                pco_mode=self.pco_mode,
-                fixpoint_rounds=self.fixpoint_rounds,
-            )
+        with obs_span("stage.encode") as enc_span:
+            enc = Encoding(observed, boundary=boundary)
             solver = Solver(backend=self.solver)
             constraints = []
             constraints += enc.feasibility_constraints()
-            if unser:
-                constraints += approx_unserializability_constraints(enc)
             constraints += isolation_constraints(enc, self.isolation)
             constraints += enc.definitions()
             enc_span.set(constraints=len(constraints))
         encode_seconds = time.monotonic() - start
         compile_start = time.monotonic()
-        with obs_span("stage.compile", unser=unser):
+        with obs_span("stage.compile"):
             for c in constraints:
                 solver.add(c)
         compile_seconds = time.monotonic() - compile_start
@@ -309,13 +291,14 @@ class PredictionEnumeration:
     solver twice more instead of re-encoding the history — the mechanism a
     fluent analysis session uses to make strategy/k sweeps cheap.
 
-    An approximate strategy asserts the pco-closure unserializability
-    encoding, so every model decodes straight to a prediction. An exact
-    strategy (§4.2.1), whose only implementation this is, asserts
-    feasibility+isolation alone and runs CEGIS: each candidate model is
-    checked for serializability; an unserializable one is a prediction,
-    and a serializable one's witness commit order refines the encoding
-    (see :meth:`_refine`).
+    Every strategy asserts feasibility+isolation alone and runs CEGIS: each
+    candidate model is decoded and checked outside the solver
+    (:meth:`_check`). An exact strategy (§4.2.1) accepts an unserializable
+    candidate; an approximate one (§4.2.2) accepts a candidate whose pco
+    least fixpoint is cyclic. A serializable candidate's witness commit
+    order refines the encoding (see :meth:`_refine`); an accepted
+    candidate, and an approximate strategy's unserializable but
+    pco-acyclic one, are blocked alone.
 
     A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call;
     hitting it reports :data:`Result.UNKNOWN` but leaves the solver state
@@ -376,11 +359,9 @@ class PredictionEnumeration:
             )
         if self._solver is None:  # first call ever
             self._enc, self._solver, self._timings = self.analyzer._build(
-                self.observed,
-                self.analyzer.strategy.boundary,
-                unser=not self._exact,
+                self.observed, self.analyzer.strategy.boundary
             )
-        rejected = 0  # serializable CEGIS candidates seen by THIS call
+        rejected = 0  # CEGIS candidates rejected by THIS call
         while len(self.predictions) < k and not self._exhausted:
             budget = _remaining(deadline)
             if budget == 0:
@@ -402,22 +383,46 @@ class PredictionEnumeration:
                 model = self._solver.model()
                 predicted = decode_history(self._enc, model)
             self._decode_seconds += time.monotonic() - decode_start
-            if self._exact:
-                report = is_serializable(predicted)
-                if report:
-                    self._refine(model, report.commit_order)
-                    rejected += 1
-                    if rejected >= self.analyzer.max_candidates:
-                        # the refinement already excludes this candidate: a
-                        # later ensure() resumes with a fresh candidate budget
-                        self._status = Result.UNKNOWN
-                        return
-                    continue
-            self._accept(model, predicted)
+            cycle = self._check(model, predicted)
+            if cycle is None:
+                rejected += 1
+                if rejected >= self.analyzer.max_candidates:
+                    # the candidate is already excluded: a later ensure()
+                    # resumes with a fresh candidate budget
+                    self._status = Result.UNKNOWN
+                    return
+                continue
+            self._accept(model, predicted, cycle)
         if len(self.predictions) >= k:
             self._status = Result.SAT
 
-    def _accept(self, model, predicted: History) -> None:
+    def _check(self, model, predicted: History) -> Optional[list]:
+        """Decide one candidate: its pco cycle if it is a prediction.
+
+        A rejected candidate is excluded before this returns ``None``. An
+        accepted exact candidate may be pco-acyclic (``[]``): it is
+        unserializable beyond what the approximation sees.
+        """
+        if self._exact:
+            report = is_serializable(predicted)
+            if not report:
+                return pco_cycle(predicted)
+        else:
+            cycle = pco_cycle(predicted)
+            if cycle:
+                return cycle
+            report = is_serializable(predicted)
+            if not report:
+                # unserializable, but not by a pco cycle: no witness order
+                # to refine with, so exclude this candidate alone
+                self._solver.add(blocking_clause(self._enc, model))
+                return None
+        # a commit order serializing the candidate also contains its pco
+        # fixpoint, so the refinement never excludes a cyclic candidate
+        self._refine(model, report.commit_order)
+        return None
+
+    def _accept(self, model, predicted: History, cycle: list) -> None:
         """Record an unserializable candidate as a prediction and block it."""
         decode_start = time.monotonic()
         with obs_span("stage.decode", candidate=self._candidates,
@@ -431,7 +436,7 @@ class PredictionEnumeration:
                 strategy=self.analyzer.strategy,
                 predicted=predicted,
                 boundaries=boundaries,
-                cycle=pco_cycle(predicted),
+                cycle=cycle,
                 stats={"candidates": self._candidates},
             )
         )

@@ -1,7 +1,8 @@
 """Trace encoder: observed history → SMT variable universe and constraints.
 
-Implements Appendix B of the paper. Relations that the paper writes as SMT
-functions over transaction pairs become:
+Implements Appendix B of the paper for the constraints the solver
+asserts: feasibility (B.1) and weak isolation (B.3). Relations that the
+paper writes as SMT functions over transaction pairs become:
 
 * **constants** where the observed trace fixes them (``phi_so``,
   ``phi_obs``) — the constant folding in :mod:`repro.smt.ast` then erases
@@ -9,23 +10,24 @@ functions over transaction pairs become:
 * **plain expressions** where the definition is non-recursive
   (``phi_wr_k``, ``phi_wr``, ``phi_wwcausal``, ``phi_wwrc``) — hash-consing
   shares the subterms across every use;
-* **named Boolean variables with defining constraints** where the
-  definition is recursive (``phi_hb``, ``phi_pco``, ``phi_ww``,
-  ``phi_rw``) — but only for a cell the solver has something to decide.
-  Static facts are substituted, never named: an hb cell that session
-  order fixes is ``TRUE`` or ``FALSE``, and a closure or ww/rw cell whose
-  definition folds to a constant or a single literal *is* that constant
-  or literal (``Encoding._name``). Constraints over a substituted cell
-  still apply; they fold, so the SAT core never has to prove a fact the
-  encoder already knew;
+* **named Boolean variables with containment clauses** for the recursive
+  ``phi_hb`` — but only for a cell the solver has something to decide: an
+  hb cell that session order fixes is ``TRUE`` or ``FALSE``. Constraints
+  over a substituted cell still apply; they fold, so the SAT core never
+  has to prove a fact the encoder already knew;
 * **one-hot enum variables** for ``choice(s, i)`` and ``boundary(s)``
   (the atom of a single-candidate domain is ``TRUE``);
-* **difference-logic integers** for ``rank`` and the commit orders.
+* **difference-logic integers** for the weak-isolation commit orders.
+
+Unserializability (B.2) is not encoded. Both strategies check it on each
+decoded candidate instead (:class:`repro.predict.PredictionEnumeration`):
+the approximate one computes the pco least fixpoint on the graph, and
+the exact one runs the session-frontier serializability search.
 
 The prediction boundary (§4.5) is woven through every relation exactly as in
 Appendix B: reads contribute write–read edges only up to their session's
-boundary, and arbitration/anti-dependency/causal edges require the writer's
-write to sit before its session's boundary.
+boundary, and arbitration/causal edges require the writer's write to sit
+before its session's boundary.
 """
 from __future__ import annotations
 
@@ -40,12 +42,8 @@ from ..smt import (
     EnumVar,
     Expr,
     FALSE,
-    Iff,
     Implies,
-    Int,
-    IntTerm,
     Not,
-    OneSidedGt,
     Or,
     TRUE,
 )
@@ -74,19 +72,9 @@ class Encoding:
         self,
         observed: History,
         boundary: BoundaryMode = BoundaryMode.STRICT,
-        include_rank: bool = True,
-        include_rw: bool = True,
-        pco_mode: str = "stratified",
-        fixpoint_rounds: int = 2,
     ):
-        if pco_mode not in ("stratified", "rank"):
-            raise ValueError(f"unknown pco_mode {pco_mode!r}")
         self.observed = observed
         self.boundary_mode = boundary
-        self.include_rank = include_rank
-        self.include_rw = include_rw
-        self.pco_mode = pco_mode
-        self.fixpoint_rounds = fixpoint_rounds
         self.tids: list[str] = [t.tid for t in observed.all_transactions()]
         self._txn: dict[str, Transaction] = {
             t.tid: t for t in observed.all_transactions()
@@ -151,19 +139,15 @@ class Encoding:
                 )
                 self.choice[(txn.tid, read.pos)] = var
                 self._reads.append((txn, read))
-        # --- recursive pair variables and their pending definitions -----
+        # --- hb cells and their pending containment clauses -------------
         self._defs: list[Expr] = []
         self._hb: dict[tuple[str, str], Expr] = {}
-        self._pco: dict[tuple[str, str], Expr] = {}
-        self._ww: dict[tuple[str, str], Expr] = {}
-        self._rw: dict[tuple[str, str], Expr] = {}
         self._wr_cache: dict[tuple[str, str, str], Expr] = {}
         self._wr_union_cache: dict[tuple[str, str], Expr] = {}
         self._boundary_gt_cache: dict[tuple[str, int], Expr] = {}
         self._boundary_ge_cache: dict[tuple[str, int], Expr] = {}
         self._included_cache: dict[tuple[str, str], Expr] = {}
         self._built_hb = False
-        self._built_pco = False
 
     # ------------------------------------------------------------------
     # Static relation access
@@ -184,10 +168,6 @@ class Encoding:
     def readers_of(self, key: str) -> tuple[str, ...]:
         """Transactions reading ``key``, in ``tids`` order."""
         return self.observed.readers_of(key)
-
-    def writers_of(self, key: str) -> tuple[str, ...]:
-        """Transactions writing ``key``, in ``tids`` order."""
-        return self.observed.writers_of(key)
 
     # ------------------------------------------------------------------
     # Boundary helpers
@@ -301,7 +281,7 @@ class Encoding:
         return self.boundary_gt(txn.session, txn.commit_pos)
 
     # ------------------------------------------------------------------
-    # Recursive pair relations
+    # Happens-before (B.3)
     # ------------------------------------------------------------------
     def hb(self, t1: str, t2: str) -> Expr:
         """``phi_hb``: the recursive happens-before cell (B.3)."""
@@ -348,286 +328,11 @@ class Encoding:
                     )
                 )
 
-    def rank(self, t1: str, t2: str) -> IntTerm:
-        return Int(f"rank[{t1},{t2}]")
-
-    def _rank_gt(self, a: tuple[str, str], b: tuple[str, str]) -> Expr:
-        """``rank(a) > rank(b)`` — or TRUE when rank guards are disabled.
-
-        Ranks are auxiliary existential witnesses of well-foundedness, so
-        the atoms are *one-sided* (their negation carries no converse
-        ordering; see :func:`repro.smt.ast.OneSidedGt`). Disabling rank is
-        the Fig. 6 ablation: it re-admits self-justifying edges and makes
-        the analysis unsound.
-        """
-        if not self.include_rank:
-            return TRUE
-        return OneSidedGt(self.rank(*a), self.rank(*b))
-
-    def pco(self, t1: str, t2: str) -> Expr:
-        if not self._built_pco:
-            self._build_pco()
-        return self._pco.get((t1, t2), FALSE)
-
-    def ww(self, t1: str, t2: str) -> Expr:
-        if not self._built_pco:
-            self._build_pco()
-        return self._ww.get((t1, t2), FALSE)
-
-    def rw(self, t1: str, t2: str) -> Expr:
-        if not self._built_pco:
-            self._build_pco()
-        return self._rw.get((t1, t2), FALSE)
-
-    def _build_pco(self) -> None:
-        if self.pco_mode == "stratified":
-            self._build_pco_stratified()
-        else:
-            self._build_pco_rank()
-
-    def _build_pco_stratified(self) -> None:
-        """Least-fixpoint pco by stratified rounds and path doubling.
-
-        The paper's rank guards delegate well-foundedness to the SMT solver's
-        integer reasoning, which a CDCL core without theory propagation
-        explores very slowly (every rank atom is a blind decision). This
-        encoding computes the same least fixpoint *structurally*:
-
-        * round 0: ``P = closure(so ∪ wr)`` by ``ceil(log2(n-1))`` layers of
-          path doubling — each layer is defined over the previous one (a
-          cell that does not change from one layer to the next keeps its
-          literal; see :meth:`_name`), so unit propagation evaluates the
-          closure deterministically from the choice variables, with no
-          decisions;
-        * round r: derive ``ww_r``/``rw_r`` against the round r-1 closure
-          (their §4.2.2 definitions, boundary guards included), then close
-          again over the enriched edge set.
-
-        Stratification makes self-justifying edges (Fig. 6) structurally
-        impossible: definitions only ever reference earlier strata. With
-        ``fixpoint_rounds`` rounds the encoding realizes the LFP restricted
-        to that many ww/rw feedback iterations — exact on every history we
-        cross-check against the graph fixpoint (see tests), and sound
-        always. The rank-guarded variant remains available as
-        ``pco_mode='rank'`` for the ablation benchmarks.
-        """
-        self._built_pco = True
-        layers = self._doubling_depth()
-        # round 0: closure of so ∪ wr
-        base = {
-            (t1, t2): Or(
-                TRUE if self.so(t1, t2) else FALSE, self.wr(t1, t2)
-            )
-            for (t1, t2) in self.pairs()
-        }
-        closure = self._close(base, layers, tag="p0")
-        last_ww: dict[tuple[str, str], Expr] = {}
-        last_rw: dict[tuple[str, str], Expr] = {}
-        for round_no in range(1, self.fixpoint_rounds + 1):
-            ww_r: dict[tuple[str, str], Expr] = {}
-            rw_r: dict[tuple[str, str], Expr] = {}
-            for (t1, t2) in self.pairs():
-                ww_r[(t1, t2)] = self._name(
-                    f"ww{round_no}[{t1},{t2}]",
-                    self._ww_from(t1, t2, closure),
-                )
-                rw_r[(t1, t2)] = self._name(
-                    f"rw{round_no}[{t1},{t2}]",
-                    self._rw_from(t1, t2, closure),
-                )
-            enriched = {
-                (t1, t2): Or(
-                    closure[(t1, t2)],
-                    ww_r[(t1, t2)],
-                    rw_r[(t1, t2)],
-                )
-                for (t1, t2) in self.pairs()
-            }
-            closure = self._close(enriched, layers, tag=f"q{round_no}")
-            last_ww, last_rw = ww_r, rw_r
-        self._pco = closure
-        self._ww = last_ww
-        self._rw = last_rw
-
-    def _doubling_depth(self) -> int:
-        n = max(2, len(self.tids) - 1)
-        depth = 1
-        while (1 << depth) < n:
-            depth += 1
-        return depth
-
-    def _close(
-        self,
-        base: dict[tuple[str, str], Expr],
-        layers: int,
-        tag: str,
-    ) -> dict[tuple[str, str], Expr]:
-        """Transitive closure of ``base`` by repeated squaring."""
-        current = base
-        for d in range(1, layers + 1):
-            nxt: dict[tuple[str, str], Expr] = {}
-            for (t1, t2) in self.pairs():
-                chains = [
-                    And(current[(t1, t)], current[(t, t2)])
-                    for t in self.tids
-                    if t not in (t1, t2)
-                ]
-                nxt[(t1, t2)] = self._name(
-                    f"{tag}.c{d}[{t1},{t2}]",
-                    Or(current[(t1, t2)], *chains),
-                )
-            current = nxt
-        return current
-
-    def _name(self, name: str, definition: Expr) -> Expr:
-        """The relation cell ``name``, defined as ``definition``.
-
-        Only a composite definition gets a named variable and its Iff. A
-        constant or a single literal *is* the cell: naming it would add a
-        variable whose value the solver can only copy.
-        """
-        if definition.kind not in ("and", "or"):
-            return definition
-        var = Bool(name)
-        self._defs.append(Iff(var, definition))
-        return var
-
-    def _ww_from(
-        self, t1: str, t2: str, reach: dict[tuple[str, str], Expr]
-    ) -> Expr:
-        """Arbitration (B.2.2) justified against a given reachability."""
-        shared = self._written_keys(t1) & self._written_keys(t2)
-        disjuncts = []
-        for key in sorted(shared):
-            for t3 in self.readers_of(key):
-                if t3 in (t1, t2):
-                    continue
-                disjuncts.append(
-                    And(
-                        self.wr_k(key, t2, t3),
-                        reach[(t1, t3)],
-                        self.write_included(t1, key),
-                    )
-                )
-        return Or(*disjuncts)
-
-    def _rw_from(
-        self, t1: str, t2: str, reach: dict[tuple[str, str], Expr]
-    ) -> Expr:
-        """Anti-dependency (B.2.2) justified against a given reachability."""
-        if not self.include_rw:
-            return FALSE
-        keys = self._txn[t1].read_keys & self._written_keys(t2)
-        disjuncts = []
-        for key in sorted(keys):
-            for t3 in self.writers_of(key):
-                if t3 in (t1, t2):
-                    continue
-                disjuncts.append(
-                    And(
-                        self.wr_k(key, t3, t1),
-                        reach[(t3, t2)],
-                        self.write_included(t2, key),
-                    )
-                )
-        return Or(*disjuncts)
-
-    def _build_pco_rank(self) -> None:
-        """Create pco/ww/rw variables and their rank-guarded definitions (B.2.2).
-
-        The paper states the definitions as equalities; only the
-        *justification* direction (``var ⇒ definition``) is load-bearing,
-        because pco/ww/rw occur positively in the cyclicity goal: a model
-        may under-populate them, never over-populate. Encoding just that
-        direction (plus cheap base-case clauses that help propagation)
-        keeps soundness — every true edge still needs a rank-decreasing
-        derivation — while emitting far fewer auxiliary variables.
-        """
-        self._built_pco = True
-        for (t1, t2) in self.pairs():
-            self._pco[(t1, t2)] = Bool(f"pco[{t1},{t2}]")
-            self._ww[(t1, t2)] = Bool(f"ww[{t1},{t2}]")
-            self._rw[(t1, t2)] = Bool(f"rw[{t1},{t2}]")
-        for (t1, t2) in self.pairs():
-            self._defs.append(
-                Implies(self._ww[(t1, t2)], self._ww_definition(t1, t2))
-            )
-            self._defs.append(
-                Implies(self._rw[(t1, t2)], self._rw_definition(t1, t2))
-            )
-            base = [
-                TRUE if self.so(t1, t2) else FALSE,
-                self.wr(t1, t2),
-                self._ww[(t1, t2)],
-                self._rw[(t1, t2)],
-            ]
-            chains = [
-                And(
-                    self._pco[(t1, t)],
-                    self._pco[(t, t2)],
-                    self._rank_gt((t1, t2), (t1, t)),
-                    self._rank_gt((t1, t2), (t, t2)),
-                )
-                for t in self.tids
-                if t not in (t1, t2)
-            ]
-            self._defs.append(
-                Implies(self._pco[(t1, t2)], Or(*base, *chains))
-            )
-            # base-case propagation helpers (the dropped ⇐ direction's
-            # cheap fragment): base edges are pco edges
-            if self.so(t1, t2):
-                self._defs.append(self._pco[(t1, t2)])
-
-    def _written_keys(self, tid: str) -> frozenset[str]:
-        return self._txn[tid].write_keys
-
-    def _ww_definition(self, t1: str, t2: str) -> Expr:
-        """Arbitration (B.2.2): wr_k(t2,t3) ∧ pco(t1,t3), rank-guarded."""
-        shared = self._written_keys(t1) & self._written_keys(t2)
-        disjuncts = []
-        for key in sorted(shared):
-            for t3 in self.readers_of(key):
-                if t3 in (t1, t2):
-                    continue
-                disjuncts.append(
-                    And(
-                        self.wr_k(key, t2, t3),
-                        self._pco[(t1, t3)],
-                        self._rank_gt((t1, t2), (t1, t3)),
-                        self.write_included(t1, key),
-                    )
-                )
-        return Or(*disjuncts)
-
-    def _rw_definition(self, t1: str, t2: str) -> Expr:
-        """Anti-dependency (B.2.2): wr_k(t3,t1) ∧ pco(t3,t2), rank-guarded."""
-        if not self.include_rw:
-            return FALSE
-        txn1 = self._txn[t1]
-        keys = txn1.read_keys & self._written_keys(t2)
-        disjuncts = []
-        for key in sorted(keys):
-            for t3 in self.writers_of(key):
-                if t3 in (t1, t2):
-                    continue
-                disjuncts.append(
-                    And(
-                        self.wr_k(key, t3, t1),
-                        self._pco[(t3, t2)],
-                        self._rank_gt((t1, t2), (t3, t2)),
-                        self.write_included(t2, key),
-                    )
-                )
-        return Or(*disjuncts)
-
     # ------------------------------------------------------------------
     def definitions(self) -> list[Expr]:
-        """The defining constraints of the relation cells built so far.
+        """The hb containment clauses built so far.
 
-        Call after building (``hb``/``pco`` build on first use). These are
-        the hb containment clauses and one Iff per *named* cell; cells
-        that folded to a constant or a single literal need no definition,
-        and constraints that folded to TRUE are left out.
+        Call after building (``hb`` builds on first use). Clauses that
+        folded to TRUE are left out.
         """
         return [d for d in self._defs if d is not TRUE]

@@ -70,7 +70,7 @@ class EncodingMode(enum.Enum):
     """How unserializability is encoded (§4.2)."""
 
     EXACT = "exact"  # §4.2.1 — necessary and sufficient (via CEGIS here)
-    APPROX = "approx"  # §4.2.2 — sufficient (pco cycle with rank guards)
+    APPROX = "approx"  # §4.2.2 — sufficient (pco least fixpoint is cyclic)
 
 
 class BoundaryMode(enum.Enum):

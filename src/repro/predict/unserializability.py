@@ -1,19 +1,22 @@
-"""Unserializability constraints (paper §4.2, Appendix B.2).
+"""Unserializability (paper §4.2, Appendix B.2), decided per candidate.
 
-Two encodings:
+Neither strategy asserts unserializability in the solver. The solver
+enumerates candidate predictions that satisfy feasibility + isolation, and
+each fixed candidate is checked outside it (see ``docs/architecture.md``):
 
-* **Approximate** (§4.2.2) — require the rank-guarded partial commit order
-  pco to be cyclic. Sufficient but in principle incomplete; sound because
-  rank forces every pco edge to have a well-founded derivation, so any model
-  cycle exists in the true least fixpoint.
+* **Approximate** (§4.2.2) — the candidate is a prediction when its pco
+  least fixpoint (:func:`repro.isolation.axioms.pco_cycle`) is cyclic.
+  Sufficient but in principle incomplete; the fixpoint is built bottom-up
+  from so ∪ wr, so no edge can justify itself.
 * **Exact** (§4.2.1) — the paper uses a universally quantified constraint
   ("no commit order serializes the prediction"). Our quantifier-free
-  substrate realizes the same semantics by CEGIS (see
-  ``docs/architecture.md``): enumerate
-  candidate predictions satisfying feasibility + isolation, check each fixed
-  candidate's serializability with the session-frontier search of
-  :mod:`repro.isolation.checkers`, and instantiate the quantifier at each
-  serializable candidate's witness order (:func:`not_serialized_by`).
+  substrate realizes the same semantics by CEGIS: check each candidate's
+  serializability with the session-frontier search of
+  :mod:`repro.isolation.checkers`.
+
+Both instantiate the quantifier at each serializable candidate's witness
+order (:func:`not_serialized_by`) and exclude each other rejected or
+accepted candidate with :func:`blocking_clause`.
 """
 from __future__ import annotations
 
@@ -23,25 +26,12 @@ from ..smt import FALSE, TRUE, And, Expr, Not, Or
 from .encoder import Encoding
 
 __all__ = [
-    "approx_unserializability_constraints",
     "assignment_of",
     "blocking_clause",
     "exact_expansion_constraints",
     "not_serialized_by",
     "witness_order",
 ]
-
-
-def approx_unserializability_constraints(enc: Encoding) -> list[Expr]:
-    """B.2.2: some pair is pco-ordered both ways (pco is cyclic)."""
-    cycle = Or(
-        *[
-            And(enc.pco(t1, t2), enc.pco(t2, t1))
-            for (t1, t2) in enc.pairs()
-            if t1 < t2  # one disjunct per unordered pair suffices
-        ]
-    )
-    return [cycle]
 
 
 def exact_expansion_constraints(enc: Encoding, max_txns: int = 7) -> list[Expr]:
@@ -134,11 +124,11 @@ def _arbitration_under(
 
 
 def blocking_clause(enc: Encoding, model) -> Expr:
-    """Negate the model's choice/boundary assignment (blocks a prediction).
+    """Negate the model's decoded assignment (blocks one candidate).
 
-    Any future model must differ in at least one read's writer or one
-    session's boundary, which is exactly the space the k-prediction
-    enumeration walks.
+    Any future model must differ in one session's boundary or in the
+    writer of one read inside the boundaries, so it decodes to a different
+    history: exactly the space the k-prediction enumeration walks.
     """
     choices, boundaries = assignment_of(enc, model)
     fixed = [
@@ -151,18 +141,23 @@ def blocking_clause(enc: Encoding, model) -> Expr:
 
 
 def assignment_of(enc: Encoding, model) -> tuple[dict, dict]:
-    """The model's (choice, boundary) enum assignment, by encoding key.
+    """The model's decoded (choice, boundary) assignment, by encoding key.
 
     Keyed by the encoding's stable identifiers — ``(tid, read position)``
     for choices, session name for boundaries — so assignments from
     different encodings of one observed history (an approximate and an
-    exact strategy's, say) compare directly.
+    exact strategy's, say) compare directly. Only reads inside their
+    session's boundary (position ≤ boundary) are kept: the decoder drops
+    the others, and no constraint touches their choice variables, so
+    models differing only there are one prediction.
     """
-    choices = {
-        key: model.enum_value(var) for key, var in enc.choice.items()
-    }
     boundaries = {
         session: model.enum_value(var)
         for session, var in enc.boundary.items()
+    }
+    choices = {
+        (tid, pos): model.enum_value(var)
+        for (tid, pos), var in enc.choice.items()
+        if pos <= boundaries[enc.session_of(tid)]
     }
     return choices, boundaries

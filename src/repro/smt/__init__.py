@@ -20,7 +20,6 @@ from .ast import (
     Int,
     IntTerm,
     Not,
-    OneSidedGt,
     OneSidedLt,
     Or,
     TRUE,
@@ -64,7 +63,6 @@ __all__ = [
     "Model",
     "ModelUnavailable",
     "Not",
-    "OneSidedGt",
     "OneSidedLt",
     "Or",
     "Result",

@@ -7,7 +7,7 @@ generation needs (paper §4 and Appendix B):
 * Finite-domain variables (``EnumVar``) compared against constants
   (``EnumEq``), used for ``choice(s, i)`` and ``boundary(s)``.
 * Integer variables under *difference logic*: atoms of the form
-  ``x - y <= c``, used for ``rank`` and commit-order positions, plus
+  ``x - y <= c``, used for commit-order positions, plus
   ``Distinct`` sugar for pairwise-distinct positions.
 
 Expressions are immutable and interned (hash-consed), so structurally equal
@@ -42,7 +42,6 @@ __all__ = [
     "EnumVar",
     "Distinct",
     "BoolVal",
-    "OneSidedGt",
     "OneSidedLt",
     "simplify_ops",
 ]
@@ -153,7 +152,8 @@ def _complement_of(e: Expr) -> "Expr | None":
 def And(*es: Expr) -> Expr:
     """Conjunction with flattening, deduplication and constant folding."""
     if len(es) == 2:
-        # fast path for the dominant binary case (path-doubling chains)
+        # fast path for the dominant binary case (a choice atom and its
+        # boundary guard)
         a, b = es
         if (
             type(a) is Expr
@@ -322,9 +322,8 @@ def _le_atom(x: str, y: str, c: int) -> Expr:
 def OneSidedLt(a: IntTerm, b: IntTerm) -> Expr:
     """The *one-sided* atom ``a < b``: its negation is theory-free.
 
-    Use for auxiliary existential witnesses (IsoPredict's ``rank`` and the
-    weak-isolation commit orders) that occur only as derivation guards or
-    implication heads: asserting the literal false imposes no converse
+    Use for auxiliary existential witnesses (the weak-isolation commit
+    orders) that occur only as implication heads: asserting the literal false imposes no converse
     ordering, so the solver may freely decide such atoms negatively without
     touching the difference-logic graph. Do NOT use where the negation is
     semantically meaningful (e.g. under ``Distinct``).
@@ -333,11 +332,6 @@ def OneSidedLt(a: IntTerm, b: IntTerm) -> Expr:
     if a.name == b.name:
         return TRUE if a.offset < b.offset else FALSE
     return Expr("le1", (a.name, b.name, b.offset - a.offset - 1))
-
-
-def OneSidedGt(a: IntTerm, b: IntTerm) -> Expr:
-    """One-sided ``a > b`` (see :func:`OneSidedLt`)."""
-    return OneSidedLt(b, a)
 
 
 def Distinct(terms: list[IntTerm]) -> Expr:

@@ -68,7 +68,10 @@ def test_one_encoding_for_the_whole_batch(sat_history):
     # the blocking clauses are tiny next to the base encoding: enumerating
     # three predictions must cost nowhere near three encodings
     assert batch.stats["literals"] < 1.2 * single.stats["literals"]
-    assert batch.stats["candidates"] == 3
+    # candidates count every CEGIS candidate checked: the three predictions
+    # and one pco-acyclic candidate the walk refined away
+    assert batch.stats["predictions"] == 3
+    assert batch.stats["candidates"] == 4
 
 
 def test_exhaustion_reports_unsat_with_partial_results():
@@ -124,13 +127,13 @@ def test_primary_carries_batch_totals(sat_history):
     batch = analyzer.predict_many(sat_history, k=3)
     primary = batch.primary
     # the best prediction, with the enumeration totals winning over its
-    # find-time snapshot (one candidate when it was found)
-    assert batch.best.stats["candidates"] == 1
+    # find-time snapshot (the second candidate: the first was pco-acyclic)
+    assert batch.best.stats["candidates"] == 2
     assert primary.predicted is batch.best.predicted
     assert primary.boundaries == batch.best.boundaries
-    assert primary.stats["candidates"] == batch.stats["candidates"] == 3
+    assert primary.stats["candidates"] == batch.stats["candidates"] == 4
     assert primary.stats["literals"] == batch.stats["literals"]
-    assert batch.best.stats == {"candidates": 1}  # left untouched
+    assert batch.best.stats == {"candidates": 2}  # left untouched
 
 
 def test_primary_of_empty_batch_reports_status_and_stats():

@@ -16,10 +16,14 @@ from repro.sources import FuzzSource
 
 @pytest.fixture(scope="module")
 def session():
-    """One analyzed fuzz scenario shared by the signal tests."""
+    """One analyzed fuzz scenario shared by the signal tests.
+
+    Its space holds exactly two distinct predictions, so asking for two
+    ends SAT.
+    """
     analysis = Analysis(FuzzSource(shape_seed=0, seed=0)).under("causal")
     analysis.using("approx-relaxed", max_seconds=None, max_conflicts=20_000)
-    batch = analysis.predict(3)
+    batch = analysis.predict(2)
     assert batch.found
     return analysis, batch
 

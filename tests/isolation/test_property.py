@@ -15,6 +15,7 @@ from repro.isolation import (
     pco_unserializable,
 )
 from repro.isolation.checkers import _witnesses
+from tests.predict.test_encoding_oracle import by_fingerprint, drain
 
 KEYS = ["x", "y"]
 
@@ -85,6 +86,35 @@ class TestOracleAgreement:
             assert is_causal(history)
         if is_causal(history):
             assert is_read_committed(history)
+
+
+def assignment_keys(enum) -> list:
+    return [
+        (tuple(sorted(choices.items())), tuple(sorted(boundaries.items())))
+        for choices, boundaries in enum.assignments
+    ]
+
+
+class TestApproxPredictions:
+    @given(
+        random_history(),
+        st.sampled_from(["causal", "rc"]),
+        st.sampled_from(["strict", "relaxed"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_drained_predictions_are_sound_and_distinct(
+        self, history, level, boundary
+    ):
+        """Every approximate prediction is pco-cyclic and brute-force
+        unserializable, none repeats, and exact CEGIS finds each one."""
+        approx = drain(history, level, f"approx-{boundary}")
+        for prediction in approx.predictions:
+            assert prediction.cycle
+            assert pco_unserializable(prediction.predicted)
+            assert not is_serializable_bruteforce(prediction.predicted)
+        assert len(by_fingerprint(approx)) == len(approx.predictions)
+        exact = drain(history, level, f"exact-{boundary}")
+        assert set(assignment_keys(approx)) <= set(assignment_keys(exact))
 
 
 class TestFrontierSearch:

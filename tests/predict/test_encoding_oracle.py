@@ -1,22 +1,18 @@
-"""Cross-check the SMT unserializability encoding against graph oracles.
+"""Approximate predictions against the graph-side pco fixpoint oracle.
 
-Pinning every read's choice to its observed writer and every boundary to
-infinity turns the predictive encoding into a *checker* for a fixed
-history; its verdict must then agree exactly with the graph-side pco least
-fixpoint (and hence with brute-force serializability on these histories).
-This guards the stratified encoding's soundness AND its completeness at the
-default number of fixpoint rounds.
+The approximate strategy asserts no unserializability constraint: it
+checks each feasibility+isolation candidate's decoded history with the
+pco least fixpoint. Draining it must therefore yield exactly the exact
+strategy's predictions whose decoded history is ``pco_unserializable``:
+no cyclic candidate is lost to a witness-order refinement, and no
+acyclic one slips through.
 """
 from hypothesis import given, settings, strategies as st
 
 from repro.history import HistoryBuilder
-from repro.isolation import pco_unserializable
-from repro.predict.encoder import Encoding, INFINITY_POS
-from repro.predict.strategies import BoundaryMode
-from repro.predict.unserializability import (
-    approx_unserializability_constraints,
-)
-from repro.smt import Result, Solver
+from repro.isolation import IsolationLevel, pco_unserializable
+from repro.predict import IsoPredict, PredictionStrategy
+from repro.smt import Result
 
 KEYS = ["x", "y"]
 
@@ -51,56 +47,52 @@ def random_history(draw):
     return b.build()
 
 
-def smt_verdict_fixed(history) -> bool:
-    """Does the pinned predictive encoding report a pco cycle?"""
-    enc = Encoding(history, boundary=BoundaryMode.RELAXED)
-    solver = Solver()
-    for c in enc.feasibility_constraints():
-        solver.add(c)
-    for c in approx_unserializability_constraints(enc):
-        solver.add(c)
-    for c in enc.definitions():
-        solver.add(c)
-    # pin wr to the observed choices and boundaries to infinity
-    for (tid, pos), var in enc.choice.items():
-        observed = history.transaction(tid)
-        read = [r for r in observed.reads if r.pos == pos][0]
-        solver.add(var.eq(read.writer))
-    for var in enc.boundary.values():
-        solver.add(var.eq(INFINITY_POS))
-    return solver.check() is Result.SAT
+def drain(history, level, strategy):
+    """One configuration's prediction enumeration, run until UNSAT."""
+    if isinstance(level, str):
+        level = IsolationLevel.parse(level)
+    if isinstance(strategy, str):
+        strategy = PredictionStrategy.parse(strategy)
+    enum = IsoPredict(level, strategy).enumerator(history)
+    while True:
+        enum.ensure(4096)
+        if enum.batch().status is Result.UNSAT:
+            return enum
 
 
-class TestFixedHistoryAgreement:
-    @given(random_history())
-    @settings(max_examples=80, deadline=None)
-    def test_smt_matches_graph_fixpoint(self, history):
-        assert smt_verdict_fixed(history) == pco_unserializable(history)
+def by_fingerprint(enum) -> dict:
+    """Each prediction, keyed by its decoded reads and boundaries."""
+    return {
+        (
+            tuple(
+                (t.tid, r.pos, r.writer)
+                for t in p.predicted.transactions()
+                for r in t.reads
+            ),
+            tuple(sorted(p.boundaries.items())),
+        ): p
+        for p in enum.predictions
+    }
 
-    @given(random_history())
-    @settings(max_examples=40, deadline=None)
-    def test_rank_mode_matches_graph_fixpoint(self, history):
-        from repro.predict.encoder import Encoding as Enc
 
-        enc = Enc(history, boundary=BoundaryMode.RELAXED, pco_mode="rank")
-        solver = Solver()
-        for c in enc.feasibility_constraints():
-            solver.add(c)
-        for c in approx_unserializability_constraints(enc):
-            solver.add(c)
-        for c in enc.definitions():
-            solver.add(c)
-        for (tid, pos), var in enc.choice.items():
-            read = [
-                r
-                for r in history.transaction(tid).reads
-                if r.pos == pos
-            ][0]
-            solver.add(var.eq(read.writer))
-        for var in enc.boundary.values():
-            solver.add(var.eq(INFINITY_POS))
-        verdict = solver.check() is Result.SAT
-        assert verdict == pco_unserializable(history)
+class TestApproxMatchesGraphFixpoint:
+    @given(
+        random_history(),
+        st.sampled_from(["causal", "rc"]),
+        st.sampled_from(["strict", "relaxed"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_approx_is_exact_filtered_by_pco_cycle(
+        self, history, level, boundary
+    ):
+        approx = by_fingerprint(drain(history, level, f"approx-{boundary}"))
+        exact = by_fingerprint(drain(history, level, f"exact-{boundary}"))
+        assert all(pco_unserializable(p.predicted) for p in approx.values())
+        assert set(approx) == {
+            fingerprint
+            for fingerprint, p in exact.items()
+            if pco_unserializable(p.predicted)
+        }
 
 
 class TestPredictionSoundness:

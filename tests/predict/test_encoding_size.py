@@ -1,4 +1,4 @@
-"""The size of the approximate and exact encodings is pinned.
+"""The size of the encoding every strategy asserts is pinned.
 
 Encoding size is what the solver pays for on every round, so a change to
 it must be deliberate. ``test_model_space.py`` pins what the encoding
@@ -9,7 +9,7 @@ import pytest
 from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.history import HistoryBuilder
 from repro.isolation import IsolationLevel
-from repro.predict import IsoPredict, PredictionStrategy, analysis
+from repro.predict import IsoPredict, PredictionStrategy
 from repro.predict.encoder import Encoding, INFINITY_POS
 from repro.predict.strategies import BoundaryMode
 from repro.smt import FALSE, TRUE, Result, Solver
@@ -18,10 +18,20 @@ from repro.smt import FALSE, TRUE, Result, Solver
 class TestPhaseOneSize:
     """Tiny workload, record seed 1, causal, approx-relaxed.
 
-    Before the encoder folded statically known relation cells (so-fixed
-    hb cells, single-candidate enum atoms, closure and ww/rw cells whose
-    definition is a constant or one literal) the same histories compiled
-    to (vars, clauses, literals):
+    The encoding is feasibility + isolation; the pco cycle is checked on
+    each decoded candidate instead. While the pco least fixpoint was
+    encoded (stratified path-doubling closures), the same histories
+    compiled to (vars, clauses, literals):
+
+        smallbank      178    501   1299
+        tpcc           516   1727   4558
+        voter          253    761   1986
+        wikipedia       22     20     46
+        shardtransfer  489   1554   4063
+
+    and before the encoder folded statically known relation cells
+    (so-fixed hb cells, single-candidate enum atoms, closure and ww/rw
+    cells whose definition is a constant or one literal), to:
 
         smallbank      720    923   5462
         tpcc           961   2373   8163
@@ -32,11 +42,11 @@ class TestPhaseOneSize:
 
     PINNED = {
         # app: (vars, clauses, literals)
-        "smallbank": (178, 501, 1299),
-        "tpcc": (516, 1727, 4558),
-        "voter": (253, 761, 1986),
+        "smallbank": (35, 48, 111),
+        "tpcc": (103, 263, 637),
+        "voter": (46, 84, 201),
         "wikipedia": (22, 20, 46),
-        "shardtransfer": (489, 1554, 4063),
+        "shardtransfer": (98, 232, 559),
     }
 
     @pytest.mark.parametrize("app_name", sorted(PINNED))
@@ -45,9 +55,7 @@ class TestPhaseOneSize:
         history = record_observed(app(WorkloadConfig.tiny()), 1).history
         strategy = PredictionStrategy.APPROX_RELAXED
         analyzer = IsoPredict(IsolationLevel.CAUSAL, strategy)
-        _, solver, _ = analyzer._build(
-            history, strategy.boundary, unser=True
-        )
+        _, solver, _ = analyzer._build(history, strategy.boundary)
         size = (solver.num_vars, solver.num_clauses, solver.num_literals)
         assert size == self.PINNED[app_name]
 
@@ -83,29 +91,27 @@ class TestStaticCells:
 
 
 class TestExactEncoding:
-    """Exact strategies assert feasibility+isolation only and run CEGIS.
+    """Every strategy asserts feasibility+isolation only and runs CEGIS.
 
-    The approximate (pco-closure) encoding is never built for them: every
-    approximate model is also a CEGIS prediction, so proving it UNSAT
-    first would only delay the search that decides the verdict.
+    Exact and approximate strategies differ only in how a decoded
+    candidate is checked, so over one boundary mode they compile the same
+    encoding.
     """
 
-    @pytest.mark.parametrize("strategy", ["exact-strict", "exact-relaxed"])
-    def test_never_builds_the_approximate_encoding(
-        self, monkeypatch, strategy
-    ):
-        def forbidden(enc):
-            raise AssertionError("exact strategy built the approx encoding")
-
-        monkeypatch.setattr(
-            analysis, "approx_unserializability_constraints", forbidden
-        )
+    @pytest.mark.parametrize("boundary", ["strict", "relaxed"])
+    def test_approx_and_exact_build_the_same_encoding(self, boundary):
         app = {a.name: a for a in ALL_APPS}["smallbank"]
         history = record_observed(app(WorkloadConfig.tiny()), 0).history
-        result = IsoPredict(
-            IsolationLevel.READ_COMMITTED, PredictionStrategy.parse(strategy)
-        ).predict(history)
-        assert result.found
+        sizes = set()
+        for encoding in ("approx", "exact"):
+            strategy = PredictionStrategy.parse(f"{encoding}-{boundary}")
+            analyzer = IsoPredict(IsolationLevel.READ_COMMITTED, strategy)
+            assert analyzer.predict(history).found
+            _, solver, _ = analyzer._build(history, strategy.boundary)
+            sizes.add(
+                (solver.num_vars, solver.num_clauses, solver.num_literals)
+            )
+        assert len(sizes) == 1
 
     def test_mid_tier_unsat_walk_pinned(self):
         """tpcc, small workload, record seed 1, causal, exact-strict.

@@ -1,25 +1,31 @@
-"""The approximate encoding's model space is pinned, not its search order.
+"""Each strategy's prediction space is pinned, not its search order.
 
-For each configuration — the five tiny bench apps, record seeds 0–1,
-causal and rc, approx-strict and approx-relaxed (40 in all) — the
-prediction enumeration is drained until the solver answers UNSAT, and
-the *set* of (choice, boundary) assignments it blocked is reduced to a
-count and a sha256 digest. The set is what the encoding means; the
-order the solver visits it in is a property of the search. Encoder or
-SAT-core changes that only renumber variables or move the search
-trajectory keep every digest; a change to the encoding's semantics moves
-at least one. The exact strategy's space is checked against the pinned
-one rather than pinned itself: draining exact-X over the same history
-must reach every approx-X assignment.
+For each configuration — the five tiny bench apps, record seeds 0–3,
+causal and rc, approx-strict, approx-relaxed and exact-strict (120 in
+all) — the prediction enumeration is drained until the solver answers
+UNSAT, and the *set* of decoded (choice, boundary) assignments it
+reported is reduced to a count and a sha256 digest. A decoded assignment
+keeps only the reads inside their session's boundary, so it identifies
+the predicted history; no two predictions of one drain may share it. The
+set is what the strategy means; the order the solver visits it in is a
+property of the search. Encoder, checker or SAT-core changes that only
+move the search trajectory keep every digest; a change to a strategy's
+semantics moves at least one. Draining exact-X over the same history
+must also reach every approx-X assignment.
 
-``model_space.json`` was generated from the repository root with::
+``model_space.json`` is generated from the repository root with::
 
     PYTHONPATH=src python tests/predict/test_model_space.py \\
         > tests/predict/model_space.json
 
-on the commit before the encoder started folding statically known
-relation cells, so the folded encoding is checked against the unfolded
-one.
+Its 40 approx entries for seeds 0–1 were first generated on the commit
+before the encoder folded statically known relation cells, and held
+unchanged while the approximate strategy moved from an encoded pco
+closure to checking each candidate's pco on the graph. Every entry was
+then checked against that closure encoding's drains, projected onto the
+reads inside the boundaries and deduplicated: the closure encoding
+reported some predictions many times over, once per value of a choice
+variable outside the boundary.
 """
 from __future__ import annotations
 
@@ -44,9 +50,9 @@ from repro.smt import Result
 FIXTURE = Path(__file__).parent / "model_space.json"
 
 APPS = ("smallbank", "tpcc", "voter", "wikipedia", "shardtransfer")
-SEEDS = (0, 1)
+SEEDS = (0, 1, 2, 3)
 LEVELS = ("causal", "rc")
-STRATEGIES = ("approx-strict", "approx-relaxed")
+STRATEGIES = ("approx-strict", "approx-relaxed", "exact-strict")
 DRAIN = 4096  # larger than any configuration's space: ensure() ends on UNSAT
 
 CONFIGS = [
@@ -82,7 +88,7 @@ def drain(config: str) -> PredictionEnumeration:
 
 
 def assignment_rows(enum: PredictionEnumeration) -> list[str]:
-    """The blocked assignments, keyed by the encoding's stable identifiers."""
+    """The reported assignments, keyed by the encoding's stable identifiers."""
     return [
         json.dumps(
             [
@@ -123,6 +129,29 @@ def test_model_space_matches_fixture(config, pinned):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
+def test_predictions_are_pairwise_distinct(config):
+    """No prediction is reported twice: rows are decoded assignments."""
+    enum = drain(config)
+    rows = assignment_rows(enum)
+    assert len(set(rows)) == len(rows)
+    histories = {
+        (
+            tuple(
+                (t.tid, r.pos, r.writer)
+                for t in p.predicted.transactions()
+                for r in t.reads
+            ),
+            tuple(sorted(p.boundaries.items())),
+        )
+        for p in enum.predictions
+    }
+    assert len(histories) == len(rows)
+
+
+APPROX_CONFIGS = [c for c in CONFIGS if "/approx-" in c]
+
+
+@pytest.mark.parametrize("config", APPROX_CONFIGS)
 def test_exact_model_space_contains_approx(config):
     """Approx is sufficient for exact: CEGIS finds every approx prediction.
 
@@ -136,7 +165,6 @@ def test_exact_model_space_contains_approx(config):
     assert exact.batch().status is Result.UNSAT
     exact_rows = assignment_rows(exact)
     assert set(assignment_rows(approx)) <= set(exact_rows)
-    assert len(set(exact_rows)) == len(exact_rows)  # pairwise distinct
     for prediction in exact.predictions:
         assert not is_serializable(prediction.predicted)
         assert prediction.cycle
