@@ -262,13 +262,16 @@ def run_stream_scenario(
     return run_measured(name, size, params, scenario=once, repeats=repeats)
 
 
-#: The telemetry overhead pair (PR 8): the mid-size reference scenario
+#: The telemetry overhead pair (PR 8): a mid-size reference scenario
 #: measured back-to-back with telemetry off and on (spans + registry +
 #: trace export to a scratch file). Telemetry is opt-in and must stay
 #: nearly free when opted into: CI gates the enabled median at < 3%
-#: over the disabled one (``--telemetry-overhead-gate``).
-TELEMETRY_PAIR = ("telemetry-off-smallbank-small-k1",
-                  "telemetry-on-smallbank-small-k1")
+#: over the disabled one (``--telemetry-overhead-gate``). The reference
+#: is tpcc-small's approx-strict UNSAT walk (about 1 s, 20 candidates, a
+#: decode span each): a session's fixed cost is about 1 ms, so a
+#: reference of a few tens of milliseconds would gate that, not spans.
+TELEMETRY_PAIR = ("telemetry-off-tpcc-small-approx-strict-k1",
+                  "telemetry-on-tpcc-small-approx-strict-k1")
 
 
 def run_telemetry_pair(repeats: int, max_seconds: float):
@@ -279,14 +282,14 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
     from repro.obs import observe_analysis_stats, telemetry_session
 
     history = record_observed(
-        _APPS["smallbank"](WorkloadConfig.small()), RECORD_SEED
+        _APPS["tpcc"](WorkloadConfig.small()), RECORD_SEED
     ).history
     params = {
-        "app": "smallbank",
+        "app": "tpcc",
         "workload": "small",
         "seed": RECORD_SEED,
         "isolation": "causal",
-        "strategy": "approx-relaxed",
+        "strategy": "approx-strict",
         "k": 1,
         "solver": "inprocess",
         "store": "inmemory",
@@ -296,7 +299,7 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
     def analyze() -> dict:
         analyzer = IsoPredict(
             IsolationLevel.parse("causal"),
-            PredictionStrategy.parse("approx-relaxed"),
+            PredictionStrategy.parse("approx-strict"),
             max_seconds=max_seconds,
         )
         batch = analyzer.predict_many(history, k=1)
