@@ -158,7 +158,10 @@ class IsoPredict:
     """Predicts feasible unserializable executions from an observed one.
 
     Parameters mirror the paper's configuration space (isolation level and
-    strategy) plus the solver backend and its budgets.
+    strategy) plus the solver backend and its budgets. ``max_candidates``
+    bounds the candidates one ``ensure`` call of an exact strategy may
+    reject; an approximate walk is bounded by the solver budgets alone,
+    so its verdict never depends on how many candidates it refines away.
     """
 
     def __init__(
@@ -300,9 +303,10 @@ class PredictionEnumeration:
     candidate, and an approximate strategy's unserializable but
     pco-acyclic one, are blocked alone.
 
-    A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call;
-    hitting it reports :data:`Result.UNKNOWN` but leaves the solver state
-    intact, so a later call with a fresh budget resumes where it stopped.
+    A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call,
+    and so does an exact strategy's candidate budget; hitting either
+    reports :data:`Result.UNKNOWN` but leaves the solver state intact, so
+    a later call with a fresh budget resumes where it stopped.
     """
 
     def __init__(self, analyzer: IsoPredict, observed: History):
@@ -386,7 +390,7 @@ class PredictionEnumeration:
             cycle = self._check(model, predicted)
             if cycle is None:
                 rejected += 1
-                if rejected >= self.analyzer.max_candidates:
+                if self._exact and rejected >= self.analyzer.max_candidates:
                     # the candidate is already excluded: a later ensure()
                     # resumes with a fresh candidate budget
                     self._status = Result.UNKNOWN
@@ -399,27 +403,23 @@ class PredictionEnumeration:
     def _check(self, model, predicted: History) -> Optional[list]:
         """Decide one candidate: its pco cycle if it is a prediction.
 
-        A rejected candidate is excluded before this returns ``None``. An
-        accepted exact candidate may be pco-acyclic (``[]``): it is
-        unserializable beyond what the approximation sees.
+        A serializable candidate is refined away. An unserializable one is
+        a prediction when the strategy is exact or its pco is cyclic; an
+        accepted exact candidate may be pco-acyclic (``[]``). A rejected
+        candidate is excluded before this returns ``None``.
         """
-        if self._exact:
-            report = is_serializable(predicted)
-            if not report:
-                return pco_cycle(predicted)
-        else:
-            cycle = pco_cycle(predicted)
-            if cycle:
-                return cycle
-            report = is_serializable(predicted)
-            if not report:
-                # unserializable, but not by a pco cycle: no witness order
-                # to refine with, so exclude this candidate alone
-                self._solver.add(blocking_clause(self._enc, model))
-                return None
-        # a commit order serializing the candidate also contains its pco
-        # fixpoint, so the refinement never excludes a cyclic candidate
-        self._refine(model, report.commit_order)
+        report = is_serializable(predicted)
+        if report:
+            # a commit order serializing the candidate also contains its
+            # pco fixpoint, so the refinement never excludes a cyclic one
+            self._refine(model, report.commit_order)
+            return None
+        cycle = pco_cycle(predicted)
+        if self._exact or cycle:
+            return cycle
+        # unserializable, but not by a pco cycle: no witness order to
+        # refine with, so exclude this candidate alone
+        self._solver.add(blocking_clause(self._enc, model))
         return None
 
     def _accept(self, model, predicted: History, cycle: list) -> None:

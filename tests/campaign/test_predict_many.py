@@ -240,3 +240,33 @@ def test_enumeration_resumes_past_candidate_cap():
     else:
         raise AssertionError("enumeration never drained: cap not resumable")
     assert not enum.predictions  # single-session: nothing unserializable
+
+
+@pytest.mark.parametrize(
+    "level, verdict", [("rc", Result.SAT), ("causal", Result.UNSAT)]
+)
+def test_candidate_budget_bounds_exact_walks_only(level, verdict):
+    """An approximate verdict does not depend on ``max_candidates``.
+
+    tpcc tiny seed 2 rejects at least three candidates under approx-strict
+    before it is decided (SAT under rc, UNSAT under causal). With one
+    candidate allowed, the approximate walk still reaches that verdict in
+    one ``ensure`` call, while the exact walk stops with UNKNOWN.
+    """
+    tpcc = {a.name: a for a in ALL_APPS}["tpcc"]
+    history = record_observed(tpcc(WorkloadConfig.tiny()), 2).history
+
+    def batch(strategy, max_candidates):
+        return IsoPredict(
+            IsolationLevel.parse(level),
+            PredictionStrategy.parse(strategy),
+            max_candidates=max_candidates,
+        ).predict_many(history, k=1)
+
+    unbounded = batch("approx-strict", 10**6)
+    assert unbounded.status is verdict
+    assert unbounded.stats["candidates"] >= 4
+    capped = batch("approx-strict", 1)
+    assert capped.status is verdict
+    assert capped.stats["candidates"] == unbounded.stats["candidates"]
+    assert batch("exact-strict", 1).status is Result.UNKNOWN

@@ -46,6 +46,7 @@ from repro.predict import (
     PredictionStrategy,
 )
 from repro.smt import Result
+from tests.predict.test_encoding_oracle import by_fingerprint
 
 FIXTURE = Path(__file__).parent / "model_space.json"
 
@@ -134,18 +135,7 @@ def test_predictions_are_pairwise_distinct(config):
     enum = drain(config)
     rows = assignment_rows(enum)
     assert len(set(rows)) == len(rows)
-    histories = {
-        (
-            tuple(
-                (t.tid, r.pos, r.writer)
-                for t in p.predicted.transactions()
-                for r in t.reads
-            ),
-            tuple(sorted(p.boundaries.items())),
-        )
-        for p in enum.predictions
-    }
-    assert len(histories) == len(rows)
+    assert len(by_fingerprint(enum)) == len(rows)
 
 
 APPROX_CONFIGS = [c for c in CONFIGS if "/approx-" in c]
@@ -165,6 +155,7 @@ def test_exact_model_space_contains_approx(config):
     assert exact.batch().status is Result.UNSAT
     exact_rows = assignment_rows(exact)
     assert set(assignment_rows(approx)) <= set(exact_rows)
+    assert len(set(exact_rows)) == len(exact_rows)  # pairwise distinct
     for prediction in exact.predictions:
         assert not is_serializable(prediction.predicted)
         assert prediction.cycle
