@@ -8,7 +8,7 @@ from harness import format_table
 from repro import gallery
 from repro.history.relations import so_pairs, transitive_closure, wr_pairs
 from repro.isolation import pco_unserializable
-from repro.isolation.axioms import _ww_from_pco, pco_edges
+from repro.isolation.axioms import pco_edges, ww_with_support
 
 
 def fixpoint_without_rw(history):
@@ -17,7 +17,7 @@ def fixpoint_without_rw(history):
         set(so_pairs(history)) | set(wr_pairs(history)), nodes=nodes
     )
     while True:
-        ww = _ww_from_pco(history, pco)
+        ww = ww_with_support(history, pco)
         new = transitive_closure(set(pco) | set(ww), nodes=nodes)
         if new == pco:
             return pco

@@ -28,6 +28,7 @@ recording happens once per scenario, outside the timed region.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -263,8 +264,8 @@ def run_stream_scenario(
 
 
 #: The telemetry overhead pair (PR 8): a mid-size reference scenario
-#: measured back-to-back with telemetry off and on (spans + registry +
-#: trace export to a scratch file). Telemetry is opt-in and must stay
+#: measured with telemetry off and on (spans + registry + trace export to
+#: a scratch file) in interleaved repeats. Telemetry is opt-in and must stay
 #: nearly free when opted into: CI gates the enabled median at < 3%
 #: over the disabled one (``--telemetry-overhead-gate``). The reference
 #: is tpcc-small's approx-strict UNSAT walk (about 1 s, 20 candidates, a
@@ -320,18 +321,32 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
             return stats
 
     off_name, on_name = TELEMETRY_PAIR
+    sides = [
+        (off_name, {**params, "telemetry": "off"}, analyze),
+        (on_name, {**params, "telemetry": "on"}, analyze_with_telemetry),
+    ]
+    runs = {name: [] for name, _, _ in sides}
     try:
-        off = run_measured(
-            off_name, "mid", {**params, "telemetry": "off"},
-            scenario=analyze, repeats=repeats,
-        )
-        on = run_measured(
-            on_name, "mid", {**params, "telemetry": "on"},
-            scenario=analyze_with_telemetry, repeats=repeats,
-        )
+        # off, on, on, off, ...: drift over the run lands on both sides
+        # instead of all on whichever side is timed last
+        for i in range(repeats):
+            order = sides if i % 2 == 0 else sides[::-1]
+            for name, side_params, scenario in order:
+                runs[name].append(run_measured(
+                    name, "mid", side_params, scenario=scenario, repeats=1
+                ))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    return off, on
+    pooled = []
+    for name, _, _ in sides:
+        # every wall; stages and counters from the median run, as in
+        # run_measured
+        ranked = sorted(runs[name], key=lambda r: r.wall_seconds[0])
+        pooled.append(dataclasses.replace(
+            ranked[len(ranked) // 2], runs=repeats,
+            wall_seconds=[r.wall_seconds[0] for r in runs[name]],
+        ))
+    return tuple(pooled)
 
 
 def main(argv=None) -> int:

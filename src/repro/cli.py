@@ -407,10 +407,10 @@ def _cmd_campaign(args) -> int:
     return 1 if report.errors else 0
 
 
-def _fleet_robustness_env(args) -> int:
-    """Export retry knobs / install the chaos plan for in-process fleet
-    seams (``fleet.manifest``, ``fleet.merge``) — the same prologue
-    ``watch`` uses. Returns a non-zero exit code on a bad plan."""
+def _robustness_env(args) -> int:
+    """Export retry knobs / install the chaos plan for in-process seams
+    (``fleet merge``'s manifest and merge, ``watch``'s store and stream)
+    before they run. Returns a non-zero exit code on a bad plan."""
     import os
 
     from .faults import MAX_RETRIES_ENV, RETRY_BACKOFF_ENV, install_plan
@@ -466,7 +466,7 @@ def _cmd_fleet_merge(args) -> int:
 
     from .campaign import CampaignSpec, load_manifest, merge_fleet
 
-    code = _fleet_robustness_env(args)
+    code = _robustness_env(args)
     if code:
         return code
     try:
@@ -658,24 +658,12 @@ def _watch_source(args):
 def _cmd_watch(args) -> int:
     """Continuous windowed prediction over a live run stream."""
     import json
-    import os
 
-    from .faults import MAX_RETRIES_ENV, RETRY_BACKOFF_ENV, install_plan
     from .serve import StreamingAnalysis
 
-    # the watch loop is in-process: export the retry policy for the
-    # store/stream seams and install any chaos plan before the engine
-    # touches the source
-    if args.max_retries is not None:
-        os.environ[MAX_RETRIES_ENV] = str(args.max_retries)
-    if args.retry_backoff is not None:
-        os.environ[RETRY_BACKOFF_ENV] = repr(args.retry_backoff)
-    if args.fault_plan:
-        try:
-            install_plan(args.fault_plan, env=True)
-        except ValueError as exc:
-            print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
-            return 2
+    code = _robustness_env(args)
+    if code:
+        return code
     if args.trace is not None and args.archive:
         print(
             "error: --archive persists runs recorded by --fuzz; a tailed "

@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..history.diff import diff_histories
 from ..history.model import History
-from ..isolation.axioms import pco_cycle, pco_edges
+from ..isolation.axioms import edges_cycle, pco_edges
 from ..isolation.levels import IsolationLevel
 from ..predict.analysis import PredictionBatch, PredictionResult
 
@@ -55,10 +55,10 @@ def cycle_signature(history: History) -> str:
     e.g. ``"rw.rw"`` (write skew), ``"so.rw.wr.rw"``; empty string when the
     history is serializable.
     """
-    cycle = pco_cycle(history)
+    edges = pco_edges(history)
+    cycle = edges_cycle(history, edges)
     if not cycle:
         return ""
-    edges = pco_edges(history)
     labels = []
     for a, b in zip(cycle, cycle[1:]):
         for kind in _EDGE_PRIORITY:

@@ -11,6 +11,7 @@ __all__ = [
     "wr_k_pairs",
     "hb_pairs",
     "transitive_closure",
+    "find_cycle",
     "is_acyclic",
     "topological_order",
 ]
@@ -79,10 +80,42 @@ def hb_pairs(history: History) -> frozenset[Pair]:
     )
 
 
+def find_cycle(
+    pairs: Iterable[tuple[Hashable, Hashable]],
+    nodes: Iterable[Hashable] = (),
+) -> list:
+    """The first cycle a depth-first search meets, or [] if there is none.
+
+    Roots are tried in ``nodes`` order, then in order of first appearance
+    in ``pairs``; successors in the order ``pairs`` lists them, a repeated
+    pair keeping its first position. The first edge back onto the current
+    path closes the cycle, returned as a closed walk ``[a, ..., a]``.
+    """
+    succ: dict = {n: {} for n in nodes}
+    for a, b in pairs:
+        succ.setdefault(a, {})[b] = None
+        succ.setdefault(b, {})
+    done: set = set()
+    for root in succ:
+        if root in done:
+            continue
+        path = {root: iter(succ[root])}  # node -> unexplored successors
+        while path:
+            for nxt in path[next(reversed(path))]:
+                if nxt in path:
+                    walk = list(path)
+                    return walk[walk.index(nxt):] + [nxt]
+                if nxt not in done:
+                    path[nxt] = iter(succ[nxt])
+                    break
+            else:
+                done.add(path.popitem()[0])
+    return []
+
+
 def is_acyclic(pairs: Iterable[tuple[Hashable, Hashable]]) -> bool:
-    """Whether the relation's transitive closure is irreflexive."""
-    closed = transitive_closure(pairs)
-    return all(a != b for a, b in closed)
+    """Whether the relation has no cycle (self-loops included)."""
+    return not find_cycle(pairs)
 
 
 def topological_order(

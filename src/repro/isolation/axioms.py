@@ -1,15 +1,19 @@
 """Arbitration/anti-dependency axioms as graph computations (paper §2, §4.2.2).
 
-These are the *fixed-history* analogues of the SMT encodings in
-:mod:`repro.predict`: given a concrete ⟨T, so, wr⟩ they compute the
-relations directly, which makes them both the building blocks of the
-polynomial checkers and the cross-checking oracle for the solver-based path.
+Given a concrete ⟨T, so, wr⟩ these compute the relations directly: the
+Biswas–Enea ww schema per isolation level, the rw anti-dependencies, and
+the pco least fixpoint whose cycle is the approximate strategy's
+unserializability witness. They are the building blocks of the
+polynomial checkers and the graph check that accepts or refines every
+CEGIS candidate in :mod:`repro.predict`.
 """
 from __future__ import annotations
 
+from itertools import chain
 
 from ..history.model import History
 from ..history.relations import (
+    find_cycle,
     hb_pairs,
     so_pairs,
     transitive_closure,
@@ -25,6 +29,7 @@ __all__ = [
     "pco_fixpoint",
     "pco_edges",
     "pco_cycle",
+    "edges_cycle",
 ]
 
 Pair = tuple[str, str]
@@ -119,81 +124,49 @@ def rw_edges(
     return frozenset(out)
 
 
-def _ww_from_pco(
-    history: History, pco: frozenset[Pair]
-) -> frozenset[Pair]:
-    """Arbitration edges w.r.t. a current pco approximation (§4.2.2)."""
-    wr_k = wr_k_pairs(history)
-    out: set[Pair] = set()
-    for key, pairs in wr_k.items():
-        writers = set(history.writers_of(key))
-        for (t2, t3) in pairs:
-            for t1 in writers:
-                if t1 in (t2, t3):
-                    continue
-                if (t1, t3) in pco:
-                    out.add((t1, t2))
-    return frozenset(out)
+def pco_edges(history: History) -> dict[str, frozenset[Pair]]:
+    """The labelled base edges of the pco least fixpoint (§4.2.2).
 
-
-def pco_fixpoint(history: History) -> frozenset[Pair]:
-    """The least fixpoint pco = (so ∪ wr ∪ ww ∪ rw)+ of §4.2.2.
-
-    Computed by monotone iteration from (so ∪ wr)+, deriving ww/rw from the
-    current approximation and re-closing until stable. Starting from the
-    base relations and only ever *adding* justified edges yields the least
-    relation, so no edge can justify itself (the paper's Fig. 6). The
-    approximate strategy checks each candidate prediction with this.
+    Monotone iteration from (so ∪ wr)+: derive ww/rw from the current
+    approximation and re-close until stable. Starting from the base
+    relations and only ever *adding* justified edges yields the least
+    relation, so no edge can justify itself (the paper's Fig. 6). Returns
+    ``{"so": ..., "wr": ..., "ww": ..., "rw": ...}`` with the last round's
+    ww/rw; their transitive closure is :func:`pco_fixpoint`.
     """
-    nodes = [t.tid for t in history.all_transactions()]
-    pco = transitive_closure(
-        set(so_pairs(history)) | set(wr_pairs(history)), nodes=nodes
-    )
+    so, wr = so_pairs(history), wr_pairs(history)
+    pco = transitive_closure(set(so) | set(wr))
     while True:
-        ww = _ww_from_pco(history, pco)
+        ww = ww_with_support(history, pco)
         rw = rw_edges(history, pco)
-        new = transitive_closure(set(pco) | set(ww) | set(rw), nodes=nodes)
+        new = transitive_closure(set(pco) | set(ww) | set(rw))
         if new == pco:
-            return pco
+            return {"so": so, "wr": wr, "ww": ww, "rw": rw}
         pco = new
 
 
-def pco_edges(history: History) -> dict[str, frozenset[Pair]]:
-    """The labelled base edges of the pco least fixpoint.
+def pco_fixpoint(history: History) -> frozenset[Pair]:
+    """The least fixpoint pco = (so ∪ wr ∪ ww ∪ rw)+ of §4.2.2."""
+    return transitive_closure(chain.from_iterable(pco_edges(history).values()))
 
-    Returns ``{"so": ..., "wr": ..., "ww": ..., "rw": ...}``; their
-    transitive closure is :func:`pco_fixpoint`. Used for figure-style
-    rendering (the paper draws rw/ww edges explicitly) and cycle extraction.
-    """
-    pco = pco_fixpoint(history)
-    return {
-        "so": so_pairs(history),
-        "wr": wr_pairs(history),
-        "ww": _ww_from_pco(history, pco),
-        "rw": rw_edges(history, pco),
-    }
+
+def edges_cycle(
+    history: History, edges: dict[str, frozenset[Pair]]
+) -> list[str]:
+    """The cycle over :func:`pco_edges`'s ``edges``: roots in history order,
+    successors so, wr, ww, rw, each kind sorted, so the cycle (and every
+    fingerprint derived from it) is independent of ``PYTHONHASHSEED``."""
+    kinds = (sorted(edges[kind]) for kind in ("so", "wr", "ww", "rw"))
+    return find_cycle(
+        chain.from_iterable(kinds), [t.tid for t in history.all_transactions()]
+    )
 
 
 def pco_cycle(history: History) -> list[str]:
     """A transaction cycle witnessing unserializability, or [] if none.
 
     The returned list is a closed walk ``[t_a, t_b, ..., t_a]`` over pco
-    base edges, e.g. the paper's Fig. 8 cycle t1 < t3 < t2 < t4 < t1.
+    base edges, e.g. the paper's Fig. 8 cycle t1 < t3 < t2 < t4 < t1. The
+    approximate strategy checks each candidate prediction with this.
     """
-    import networkx as nx
-
-    edges = pco_edges(history)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(t.tid for t in history.all_transactions())
-    # sorted insertion: the edge sets are frozensets, and adjacency order
-    # steers find_cycle's DFS — without this the returned cycle (and any
-    # fingerprint derived from it) would vary with PYTHONHASHSEED
-    for pairs in edges.values():
-        graph.add_edges_from(sorted(pairs))
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return []
-    nodes = [edge[0] for edge in cycle]
-    nodes.append(cycle[-1][1])
-    return nodes
+    return edges_cycle(history, pco_edges(history))

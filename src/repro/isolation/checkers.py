@@ -1,8 +1,9 @@
 """Isolation checkers: polynomial graph checks and serializability decisions.
 
-* :func:`is_causal`, :func:`is_read_committed` — acyclicity of hb ∪ ww
-  (paper Equations 3 and 5). Polynomial; used by the store's read policies
-  and by validation.
+* :func:`is_causal`, :func:`is_read_atomic`, :func:`is_read_committed` —
+  acyclicity of so ∪ wr ∪ ww (paper Equations 3 and 5; hb ∪ ww has the
+  same cycles). Polynomial; used by the store's read policies and by
+  validation.
 * :func:`pco_unserializable` — the sound §4.2.2 witness: a cyclic pco least
   fixpoint proves unserializability.
 * :func:`is_serializable` — complete decision by the session-frontier
@@ -18,12 +19,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..history.model import History
-from ..history.relations import hb_pairs, is_acyclic, wr_k_pairs
+from ..history.relations import is_acyclic, so_pairs, wr_k_pairs, wr_pairs
 from .axioms import (
-    pco_fixpoint,
+    pco_cycle,
+    ww_causal_pairs,
     ww_rc_pairs,
     ww_read_atomic_pairs,
-    ww_with_support,
 )
 from .levels import IsolationLevel
 
@@ -39,25 +40,24 @@ __all__ = [
 ]
 
 
+def _so_wr(history: History) -> frozenset:
+    """so ∪ wr. hb is its closure, so orders and cycles need no closure."""
+    return so_pairs(history) | wr_pairs(history)
+
+
 def is_causal(history: History) -> bool:
     """Whether the history is causally consistent (Equation 3)."""
-    hb = hb_pairs(history)
-    ww = ww_with_support(history, hb)  # ww_causal_pairs, reusing this hb
-    return is_acyclic(set(hb) | set(ww))
+    return is_acyclic(_so_wr(history) | ww_causal_pairs(history))
 
 
 def is_read_atomic(history: History) -> bool:
     """Whether the history satisfies read atomic (the §8 extension)."""
-    hb = hb_pairs(history)
-    ww = ww_read_atomic_pairs(history)
-    return is_acyclic(set(hb) | set(ww))
+    return is_acyclic(_so_wr(history) | ww_read_atomic_pairs(history))
 
 
 def is_read_committed(history: History) -> bool:
     """Whether the history satisfies read committed (Equation 5)."""
-    hb = hb_pairs(history)
-    ww = ww_rc_pairs(history)
-    return is_acyclic(set(hb) | set(ww))
+    return is_acyclic(_so_wr(history) | ww_rc_pairs(history))
 
 
 def is_valid_under(history: History, level: IsolationLevel) -> bool:
@@ -77,8 +77,7 @@ def pco_unserializable(history: History) -> bool:
     ``True`` proves the history unserializable; ``False`` is inconclusive
     (though in all of the paper's experiments it coincided with serializable).
     """
-    pco = pco_fixpoint(history)
-    return any(a == b for a, b in pco)
+    return bool(pco_cycle(history))
 
 
 @dataclass
@@ -163,10 +162,10 @@ def is_serializable(history: History) -> SerializabilityReport:
     return SerializabilityReport(True, order)
 
 
-def _witnesses(history: History, order: list[str], hb=None, wr_k=None) -> bool:
+def _witnesses(history: History, order: list[str], so_wr=None, wr_k=None) -> bool:
     """Whether a total order witnesses serializability of the history."""
     pos = {tid: i for i, tid in enumerate(order)}
-    for (a, b) in hb or hb_pairs(history):
+    for (a, b) in so_wr or _so_wr(history):
         if pos[a] >= pos[b]:
             return False
     for key, pairs in (wr_k or wr_k_pairs(history)).items():
@@ -183,9 +182,9 @@ def _witnesses(history: History, order: list[str], hb=None, wr_k=None) -> bool:
 def is_serializable_bruteforce(history: History) -> SerializabilityReport:
     """Permutation-search oracle (only sensible for small histories)."""
     tids = [t.tid for t in history.all_transactions()]
-    hb, wr_k = hb_pairs(history), wr_k_pairs(history)  # once, not per order
+    so_wr, wr_k = _so_wr(history), wr_k_pairs(history)  # once, not per order
     for perm in itertools.permutations(tids[1:]):
         order = [tids[0], *perm]  # t0 first: it is so-before everything
-        if _witnesses(history, order, hb, wr_k):
+        if _witnesses(history, order, so_wr, wr_k):
             return SerializabilityReport(True, order)
     return SerializabilityReport(False)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..history.events import ReadEvent
 from ..history.model import History
-from ..isolation.axioms import pco_cycle, pco_edges
+from ..isolation.axioms import edges_cycle, pco_edges
 
 __all__ = ["history_to_text"]
 
@@ -49,7 +49,7 @@ def history_to_text(history: History, include_pco: bool = False) -> str:
             edges = ", ".join(f"{a}->{b}" for a, b in sorted(derived[kind]))
             if edges:
                 lines.append(f"{kind} edges: {edges}")
-        cycle = pco_cycle(history)
+        cycle = edges_cycle(history, derived)
         if cycle:
             lines.append(
                 "UNSERIALIZABLE: pco cycle " + " < ".join(cycle)

@@ -11,7 +11,7 @@ from repro.history import (
     transitive_closure,
     wr_pairs,
 )
-from repro.history.relations import wr_k_pairs
+from repro.history.relations import find_cycle, wr_k_pairs
 
 
 def chain_history():
@@ -78,6 +78,12 @@ class TestClosureUtilities:
     def test_is_acyclic(self):
         assert is_acyclic([("a", "b"), ("b", "c")])
         assert not is_acyclic([("a", "b"), ("b", "a")])
+        assert not is_acyclic([("a", "a")])
+        assert find_cycle([("b", "b")], nodes=["a", "b"]) == ["b", "b"]
+        # the walk starts where the cycle does, not at the acyclic prefix
+        behind = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]
+        assert not is_acyclic(behind)
+        assert find_cycle(behind) == ["b", "c", "d", "b"]
 
     def test_empty_relation_acyclic(self):
         assert is_acyclic([])

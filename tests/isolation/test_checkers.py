@@ -54,7 +54,7 @@ class TestFig5AntiDependency:
             transitive_closure,
             wr_pairs,
         )
-        from repro.isolation.axioms import _ww_from_pco
+        from repro.isolation.axioms import ww_with_support
 
         h = gallery.fig5_history()
         nodes = [t.tid for t in h.all_transactions()]
@@ -63,7 +63,7 @@ class TestFig5AntiDependency:
         )
         # iterate ww only (no rw): must stay acyclic
         while True:
-            ww = _ww_from_pco(h, pco)
+            ww = ww_with_support(h, pco)
             new = transitive_closure(set(pco) | set(ww), nodes=nodes)
             if new == pco:
                 break

@@ -1,6 +1,7 @@
 """Property tests: random histories, oracle cross-checks, level ordering."""
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,20 @@ from repro.isolation.checkers import _witnesses
 from tests.predict.test_encoding_oracle import by_fingerprint, drain
 
 KEYS = ["x", "y"]
+
+
+def imported_modules(path: Path, package: str):
+    """Every module ``path`` imports, function-local imports included;
+    ``package`` resolves its relative imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package
+            )
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
 @st.composite
@@ -136,20 +151,19 @@ class TestFrontierSearch:
         predictions they check."""
         package = Path(repro.isolation.__file__).parent
         for path in sorted(package.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    module = importlib.util.resolve_name(
-                        "." * node.level + (node.module or ""),
-                        "repro.isolation",
-                    )
-                    modules = [module] + [
-                        f"{module}.{alias.name}" for alias in node.names
-                    ]
-                else:
-                    continue
-                for module in modules:
-                    assert module.split(".")[:2] != ["repro", "smt"], (
-                        f"{path.name} imports {module}"
-                    )
+            for module in imported_modules(path, "repro.isolation"):
+                assert module.split(".")[:2] != ["repro", "smt"], (
+                    f"{path.name} imports {module}"
+                )
+
+    def test_src_imports_only_the_standard_library(self):
+        """``pyproject.toml`` declares no dependencies, so every import,
+        function-local ones included, is stdlib or repro itself."""
+        src = Path(repro.__file__).parent.parent
+        for path in sorted(src.glob("repro/**/*.py")):
+            package = ".".join(path.relative_to(src).parts[:-1])
+            for module in imported_modules(path, package):
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top in (
+                    "__future__", "repro"
+                ), f"{path.relative_to(src)} imports {module}"

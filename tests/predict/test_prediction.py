@@ -15,7 +15,7 @@ from repro.isolation import (
     pco_unserializable,
 )
 from repro.history.relations import so_pairs, transitive_closure, wr_pairs
-from repro.isolation.axioms import _ww_from_pco
+from repro.isolation.axioms import ww_with_support
 from repro.predict import IsoPredict, PredictionStrategy, analysis
 from repro.smt import Result
 from tests.predict.test_encoding_oracle import by_fingerprint, drain
@@ -229,7 +229,7 @@ class TestAblations:
         )
         while True:  # the least fixpoint with ww edges but no rw edges
             grown = transitive_closure(
-                pco | _ww_from_pco(predicted, pco), nodes=nodes
+                pco | ww_with_support(predicted, pco), nodes=nodes
             )
             if grown == pco:
                 break
