@@ -28,7 +28,6 @@ recording happens once per scenario, outside the timed region.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -177,23 +176,18 @@ def run_scenario(
         stats["status"] = batch.status.value
         return stats
 
-    return run_measured(
-        name,
-        size,
-        params={
-            "app": app,
-            "workload": workload,
-            "seed": RECORD_SEED,
-            "isolation": isolation,
-            "strategy": strategy,
-            "k": k,
-            "solver": solver,
-            "store": store_backend_spec(store),
-            "transactions": len(history.transactions()),
-        },
-        scenario=once,
-        repeats=repeats,
-    )
+    params = {
+        "app": app,
+        "workload": workload,
+        "seed": RECORD_SEED,
+        "isolation": isolation,
+        "strategy": strategy,
+        "k": k,
+        "solver": solver,
+        "store": store_backend_spec(store),
+        "transactions": len(history.transactions()),
+    }
+    return run_measured([(name, size, params, once)], repeats)[0]
 
 
 def run_stream_scenario(
@@ -260,7 +254,7 @@ def run_stream_scenario(
         )
         return engine.run().metrics.to_stats()
 
-    return run_measured(name, size, params, scenario=once, repeats=repeats)
+    return run_measured([(name, size, params, once)], repeats)[0]
 
 
 #: The telemetry overhead pair (PR 8): a mid-size reference scenario
@@ -321,32 +315,15 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
             return stats
 
     off_name, on_name = TELEMETRY_PAIR
-    sides = [
-        (off_name, {**params, "telemetry": "off"}, analyze),
-        (on_name, {**params, "telemetry": "on"}, analyze_with_telemetry),
-    ]
-    runs = {name: [] for name, _, _ in sides}
     try:
-        # off, on, on, off, ...: drift over the run lands on both sides
-        # instead of all on whichever side is timed last
-        for i in range(repeats):
-            order = sides if i % 2 == 0 else sides[::-1]
-            for name, side_params, scenario in order:
-                runs[name].append(run_measured(
-                    name, "mid", side_params, scenario=scenario, repeats=1
-                ))
+        off, on = run_measured([
+            (off_name, "mid", {**params, "telemetry": "off"}, analyze),
+            (on_name, "mid", {**params, "telemetry": "on"},
+             analyze_with_telemetry),
+        ], repeats)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    pooled = []
-    for name, _, _ in sides:
-        # every wall; stages and counters from the median run, as in
-        # run_measured
-        ranked = sorted(runs[name], key=lambda r: r.wall_seconds[0])
-        pooled.append(dataclasses.replace(
-            ranked[len(ranked) // 2], runs=repeats,
-            wall_seconds=[r.wall_seconds[0] for r in runs[name]],
-        ))
-    return tuple(pooled)
+    return off, on
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,8 @@ stats, …). This module gives those measurements one shared vocabulary:
 * :func:`format_profile` renders the same data as the ``--profile`` table
   the CLI prints;
 * :func:`run_measured` / :class:`ScenarioResult` are the benchmark-suite
-  side: run a scenario N times, keep the per-run walls, report medians;
+  side: run scenarios N times, interleaved, keep the per-run walls,
+  report medians;
 * :func:`compare_profiles` checks a fresh run against a recorded baseline
   (the CI regression gate).
 
@@ -226,39 +227,45 @@ class ScenarioResult:
 
 
 def run_measured(
-    name: str,
-    size: str,
-    params: dict,
-    scenario: Callable[[], dict],
+    sides: list[tuple[str, str, dict, Callable[[], dict]]],
     repeats: int = 3,
-) -> ScenarioResult:
-    """Run ``scenario`` ``repeats`` times; keep all walls, median stages.
+) -> list[ScenarioResult]:
+    """Run each ``(name, size, params, scenario)`` side ``repeats`` times;
+    keep all walls, median stages.
 
     ``scenario`` performs one full cold analysis and returns its flat
     ``stats`` dict (the shape :func:`profile_from_stats` understands).
+    Several sides run interleaved (A, B, B, A, ...), so drift over the
+    run lands on every side instead of on whichever is timed last.
     """
-    walls: list[float] = []
-    profiles: list[dict] = []
-    for _ in range(repeats):
-        start = time.monotonic()
-        stats = scenario()
-        walls.append(time.monotonic() - start)
-        profiles.append(profile_from_stats(stats))
-    # the run with the median wall is the representative one
-    order = sorted(range(len(walls)), key=lambda i: walls[i])
-    representative = profiles[order[len(order) // 2]]
-    return ScenarioResult(
-        name=name,
-        size=size,
-        params=params,
-        runs=repeats,
-        wall_seconds=walls,
-        stages=representative["stages"],
-        counters=representative["counters"],
-        rates=representative.get("rates", {}),
-        backend=representative.get("backend", ""),
-        verdict=representative.get("verdict", ""),
-    )
+    walls: list[list[float]] = [[] for _ in sides]
+    profiles: list[list[dict]] = [[] for _ in sides]
+    for i in range(repeats):
+        for j in sorted(range(len(sides)), reverse=i % 2 == 1):
+            start = time.monotonic()
+            stats = sides[j][3]()
+            walls[j].append(time.monotonic() - start)
+            profiles[j].append(profile_from_stats(stats))
+    results = []
+    for (name, size, params, _), side_walls, side_profiles in zip(
+        sides, walls, profiles
+    ):
+        # the run with the median wall is the representative one
+        order = sorted(range(repeats), key=side_walls.__getitem__)
+        representative = side_profiles[order[repeats // 2]]
+        results.append(ScenarioResult(
+            name=name,
+            size=size,
+            params=params,
+            runs=repeats,
+            wall_seconds=side_walls,
+            stages=representative["stages"],
+            counters=representative["counters"],
+            rates=representative.get("rates", {}),
+            backend=representative.get("backend", ""),
+            verdict=representative.get("verdict", ""),
+        ))
+    return results
 
 
 def write_report(

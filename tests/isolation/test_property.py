@@ -16,11 +16,9 @@ from repro.isolation import (
     pco_unserializable,
 )
 from repro.isolation.checkers import _witnesses
-from repro.smt import Result
 from tests.predict.test_encoding_oracle import by_fingerprint, drain
 
 KEYS = ["x", "y"]
-PREDICTION_BUDGET = 256  # per drain: the property test's time limit
 
 
 def imported_modules(path: Path, package: str):
@@ -123,24 +121,15 @@ class TestApproxPredictions:
         self, history, level, boundary
     ):
         """Every approximate prediction is pco-cyclic and brute-force
-        unserializable, none repeats, and exact CEGIS finds each one.
-
-        Seven transactions can hold over 10,000 predictions (two writers
-        of x and y, four sessions reading x, y, x: a minute per drain under
-        rc), so each example drains at most ``PREDICTION_BUDGET + 1``
-        approximate predictions. All of them are checked; exact CEGIS is
-        compared when the approximate space fit the budget."""
-        approx = drain(
-            history, level, f"approx-{boundary}", limit=PREDICTION_BUDGET
-        )
+        unserializable, none repeats, and exact CEGIS finds each one."""
+        approx = drain(history, level, f"approx-{boundary}")
         for prediction in approx.predictions:
             assert prediction.cycle
             assert pco_unserializable(prediction.predicted)
             assert not is_serializable_bruteforce(prediction.predicted)
         assert len(by_fingerprint(approx)) == len(approx.predictions)
-        if approx.batch().status is Result.UNSAT:
-            exact = drain(history, level, f"exact-{boundary}")
-            assert set(assignment_keys(approx)) <= set(assignment_keys(exact))
+        exact = drain(history, level, f"exact-{boundary}")
+        assert set(assignment_keys(approx)) <= set(assignment_keys(exact))
 
 
 class TestFrontierSearch:

@@ -47,19 +47,16 @@ def random_history(draw):
     return b.build()
 
 
-def drain(history, level, strategy, limit=None):
-    """One configuration's prediction enumeration, run until UNSAT, or
-    until it holds more than ``limit`` predictions (status SAT)."""
+def drain(history, level, strategy):
+    """One configuration's prediction enumeration, run until UNSAT."""
     if isinstance(level, str):
         level = IsolationLevel.parse(level)
     if isinstance(strategy, str):
         strategy = PredictionStrategy.parse(strategy)
     enum = IsoPredict(level, strategy).enumerator(history)
     while True:
-        enum.ensure(4096 if limit is None else limit + 1)
+        enum.ensure(4096)
         if enum.batch().status is Result.UNSAT:
-            return enum
-        if limit is not None and len(enum.predictions) > limit:
             return enum
 
 
