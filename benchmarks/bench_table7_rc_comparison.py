@@ -1,8 +1,8 @@
 """Table 7: MonkeyDB vs IsoPredict vs a realistic store under read committed.
 
 The third column re-runs the benchmarks on the statement-interleaved
-executor with latest-committed reads — our stand-in for MySQL in rc mode
-(DESIGN.md §2). Expected shape: MonkeyDB and IsoPredict find anomalies for
+executor with latest-committed reads — our stand-in for MySQL in rc mode,
+since the repository runs no external database. Expected shape: MonkeyDB and IsoPredict find anomalies for
 every program under rc, while the realistic executor only races TPC-C
 (whose long new-order transactions overlap at the district counter).
 """

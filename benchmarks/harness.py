@@ -22,7 +22,14 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+
+try:
+    import repro  # noqa: F401  (installed package wins)
+except ModuleNotFoundError:  # running from a checkout without pip install
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench_apps import WorkloadConfig
 from repro.campaign import CampaignExecutor, CampaignSpec, CellSummary

@@ -1,14 +1,14 @@
 """Weak-isolation constraints (paper §4.3, Appendix B.3).
 
-Both levels assert the existence of a strict total commit order consistent
-with happens-before and the level's arbitration order, as difference-logic
-constraints over per-transaction integers.
+Every level asserts the existence of a strict total commit order consistent
+with happens-before and the level's arbitration order, as one-sided order
+atoms over per-transaction integer positions.
 """
 from __future__ import annotations
 
 from ..history.model import INIT_TID
 from ..isolation.levels import IsolationLevel
-from ..smt import And, Expr, Implies, Int, OneSidedLt, Or, TRUE
+from ..smt import And, Expr, Implies, OneSidedLt, Or, TRUE
 from .encoder import Encoding
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
 def causal_constraints(enc: Encoding) -> list[Expr]:
     """Causal consistency (B.3.1): (hb ∪ wwcausal)+ embeds in a total order."""
     out: list[Expr] = []
-    co = {tid: Int(f"cocausal[{tid}]") for tid in enc.tids}
+    co = {tid: f"cocausal[{tid}]" for tid in enc.tids}
     for (t1, t2) in enc.pairs():
         ww = _ww_causal(enc, t1, t2)
         # the commit order is an existential witness appearing only in
@@ -61,7 +61,7 @@ def read_atomic_constraints(enc: Encoding) -> list[Expr]:
     being *directly* so-or-wr-after t1 (no closure), and t1 also writes k.
     """
     out: list[Expr] = []
-    co = {tid: Int(f"cora[{tid}]") for tid in enc.tids}
+    co = {tid: f"cora[{tid}]" for tid in enc.tids}
     for (t1, t2) in enc.pairs():
         shared = enc.txn(t1).write_keys & enc.txn(t2).write_keys
         disjuncts = []
@@ -87,7 +87,7 @@ def read_atomic_constraints(enc: Encoding) -> list[Expr]:
 def rc_constraints(enc: Encoding) -> list[Expr]:
     """Read committed (B.3.2): (hb ∪ wwrc)+ embeds in a total order."""
     out: list[Expr] = []
-    co = {tid: Int(f"corc[{tid}]") for tid in enc.tids}
+    co = {tid: f"corc[{tid}]" for tid in enc.tids}
     for (t1, t2) in enc.pairs():
         ww = _ww_rc(enc, t1, t2)
         out.append(

@@ -1,30 +1,25 @@
 """Pure-Python SMT substrate (z3py stand-in).
 
-Decides the fragment IsoPredict's encodings live in: Boolean structure over
-Boolean variables, finite-domain (enum) equalities, and integer
-difference-logic atoms. See DESIGN.md §2 for the substitution rationale.
+Decides exactly the fragment IsoPredict's encodings assert: Boolean
+structure over Boolean variables, finite-domain (enum) equalities, and
+one-sided order atoms ``x < y`` over integer commit-order positions,
+decided by a difference-logic theory. See ``docs/architecture.md`` for how
+the layers fit together.
 """
 from .ast import (
     And,
-    AtMostOne,
     Bool,
-    BoolVal,
-    Distinct,
     EnumSort,
     EnumVar,
-    ExactlyOne,
     Expr,
     FALSE,
-    Iff,
     Implies,
-    Int,
-    IntTerm,
     Not,
     OneSidedLt,
     Or,
     TRUE,
 )
-from .errors import BudgetExceeded, ModelUnavailable, Result, SmtError, SortError
+from .errors import ModelUnavailable, Result, SmtError, SortError
 from .sat import SatSolver, luby
 from .difference import DifferenceTheory
 from .solver import Model, Solver
@@ -39,27 +34,19 @@ from .backends import (
 
 __all__ = [
     "And",
-    "AtMostOne",
     "BackendSpec",
     "BackendUnavailable",
     "Bool",
-    "BoolVal",
-    "BudgetExceeded",
     "DimacsProcessBackend",
     "InProcessBackend",
     "SolverBackend",
     "make_backend",
     "DifferenceTheory",
-    "Distinct",
     "EnumSort",
     "EnumVar",
-    "ExactlyOne",
     "Expr",
     "FALSE",
-    "Iff",
     "Implies",
-    "Int",
-    "IntTerm",
     "Model",
     "ModelUnavailable",
     "Not",

@@ -3,12 +3,12 @@
 The fragment implemented here is exactly what IsoPredict's constraint
 generation needs (paper §4 and Appendix B):
 
-* Boolean structure: variables, ``And``/``Or``/``Not``/``Implies``/``Iff``.
+* Boolean structure: variables, ``And``/``Or``/``Not``/``Implies``.
 * Finite-domain variables (``EnumVar``) compared against constants
   (``EnumEq``), used for ``choice(s, i)`` and ``boundary(s)``.
-* Integer variables under *difference logic*: atoms of the form
-  ``x - y <= c``, used for commit-order positions, plus
-  ``Distinct`` sugar for pairwise-distinct positions.
+* One-sided order atoms ``x < y`` over integer variables
+  (:func:`OneSidedLt`), used for commit-order positions and decided by
+  the difference-logic theory.
 
 Expressions are immutable and interned (hash-consed), so structurally equal
 subterms are the same object; the Tseitin transform in :mod:`repro.smt.cnf`
@@ -18,13 +18,12 @@ relations that are mostly static (e.g. ``phi_so`` is a constant per pair).
 """
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import SortError
 
 __all__ = [
     "Expr",
-    "BoolExpr",
     "TRUE",
     "FALSE",
     "Bool",
@@ -32,18 +31,9 @@ __all__ = [
     "And",
     "Or",
     "Implies",
-    "Iff",
-    "ExactlyOne",
-    "AtMostOne",
-    "Int",
-    "IntVar",
-    "IntTerm",
     "EnumSort",
     "EnumVar",
-    "Distinct",
-    "BoolVal",
     "OneSidedLt",
-    "simplify_ops",
 ]
 
 
@@ -51,7 +41,7 @@ class Expr:
     """A hash-consed expression node.
 
     ``kind`` is one of ``true``, ``false``, ``var``, ``not``, ``and``, ``or``,
-    ``enum_eq``, ``le``. ``args`` holds children for connectives, or the
+    ``enum_eq``, ``lt``. ``args`` holds children for connectives, or the
     defining payload for atoms. Use the module-level constructors rather than
     instantiating directly.
     """
@@ -78,35 +68,12 @@ class Expr:
     def __eq__(self, other: object) -> bool:
         return self is other
 
-    # -- pretty printing -------------------------------------------------
     def __repr__(self) -> str:
         return _render(self)
 
-    # -- boolean operator sugar -------------------------------------------
-    def __invert__(self) -> "Expr":
-        return Not(self)
-
-    def __and__(self, other: "Expr") -> "Expr":
-        return And(self, other)
-
-    def __or__(self, other: "Expr") -> "Expr":
-        return Or(self, other)
-
-    @property
-    def is_atom(self) -> bool:
-        """True for leaves the SAT core treats as opaque literals."""
-        return self.kind in ("var", "enum_eq", "le", "le1")
-
-
-BoolExpr = Expr
 
 TRUE = Expr("true", ())
 FALSE = Expr("false", ())
-
-
-def BoolVal(value: bool) -> Expr:
-    """The constant ``TRUE`` or ``FALSE``."""
-    return TRUE if value else FALSE
 
 
 def Bool(name: str) -> Expr:
@@ -213,135 +180,19 @@ def Implies(a: Expr, b: Expr) -> Expr:
     return Or(Not(a), b)
 
 
-def Iff(a: Expr, b: Expr) -> Expr:
-    if a is b:
-        return TRUE
-    if a is TRUE:
-        return b
-    if b is TRUE:
-        return a
-    if a is FALSE:
-        return Not(b)
-    if b is FALSE:
-        return Not(a)
-    return And(Or(Not(a), b), Or(Not(b), a))
+def OneSidedLt(x: str, y: str) -> Expr:
+    """The *one-sided* order atom ``x < y`` over integer variables ``x``, ``y``.
 
-
-def AtMostOne(es: list[Expr]) -> Expr:
-    """Pairwise at-most-one constraint (domains here are small)."""
-    clauses = [
-        Or(Not(es[i]), Not(es[j]))
-        for i in range(len(es))
-        for j in range(i + 1, len(es))
-    ]
-    return And(*clauses)
-
-
-def ExactlyOne(es: list[Expr]) -> Expr:
-    if not es:
-        return FALSE
-    return And(Or(*es), AtMostOne(es))
-
-
-# ---------------------------------------------------------------------------
-# Integer difference logic terms
-# ---------------------------------------------------------------------------
-
-
-class IntTerm:
-    """An integer variable plus constant offset: ``var + offset``.
-
-    Comparisons between two terms (or a term and an ``int``) yield
-    difference-logic atoms. A comparison against a plain ``int`` is encoded
-    against the distinguished zero variable ``$zero``, whose value is pinned
-    to 0 during model extraction.
+    The only integer atom of the fragment: the weak-isolation commit orders
+    (paper §4.3) are existential witnesses that occur only as implication
+    heads, so asserting the literal true adds the difference constraint
+    ``x - y <= -1`` and asserting it false imposes no converse ordering.
+    The solver may therefore decide such atoms negatively without touching
+    the difference-logic graph.
     """
-
-    __slots__ = ("name", "offset")
-
-    def __init__(self, name: str, offset: int = 0):
-        self.name = name
-        self.offset = offset
-
-    def __add__(self, k: int) -> "IntTerm":
-        return IntTerm(self.name, self.offset + k)
-
-    def __sub__(self, k: int) -> "IntTerm":
-        return IntTerm(self.name, self.offset - k)
-
-    def _coerce(self, other: Union["IntTerm", int]) -> "IntTerm":
-        if isinstance(other, IntTerm):
-            return other
-        if isinstance(other, int):
-            return IntTerm(ZERO_NAME, other)
-        raise SortError(f"cannot compare IntTerm with {type(other).__name__}")
-
-    # x <= y + c  ===  x - y <= c
-    def __le__(self, other: Union["IntTerm", int]) -> Expr:
-        rhs = self._coerce(other)
-        return _le_atom(self.name, rhs.name, rhs.offset - self.offset)
-
-    def __lt__(self, other: Union["IntTerm", int]) -> Expr:
-        rhs = self._coerce(other)
-        return _le_atom(self.name, rhs.name, rhs.offset - self.offset - 1)
-
-    def __ge__(self, other: Union["IntTerm", int]) -> Expr:
-        rhs = self._coerce(other)
-        return rhs.__le__(self)
-
-    def __gt__(self, other: Union["IntTerm", int]) -> Expr:
-        rhs = self._coerce(other)
-        return rhs.__lt__(self)
-
-    def __repr__(self) -> str:
-        if self.offset:
-            return f"{self.name}{self.offset:+d}"
-        return self.name
-
-
-ZERO_NAME = "$zero"
-
-
-def Int(name: str) -> IntTerm:
-    """A named integer variable (difference-logic sort)."""
-    if name == ZERO_NAME:
-        raise SortError(f"{ZERO_NAME!r} is reserved")
-    return IntTerm(name)
-
-
-IntVar = Int
-
-
-def _le_atom(x: str, y: str, c: int) -> Expr:
-    """The atom ``x - y <= c`` with syntactic folding of ``x == y``."""
     if x == y:
-        return TRUE if c >= 0 else FALSE
-    return Expr("le", (x, y, c))
-
-
-def OneSidedLt(a: IntTerm, b: IntTerm) -> Expr:
-    """The *one-sided* atom ``a < b``: its negation is theory-free.
-
-    Use for auxiliary existential witnesses (the weak-isolation commit
-    orders) that occur only as implication heads: asserting the literal false imposes no converse
-    ordering, so the solver may freely decide such atoms negatively without
-    touching the difference-logic graph. Do NOT use where the negation is
-    semantically meaningful (e.g. under ``Distinct``).
-    """
-    # a < b  ==  a - b <= -1, with offsets folded in
-    if a.name == b.name:
-        return TRUE if a.offset < b.offset else FALSE
-    return Expr("le1", (a.name, b.name, b.offset - a.offset - 1))
-
-
-def Distinct(terms: list[IntTerm]) -> Expr:
-    """Pairwise disequality over integer terms, as ``x < y  or  y < x``."""
-    out = []
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            a, b = terms[i], terms[j]
-            out.append(Or(a < b, b < a))
-    return And(*out)
+        return FALSE
+    return Expr("lt", (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +267,7 @@ class EnumVar:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and introspection helpers
+# Rendering
 # ---------------------------------------------------------------------------
 
 
@@ -430,14 +281,9 @@ def _render(e: Expr, depth: int = 0) -> str:
     if e.kind == "enum_eq":
         var, idx = e.args
         return f"({var.name} = {var.sort.values[idx]!r})"
-    if e.kind in ("le", "le1"):
-        x, y, c = e.args
-        suffix = "~" if e.kind == "le1" else ""
-        if y == ZERO_NAME:
-            return f"({x} <= {c}){suffix}"
-        if x == ZERO_NAME:
-            return f"({y} >= {-c}){suffix}"
-        return f"({x} - {y} <= {c}){suffix}"
+    if e.kind == "lt":
+        x, y = e.args
+        return f"({x} < {y})"
     if e.kind == "not":
         return f"(not {_render(e.args[0], depth + 1)})"
     if depth > 4:
@@ -445,7 +291,3 @@ def _render(e: Expr, depth: int = 0) -> str:
     inner = " ".join(_render(a, depth + 1) for a in e.args)
     return f"({e.kind} {inner})"
 
-
-def simplify_ops() -> int:
-    """Number of distinct interned nodes (useful in tests and stats)."""
-    return len(Expr._table)

@@ -11,11 +11,10 @@ already consumed from :class:`~repro.smt.sat.SatSolver`:
 
 * **problem construction** — ``new_var`` / ``add_clause`` /
   ``add_clause_trusted`` (the compiler's bulk path);
-* **deciding** — ``solve(assumptions, max_conflicts, max_seconds)``;
+* **deciding** — ``solve(max_conflicts, max_seconds)``;
 * **models** — ``assignment()`` (a flat 0/1/-1 array indexed by variable)
   plus ``int_values()`` (the difference-logic valuation), which is all
   :class:`repro.smt.solver.Model` needs;
-* **cores** — ``core()`` after an UNSAT answer under assumptions;
 * **incrementality** — clauses may always be added between ``solve``
   calls. ``supports_push`` says whether doing so *reuses* solver state
   (learned clauses, trail) or whether each solve transparently re-submits
@@ -30,7 +29,7 @@ configurations such as a stub external solver).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Protocol, runtime_checkable
 
 from ..errors import Result, SmtError
 
@@ -60,7 +59,6 @@ class SolverBackend(Protocol):
 
     name: str
     supports_push: bool
-    supports_theory: bool
     stats: dict
 
     # -- problem construction (the CnfCompiler surface) -----------------
@@ -82,13 +80,12 @@ class SolverBackend(Protocol):
     # -- deciding --------------------------------------------------------
     def solve(
         self,
-        assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
     ) -> Result:
-        """Decide the accumulated clauses under optional assumptions/budgets."""
+        """Decide the accumulated clauses within optional budgets."""
 
-    # -- models / cores --------------------------------------------------
+    # -- models ----------------------------------------------------------
     def assignment(self) -> list[int]:
         """Post-SAT snapshot: per-variable 0/1 values, -1 unassigned.
 
@@ -101,9 +98,6 @@ class SolverBackend(Protocol):
 
     def model_value(self, var: int) -> Optional[bool]:
         """Value of ``var`` in the most recent satisfying assignment."""
-
-    def core(self) -> Optional[list[int]]:
-        """After UNSAT: assumptions that jointly conflict; None otherwise."""
 
     def close(self) -> None:
         """Release external resources (processes, temp files)."""

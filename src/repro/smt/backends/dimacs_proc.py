@@ -1,11 +1,11 @@
 """Bridge to any external DIMACS SAT solver via subprocess.
 
 DIMACS CNF is the interchange boundary: every ``solve`` writes the
-accumulated clause set (plus per-call assumption unit clauses) to a temp
-file, invokes the external solver, and parses the standard competition
-output (``s SATISFIABLE`` / ``v`` model lines) or MiniSat's result-file
-convention. Known solvers are auto-detected on ``PATH``
-(:data:`KNOWN_SOLVERS`); when none is installed construction raises
+accumulated clause set to a temp file, invokes the external solver, and
+parses the standard competition output (``s SATISFIABLE`` / ``v`` model
+lines) or MiniSat's result-file convention. Known solvers are
+auto-detected on ``PATH`` (:data:`KNOWN_SOLVERS`); when none is
+installed construction raises
 :class:`~repro.smt.backends.base.BackendUnavailable` with an actionable
 message rather than failing mid-analysis.
 
@@ -78,12 +78,9 @@ class DimacsProcessBackend:
 
     ``max_conflicts`` budgets are not forwarded (no portable DIMACS
     spelling); wall-clock budgets kill the subprocess and report UNKNOWN.
-    On UNSAT under assumptions the core is the full assumption list — a
-    valid (if weak) core; external solvers give us nothing finer.
     """
 
     supports_push = False
-    supports_theory = True
 
     def __init__(
         self,
@@ -97,7 +94,6 @@ class DimacsProcessBackend:
         self._clauses: list[list[int]] = []
         self._ok = True
         self._assignment: Optional[list[int]] = None
-        self._core: Optional[list[int]] = None
         self._max_refinements = max_refinements
         self._lemmas: list[list[int]] = []  # persistent theory lemmas
         self._asserted = 0  # theory assertions currently held by us
@@ -194,9 +190,6 @@ class DimacsProcessBackend:
             return {}
         return {name: theory.value(name) for name in theory._var_ids}
 
-    def core(self) -> Optional[list[int]]:
-        return self._core
-
     # ------------------------------------------------------------------
     def _release_theory(self) -> None:
         if self._theory is not None and self._asserted:
@@ -205,30 +198,23 @@ class DimacsProcessBackend:
 
     def solve(
         self,
-        assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
     ) -> Result:
-        self._core = None
         self._assignment = None
         self._release_theory()
         if not self._ok:
-            self._core = []
             return Result.UNSAT
         deadline = (
             time.monotonic() + max_seconds if max_seconds is not None else None
         )
-        units = [[lit] for lit in assumptions]
         while True:
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return Result.UNKNOWN
-            result, assign = self._run_external(units, remaining)
-            if result is Result.UNSAT:
-                self._core = list(assumptions)
-                return Result.UNSAT
+            result, assign = self._run_external(remaining)
             if result is not Result.SAT:
                 return result
             conflict = self._check_theory(assign)
@@ -267,10 +253,10 @@ class DimacsProcessBackend:
 
     # ------------------------------------------------------------------
     def _run_external(
-        self, extra_units: list[list[int]], timeout: Optional[float]
+        self, timeout: Optional[float]
     ) -> tuple[Result, Optional[list[int]]]:
         self.stats["external_solves"] += 1
-        clauses = self._clauses + self._lemmas + extra_units
+        clauses = self._clauses + self._lemmas
         lines = [f"p cnf {self._nvars} {len(clauses)}"]
         lines.extend(
             " ".join(str(l) for l in clause) + " 0" for clause in clauses

@@ -8,7 +8,7 @@ trajectory is byte-for-byte the historical one.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import Result
 from ..sat import SatSolver
@@ -21,7 +21,6 @@ class InProcessBackend:
 
     name = "inprocess"
     supports_push = True  # incremental clause addition reuses learned state
-    supports_theory = True
 
     def __init__(self, theory=None):
         self._theory = theory
@@ -31,7 +30,6 @@ class InProcessBackend:
         self.add_clause = self._sat.add_clause
         self.add_clause_trusted = self._sat.add_clause_trusted
         self.model_value = self._sat.model_value
-        self.core = self._sat.core
 
     @property
     def sat(self) -> SatSolver:
@@ -52,14 +50,11 @@ class InProcessBackend:
 
     def solve(
         self,
-        assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
     ) -> Result:
         return self._sat.solve(
-            max_conflicts=max_conflicts,
-            max_seconds=max_seconds,
-            assumptions=assumptions,
+            max_conflicts=max_conflicts, max_seconds=max_seconds
         )
 
     def assignment(self) -> list[int]:

@@ -9,15 +9,14 @@ The compiler walks the hash-consed DAG once per distinct node, emitting:
 * a SAT variable per ``enum_eq`` atom, together with *exactly-one* clauses
   over each enum variable's candidate domain the first time the variable is
   seen, and
-* a SAT variable per difference-logic atom, registered with the theory.
+* a SAT variable per one-sided order atom ``x < y``, registered with the
+  theory as the difference constraint ``x - y <= -1``.
 
 Top-level assertions are destructured: conjunctions assert each conjunct,
 and disjunctions of literals become plain clauses, so no auxiliary variable
 is wasted on the outermost structure.
 """
 from __future__ import annotations
-
-from typing import Optional
 
 from .ast import Expr, EnumVar, FALSE, TRUE
 from .difference import DifferenceTheory
@@ -33,7 +32,7 @@ class CnfCompiler:
     used later for model extraction.
     """
 
-    def __init__(self, sat: SatSolver, theory: Optional[DifferenceTheory]):
+    def __init__(self, sat: SatSolver, theory: DifferenceTheory):
         self._sat = sat
         self._theory = theory
         self._lit_cache: dict[Expr, int] = {}
@@ -178,14 +177,10 @@ class CnfCompiler:
         if kind == "enum_eq":
             enum_var, idx = e.args
             return self._enum_literal(enum_var, idx)
-        if kind == "le" or kind == "le1":
-            x, y, c = e.args
-            if self._theory is None:
-                raise RuntimeError(
-                    "difference-logic atom used without a theory solver"
-                )
+        if kind == "lt":
+            x, y = e.args
             var = self._sat.new_var()
-            self._theory.add_atom(var, x, y, c, one_sided=(kind == "le1"))
+            self._theory.add_atom(var, x, y, -1)
             return var
         raise AssertionError(f"unknown expression kind {kind!r}")
 
@@ -209,33 +204,3 @@ class CnfCompiler:
                 f"value index {value_idx} not a candidate of {enum_var!r}"
             )
         return lit
-
-    # ------------------------------------------------------------------
-    # Model extraction helpers
-    # ------------------------------------------------------------------
-    def enum_value(self, enum_var: EnumVar) -> object:
-        """The enum member assigned to ``enum_var`` in the current model."""
-        table = self._enum_vars.get(enum_var)
-        if table is None:
-            # never mentioned in any constraint: any candidate works
-            return enum_var.candidates[0]
-        for idx, sat_var in table.items():
-            if self._sat.model_value(sat_var):
-                return enum_var.sort.values[idx]
-        raise AssertionError(f"no value assigned for {enum_var!r}")
-
-    def bool_value(self, name: str) -> Optional[bool]:
-        var = self._bool_vars.get(name)
-        if var is None:
-            return None
-        return self._sat.model_value(var)
-
-    def expr_value(self, e: Expr) -> Optional[bool]:
-        """Model value of a compiled (sub)expression, if it was compiled."""
-        lit = self._lit_cache.get(e)
-        if lit is None:
-            return None
-        val = self._sat.model_value(abs(lit))
-        if val is None:
-            return None
-        return val if lit > 0 else not val

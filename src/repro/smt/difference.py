@@ -13,8 +13,9 @@ an edge that violates its inequality triggers a Dijkstra pass over *reduced
 costs* (non-negative by feasibility) that either repairs ``pi`` or walks back
 to the new edge's tail, exhibiting a negative cycle.
 
-A negated atom ``not (x - y <= c)`` is the atom ``y - x <= -c - 1`` (integer
-semantics), so every literal contributes exactly one edge.
+Only a *true* atom adds an edge. The encoder's order atoms are one-sided
+(:func:`repro.smt.ast.OneSidedLt`): a false literal asserts nothing, so the
+SAT core may decide order atoms negatively without touching the graph.
 
 Backtracking pops edges LIFO. The potential function is *kept* across pops:
 a potential feasible for a superset of edges is feasible for any subset.
@@ -53,7 +54,6 @@ class DifferenceTheory:
         self._pi: list[int] = []
         # atom registry: sat var -> (x, y, c) meaning x - y <= c
         self._atoms: dict[int, tuple[int, int, int]] = {}
-        self._one_sided: set[int] = set()
         # adjacency: node -> list of edge indices (active ones only)
         self._out: list[list[int]] = []
         self._edges: list[_Edge] = []
@@ -72,17 +72,13 @@ class DifferenceTheory:
             self._out.append([])
         return vid
 
-    def add_atom(
-        self, sat_var: int, x: str, y: str, c: int, one_sided: bool = False
-    ) -> None:
+    def add_atom(self, sat_var: int, x: str, y: str, c: int) -> None:
         """Bind SAT variable ``sat_var`` to the atom ``x - y <= c``.
 
-        One-sided atoms impose no constraint when asserted *false*; see
-        :func:`repro.smt.ast.OneSidedLt` for when this is sound.
+        The atom constrains only when asserted true; asserted false it
+        imposes nothing (see :func:`repro.smt.ast.OneSidedLt`).
         """
         self._atoms[sat_var] = (self.var_id(x), self.var_id(y), c)
-        if one_sided:
-            self._one_sided.add(sat_var)
 
     def is_theory_var(self, var: int) -> bool:
         return var in self._atoms
@@ -98,16 +94,13 @@ class DifferenceTheory:
         theory-inconsistent. The assertion is recorded either way; the SAT
         core is expected to backtrack past it after a conflict.
         """
-        if lit < 0 and -lit in self._one_sided:
-            # one-sided atom asserted false: no theory content; record a
-            # placeholder so assertion counts stay aligned with the SAT core
+        if lit < 0:
+            # a false atom has no theory content; record a placeholder so
+            # assertion counts stay aligned with the SAT core
             self._edges.append(None)
             return None
-        x, y, c = self._atoms[abs(lit)]
-        if lit > 0:
-            src, dst, weight = y, x, c  # x - y <= c : edge y -> x
-        else:
-            src, dst, weight = x, y, -c - 1  # y - x <= -c - 1
+        x, y, c = self._atoms[lit]
+        src, dst, weight = y, x, c  # x - y <= c : edge y -> x
         self.stats["asserts"] += 1
         edge = _Edge(src, dst, weight, lit)
         ei = len(self._edges)
@@ -123,7 +116,7 @@ class DifferenceTheory:
         while len(self._edges) > n_asserted:
             edge = self._edges.pop()
             if edge is None:
-                continue  # one-sided negative assertion: nothing to undo
+                continue  # false atom: nothing to undo
             removed = self._out[edge.src].pop()
             assert removed == len(self._edges)
 

@@ -25,9 +25,5 @@ class SortError(SmtError):
     """An expression was built from operands of incompatible sorts."""
 
 
-class BudgetExceeded(SmtError):
-    """A conflict or wall-clock budget was exhausted mid-solve."""
-
-
 class ModelUnavailable(SmtError):
     """A model was requested but the last query did not return SAT."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol
 
 from .errors import Result
 
@@ -133,7 +133,6 @@ class SatSolver:
         self._seen: list[bool] = [False]  # scratch for _analyze, kept clean
         self._var_inc = 1.0
         self._ok = True
-        self._core: Optional[list[int]] = None
         self.stats = {
             "conflicts": 0,
             "decisions": 0,
@@ -699,39 +698,19 @@ class SatSolver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        on_restart: Optional[Callable[[], None]] = None,
-        assumptions: Sequence[int] = (),
     ) -> Result:
-        """Decide the clause set, optionally under ``assumptions``.
-
-        Assumptions are signed external literals installed as the first
-        decision levels of the search (MiniSat-style). When the formula is
-        unsatisfiable *under the assumptions* (but not outright), the
-        result is UNSAT and :meth:`core` names a subset of the assumptions
-        that already conflicts; the solver itself stays usable.
-        """
-        self._core = None
+        """Decide the clause set within optional conflict/wall budgets."""
         if not self._ok:
-            self._core = []
             return Result.UNSAT
         self._cancel_until(0)
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
-            self._core = []
             return Result.UNSAT
         tconf = self._theory_check()
         if tconf is not None:
             self._ok = False
-            self._core = []
             return Result.UNSAT
-
-        nvars = self._nvars
-        assume: list[int] = []
-        for lit in assumptions:
-            if lit == 0 or lit > nvars or lit < -nvars:
-                raise ValueError(f"assumption literal {lit} out of range")
-            assume.append((lit << 1) if lit > 0 else ((-lit) << 1) | 1)
 
         deadline = None if max_seconds is None else time.monotonic() + max_seconds
         restart_idx = 1
@@ -760,7 +739,6 @@ class SatSolver:
                 )
                 if top == 0:
                     self._ok = False
-                    self._core = []
                     return Result.UNSAT
                 if top < self._decision_level():
                     self._cancel_until(top)
@@ -785,35 +763,10 @@ class SatSolver:
                 self.stats["restarts"] += 1
                 self._cancel_until(0)
                 self._reduce_learned()
-                if on_restart is not None:
-                    on_restart()
                 continue
             if not self.enable_restarts and conflicts_here >= budget:
                 conflicts_here = 0  # still trim the clause DB periodically
                 self._reduce_learned()
-            # (re-)install assumptions as the lowest decision levels; a
-            # backjump or restart may have cancelled some of them
-            if len(self._trail_lim) < len(assume):
-                installed = False
-                while len(self._trail_lim) < len(assume):
-                    ilit = assume[len(self._trail_lim)]
-                    val = self._assign[ilit >> 1]
-                    if val >= 0:
-                        if val ^ (ilit & 1) == 1:
-                            # already true: open an empty level so later
-                            # assumptions keep their level indices
-                            self._trail_lim.append(len(self._trail))
-                            continue
-                        # assumption falsified by the others + the clauses
-                        self._core = self._final_core(ilit)
-                        self._cancel_until(0)
-                        return Result.UNSAT
-                    self._trail_lim.append(len(self._trail))
-                    self._enqueue(ilit, -1)
-                    installed = True
-                    break
-                if installed:
-                    continue  # propagate the newly installed assumption
             var = self._decide()
             if var == 0:
                 return Result.SAT  # full assignment, theory-consistent
@@ -821,56 +774,6 @@ class SatSolver:
             self._trail_lim.append(len(self._trail))
             ilit = (var << 1) | (1 if self._phase[var] == 0 else 0)
             self._enqueue(ilit, -1)
-
-    def _final_core(self, false_ilit: int) -> list[int]:
-        """Assumptions implying the negation of the failed assumption.
-
-        ``false_ilit`` is an assumption literal found false while being
-        installed. Walking the reason closure of its (opposite) assignment
-        back to the decision literals — which, below the assumption
-        prefix, are exactly the earlier assumptions — yields a subset of
-        the assumptions that is jointly unsatisfiable with the clauses
-        (MiniSat's ``analyzeFinal``).
-        """
-        core = [self._to_external(false_ilit)]
-        if not self._trail_lim:
-            return core
-        seen = self._seen
-        level = self._level
-        reason = self._reason
-        arena = self._arena
-        cbase = self._cbase
-        csize = self._csize
-        trail = self._trail
-        var0 = false_ilit >> 1
-        touched = [var0]
-        seen[var0] = True
-        limit = self._trail_lim[0]
-        for i in range(len(trail) - 1, limit - 1, -1):
-            v = trail[i] >> 1
-            if not seen[v]:
-                continue
-            ri = reason[v]
-            if ri == -1:
-                core.append(self._to_external(trail[i]))
-            else:
-                base = cbase[ri]
-                for k in range(base, base + csize[ri]):
-                    qv = arena[k] >> 1
-                    if level[qv] > 0 and not seen[qv]:
-                        seen[qv] = True
-                        touched.append(qv)
-        for v in touched:
-            seen[v] = False
-        return core
-
-    def core(self) -> Optional[list[int]]:
-        """After an UNSAT answer: assumptions that jointly conflict.
-
-        ``[]`` means the clauses are unsatisfiable on their own (no
-        assumption needed); ``None`` means the last answer was not UNSAT.
-        """
-        return self._core
 
     # ------------------------------------------------------------------
     # Model access

@@ -2,12 +2,11 @@
 
 This is the z3py stand-in used throughout the repository::
 
-    from repro.smt import Solver, Bool, Int, And, Or, Not, Result
+    from repro.smt import Solver, Bool, Implies, OneSidedLt, Result
 
     s = Solver()
-    x, y = Int("x"), Int("y")
     p = Bool("p")
-    s.add(Or(Not(p), x < y))
+    s.add(Implies(p, OneSidedLt("x", "y")))
     s.add(p)
     assert s.check() is Result.SAT
     assert s.model().int_value("x") < s.model().int_value("y")
@@ -15,11 +14,11 @@ This is the z3py stand-in used throughout the repository::
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..faults import count_downgrade, fault_point
 from ..obs import span as obs_span
-from .ast import Expr, EnumVar, ZERO_NAME
+from .ast import Expr, EnumVar
 from .backends import BackendLike, make_backend
 from .backends.base import BackendUnavailable
 from .cnf import CnfCompiler
@@ -35,10 +34,10 @@ class Model:
     Captured after a SAT answer, because the underlying SAT core reuses its
     trail for later queries — but captured *lazily*: the constructor takes
     one C-level copy of the SAT assignment array plus the (small) theory
-    valuation, and every Boolean / enum / subexpression query evaluates on
-    demand against that copy through the compiler's registries. Nothing
-    walks the full ``_lit_cache`` up front, which used to dominate
-    model-extraction time during blocking-clause enumeration.
+    valuation, and every Boolean / enum query evaluates on demand against
+    that copy through the compiler's registries. Nothing walks the full
+    ``_lit_cache`` up front, which used to dominate model-extraction time
+    during blocking-clause enumeration.
 
     The compiler registries are append-only and shared with later queries
     on the same solver; variables allocated *after* this snapshot index
@@ -50,9 +49,7 @@ class Model:
         self._compiler = solver._compiler
         self._assign = solver._backend.assignment()  # one flat int copy
         self._known = len(self._assign)  # vars allocated at snapshot time
-        ints = solver._backend.int_values()
-        zero = ints.get(ZERO_NAME, 0)
-        self._ints = {name: value - zero for name, value in ints.items()}
+        self._ints = solver._backend.int_values()
 
     def _var_value(self, var: int) -> Optional[bool]:
         """Snapshot value of a SAT variable; None if unknown here."""
@@ -99,19 +96,12 @@ class Model:
             return None
         return value if lit > 0 else not value
 
-    def expr_value(self, e: Expr, default: bool = False) -> bool:
-        """Truth of a compiled subexpression; ``default`` if never compiled."""
-        val = self._compiled_value(e)
-        if val is None:
-            return default
-        return val
-
     def evaluate(self, e: Expr) -> bool:
         """Semantically evaluate ``e`` bottom-up under this model.
 
-        Unlike :meth:`expr_value` this does not rely on the expression having
-        been compiled; it recomputes truth from variable values, which makes
-        it the reference oracle in the test suite.
+        This does not rely on the expression having been compiled; it
+        recomputes truth from variable values, which makes it the reference
+        oracle in the test suite.
         """
         kind = e.kind
         if kind == "true":
@@ -129,22 +119,18 @@ class Model:
         if kind == "enum_eq":
             enum_var, idx = e.args
             return self.enum_value(enum_var) == enum_var.sort.values[idx]
-        if kind == "le":
-            x, y, c = e.args
-            return self.int_value(x) - self.int_value(y) <= c
-        if kind == "le1":
-            # one-sided atoms: a numeric check is sound only where the atom
-            # occurs as a pure guard/head; prefer expr_value for such nodes
-            x, y, c = e.args
-            compiled = self._compiled_value(e)
-            if compiled is not None and not compiled:
-                return True  # assigned false: no obligation
-            return self.int_value(x) - self.int_value(y) <= c
+        if kind == "lt":
+            # one-sided: a literal assigned false imposes no order, so it is
+            # no obligation on the integer values
+            x, y = e.args
+            if self._compiled_value(e) is False:
+                return True
+            return self.int_value(x) < self.int_value(y)
         raise AssertionError(f"unknown expression kind {kind!r}")
 
 
 class Solver:
-    """An incremental SMT solver for the Bool+Enum+difference-logic fragment.
+    """An incremental SMT solver for the Bool + Enum + one-sided order fragment.
 
     ``backend`` selects what decides the compiled clauses — the in-process
     CDCL core (default) or an external DIMACS solver subprocess; see
@@ -164,7 +150,6 @@ class Solver:
         self._theory = DifferenceTheory()
         self._backend = make_backend(backend, theory=self._theory)
         self._compiler = CnfCompiler(self._backend, self._theory)
-        self._theory.var_id(ZERO_NAME)  # dense id 0: the zero reference
         self._model: Optional[Model] = None
         self._last_result: Optional[Result] = None
         self._downgrades = 0
@@ -181,7 +166,6 @@ class Solver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        assumptions: Sequence[int] = (),
     ) -> Result:
         """Decide the asserted constraints; captures a model when SAT."""
         start = time.monotonic()
@@ -194,16 +178,12 @@ class Solver:
                     backend=getattr(self._backend, "name", "?"),
                 )
                 result = self._backend.solve(
-                    assumptions=assumptions,
-                    max_conflicts=max_conflicts,
-                    max_seconds=max_seconds,
+                    max_conflicts=max_conflicts, max_seconds=max_seconds
                 )
             except BackendUnavailable:
                 self._degrade_to_inprocess()
                 result = self._backend.solve(
-                    assumptions=assumptions,
-                    max_conflicts=max_conflicts,
-                    max_seconds=max_seconds,
+                    max_conflicts=max_conflicts, max_seconds=max_seconds
                 )
             solve_span.set(result=result.value)
         self.check_seconds += time.monotonic() - start
@@ -262,10 +242,6 @@ class Solver:
     def backend(self):
         """The live :class:`~repro.smt.backends.SolverBackend` instance."""
         return self._backend
-
-    def core(self) -> Optional[list[int]]:
-        """After UNSAT under assumptions: a conflicting assumption subset."""
-        return self._backend.core()
 
     def close(self) -> None:
         """Release backend resources (subprocesses, temp files)."""

@@ -9,7 +9,8 @@ The store plays MonkeyDB's three roles from the paper:
 * **replay** predicted executions for validation (directed reads, §5).
 
 A fourth mode — the statement-interleaved read-committed executor — stands
-in for MySQL in the Table 7 comparison (see DESIGN.md §2).
+in for MySQL in the Table 7 comparison (the repository runs no external
+database).
 """
 from .backend import (
     DEFAULT_BACKEND,

@@ -14,7 +14,8 @@ Two granularities:
   replay (with an explicit turn order).
 * :class:`InterleavedScheduler` — context-switches before every store
   *operation* with latest-committed reads: the stand-in for running the
-  benchmarks on MySQL under read committed (Table 7; DESIGN.md §2).
+  benchmarks on MySQL under read committed (Table 7), since the
+  repository runs no external database.
 """
 from __future__ import annotations
 

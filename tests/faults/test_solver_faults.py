@@ -19,7 +19,7 @@ from repro.faults.retry import MAX_RETRIES_ENV
 from repro.gallery import deposit_unserializable
 from repro.isolation import IsolationLevel
 from repro.predict import IsoPredict, PredictionStrategy
-from repro.smt import Bool, Int, Not, Or, Result, Solver
+from repro.smt import Bool, Not, OneSidedLt, Or, Result, Solver
 from repro.smt.backends import DimacsProcessBackend, InProcessBackend
 
 STUB = str(Path(__file__).parent.parent / "smt" / "stub_solver.py")
@@ -95,9 +95,8 @@ class TestGracefulDegradation:
 
     def test_degradation_replays_theory_lemmas(self):
         s = Solver(backend=stub_backend)
-        x, y = Int("x"), Int("y")
-        s.add(x < y)
-        s.add(y < x)
+        s.add(OneSidedLt("x", "y"))
+        s.add(OneSidedLt("y", "x"))
         assert s.check() is Result.UNSAT  # learned >= 1 theory lemma
         reset_fault_state()
         install_plan("solver.solve:missing@0")

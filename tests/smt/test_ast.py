@@ -2,15 +2,12 @@
 from repro.smt import (
     And,
     Bool,
-    BoolVal,
-    Distinct,
     EnumSort,
     EnumVar,
     FALSE,
-    Iff,
     Implies,
-    Int,
     Not,
+    OneSidedLt,
     Or,
     SortError,
     TRUE,
@@ -66,10 +63,6 @@ class TestConstantFolding:
         assert And(And(p, q), r) is And(p, q, r)
         assert Or(Or(p, q), r) is Or(p, q, r)
 
-    def test_bool_val(self):
-        assert BoolVal(True) is TRUE
-        assert BoolVal(False) is FALSE
-
 
 class TestInterning:
     def test_same_structure_same_object(self):
@@ -84,52 +77,20 @@ class TestInterning:
         p, q = Bool("p"), Bool("q")
         assert Implies(p, q) is Or(Not(p), q)
 
-    def test_iff_constants(self):
-        p = Bool("p")
-        assert Iff(p, TRUE) is p
-        assert Iff(p, FALSE) is Not(p)
-        assert Iff(p, p) is TRUE
 
+class TestOrderAtoms:
+    def test_one_sided_lt_builds_lt_atom(self):
+        atom = OneSidedLt("x", "y")
+        assert atom.kind == "lt"
+        assert atom.args == ("x", "y")
+        assert repr(atom) == "(x < y)"
 
-class TestIntTerms:
-    def test_lt_builds_le_atom(self):
-        x, y = Int("x"), Int("y")
-        atom = x < y
-        assert atom.kind == "le"
-        assert atom.args == ("x", "y", -1)
-
-    def test_le_with_offset(self):
-        x, y = Int("x"), Int("y")
-        atom = x <= y + 3
-        assert atom.args == ("x", "y", 3)
-
-    def test_gt_swaps(self):
-        x, y = Int("x"), Int("y")
-        assert (x > y) is (y < x)
-
-    def test_compare_to_constant(self):
-        x = Int("x")
-        atom = x <= 5
-        assert atom.kind == "le"
-        assert atom.args[1] == "$zero"
+    def test_one_sided_lt_is_interned_and_directed(self):
+        assert OneSidedLt("x", "y") is OneSidedLt("x", "y")
+        assert OneSidedLt("x", "y") is not OneSidedLt("y", "x")
 
     def test_reflexive_comparison_folds(self):
-        x = Int("x")
-        assert (x <= x + 1) is TRUE
-        assert (x < x) is FALSE
-
-    def test_zero_name_reserved(self):
-        with pytest.raises(SortError):
-            Int("$zero")
-
-    def test_distinct_two(self):
-        x, y = Int("x"), Int("y")
-        d = Distinct([x, y])
-        assert d is Or(x < y, y < x)
-
-    def test_distinct_empty_and_single(self):
-        assert Distinct([]) is TRUE
-        assert Distinct([Int("x")]) is TRUE
+        assert OneSidedLt("x", "x") is FALSE
 
 
 class TestEnums:
@@ -171,13 +132,7 @@ class TestEnums:
         assert v.ne("r") is Not(v.eq("r"))
 
 
-class TestOperatorSugar:
-    def test_invert_and_or(self):
-        p, q = Bool("p"), Bool("q")
-        assert (~p) is Not(p)
-        assert (p & q) is And(p, q)
-        assert (p | q) is Or(p, q)
-
+class TestSortChecks:
     def test_and_rejects_non_expr(self):
         with pytest.raises(SortError):
             And(Bool("p"), "q")  # type: ignore[arg-type]

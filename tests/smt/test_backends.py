@@ -24,8 +24,8 @@ from repro.smt import (
     And,
     BackendSpec,
     Bool,
-    Int,
     Not,
+    OneSidedLt,
     Or,
     Result,
     Solver,
@@ -89,27 +89,29 @@ class TestConformance:
 
     def test_difference_theory_chain(self, backend):
         s = Solver(backend=backend)
-        x, y, z = Int("x"), Int("y"), Int("z")
-        s.add(x < y)
-        s.add(y < z)
+        s.add(OneSidedLt("x", "y"))
+        s.add(OneSidedLt("y", "z"))
         assert s.check() is Result.SAT
         m = s.model()
         assert m.int_value("x") < m.int_value("y") < m.int_value("z")
 
     def test_difference_theory_conflict(self, backend):
         s = Solver(backend=backend)
-        x, y = Int("x"), Int("y")
-        s.add(x < y)
-        s.add(y < x)
+        s.add(OneSidedLt("x", "y"))
+        s.add(OneSidedLt("y", "x"))
         assert s.check() is Result.UNSAT
 
     def test_theory_guarded_by_boolean(self, backend):
         # the solver must pick the branch whose theory side is consistent
         s = Solver(backend=backend)
-        x, y = Int("x"), Int("y")
         p = Bool("p")
-        s.add(x < y)
-        s.add(Or(And(p, y < x), And(Not(p), y < x + 6)))
+        s.add(OneSidedLt("x", "y"))
+        s.add(
+            Or(
+                And(p, OneSidedLt("y", "x")),
+                And(Not(p), OneSidedLt("z", "y")),
+            )
+        )
         assert s.check() is Result.SAT
         assert s.model().bool_value("p") is False
 
@@ -126,22 +128,6 @@ class TestConformance:
             s.add(Or(*(Bool(n) if not v else Not(Bool(n))
                        for n, v in zip("pq", bits))))
         assert len(seen) == 3  # all assignments of (p, q) except (F, F)
-
-    def test_assumptions_and_core(self, backend):
-        s = Solver(backend=backend)
-        p, q = Bool("p"), Bool("q")
-        s.add(Or(Not(p), q))  # p -> q
-        # force literals to exist for assumption indices
-        assert s.check() is Result.SAT
-        compiler = s._compiler
-        p_var = compiler._bool_vars["p"]
-        q_var = compiler._bool_vars["q"]
-        assert s.check(assumptions=[p_var, -q_var]) is Result.UNSAT
-        core = s.core()
-        assert core is not None and set(core) <= {p_var, -q_var}
-        # the solver stays usable after an assumption failure
-        assert s.check() is Result.SAT
-        assert s.check(assumptions=[p_var, q_var]) is Result.SAT
 
     @pytest.mark.parametrize("name", sorted(GALLERY), ids=sorted(GALLERY))
     def test_gallery_verdicts_match_inprocess(self, backend, name):
@@ -258,7 +244,6 @@ class TestRawBackendProtocol:
         nvars, clauses = pigeonhole(4, 3)
         load(raw, nvars, clauses)
         assert raw.solve() is Result.UNSAT
-        assert raw.core() in (None, [])  # no assumptions, so no core
 
     def test_incremental_blocking_across_solves(self, raw):
         load(raw, 2, [[1, 2]])
@@ -270,14 +255,6 @@ class TestRawBackendProtocol:
             models.add(bits)
             raw.add_clause([-(v if assignment[v] else -v) for v in (1, 2)])
         assert len(models) == 3
-
-    def test_assumptions_and_core(self, raw):
-        load(raw, 3, [[-1, 2]])  # 1 -> 2
-        assert raw.solve(assumptions=[1, -2]) is Result.UNSAT
-        core = raw.core()
-        assert core is not None and set(core) <= {1, -2}
-        assert raw.solve(assumptions=[1, 2]) is Result.SAT
-        assert raw.model_value(2) is True
 
     def test_wall_budget_reports_unknown(self, raw):
         nvars, clauses = pigeonhole(9, 8)  # far beyond 50 ms of search

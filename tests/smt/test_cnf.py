@@ -6,60 +6,60 @@ from repro.smt import (
     EnumSort,
     EnumVar,
     FALSE,
-    Iff,
+    Implies,
     Not,
+    OneSidedLt,
     Or,
     Result,
+    Solver,
     TRUE,
 )
-from repro.smt.cnf import CnfCompiler
-from repro.smt.difference import DifferenceTheory
-from repro.smt.sat import SatSolver
 
 
 def fresh():
-    theory = DifferenceTheory()
-    sat = SatSolver(theory=theory)
-    return sat, CnfCompiler(sat, theory)
+    """A solver and its compiler; models are read through ``Solver.model``."""
+    s = Solver()
+    return s, s._compiler
 
 
 class TestTopLevelDestructuring:
     def test_top_level_and_asserts_conjuncts(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         cnf.assert_expr(And(Bool("a"), Bool("b")))
-        assert sat.solve() is Result.SAT
-        assert cnf.bool_value("a") and cnf.bool_value("b")
+        assert s.check() is Result.SAT
+        m = s.model()
+        assert m.bool_value("a") and m.bool_value("b")
 
     def test_top_level_or_is_one_clause(self):
-        sat, cnf = fresh()
-        before = sat.num_clauses
+        s, cnf = fresh()
+        before = s.num_clauses
         cnf.assert_expr(Or(Bool("a"), Bool("b"), Bool("c")))
-        assert sat.num_clauses == before + 1
+        assert s.num_clauses == before + 1
 
     def test_true_asserts_nothing(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         cnf.assert_expr(TRUE)
-        assert sat.num_clauses == 0
+        assert s.num_clauses == 0
 
     def test_false_makes_unsat(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         cnf.assert_expr(FALSE)
-        assert sat.solve() is Result.UNSAT
+        assert s.check() is Result.UNSAT
 
 
 class TestSharing:
     def test_shared_subterm_compiled_once(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         shared = And(Bool("a"), Bool("b"))
         cnf.assert_expr(Or(shared, Bool("c")))
-        vars_after_first = sat.num_vars
+        vars_after_first = s.num_vars
         cnf.assert_expr(Or(shared, Bool("d")))
         # the shared conjunction must not allocate a second auxiliary var;
         # only 'd' is new
-        assert sat.num_vars == vars_after_first + 1
+        assert s.num_vars == vars_after_first + 1
 
     def test_negation_shares_literal(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         a = Bool("a")
         l1 = cnf.literal(a)
         l2 = cnf.literal(Not(a))
@@ -68,62 +68,80 @@ class TestSharing:
 
 class TestEnumExpansion:
     def test_exactly_one_clauses_emitted_once(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         sort = EnumSort("s", ["a", "b", "c"])
         v = EnumVar("v", sort)
         cnf.assert_expr(Or(v.eq("a"), v.eq("b")))
-        clauses_after = sat.num_clauses
+        clauses_after = s.num_clauses
         cnf.assert_expr(Or(v.ne("c"), Bool("g")))
         # one new clause for the disjunction; no repeated exactly-one set
-        assert sat.num_clauses == clauses_after + 1
-        assert sat.solve() is Result.SAT
-        assert cnf.enum_value(v) in ("a", "b")
+        assert s.num_clauses == clauses_after + 1
+        assert s.check() is Result.SAT
+        assert s.model().enum_value(v) in ("a", "b")
 
     def test_model_assigns_exactly_one(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         sort = EnumSort("s", ["a", "b", "c"])
         v = EnumVar("v", sort)
         cnf.assert_expr(v.ne("b"))
-        assert sat.solve() is Result.SAT
-        assert cnf.enum_value(v) in ("a", "c")
+        assert s.check() is Result.SAT
+        assert s.model().enum_value(v) in ("a", "c")
 
     def test_unmentioned_enum_defaults(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         sort = EnumSort("s", ["a", "b"])
         v = EnumVar("unused", sort)
-        assert cnf.enum_value(v) == "a"
+        assert s.check() is Result.SAT
+        assert s.model().enum_value(v) == "a"
 
 
 class TestLiteralAccounting:
     def test_counter_monotone(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         cnf.assert_expr(Or(Bool("a"), Bool("b")))
         first = cnf.num_literals
-        cnf.assert_expr(Iff(Bool("c"), And(Bool("a"), Bool("b"))))
+        cnf.assert_expr(Implies(Bool("c"), And(Bool("a"), Bool("b"))))
         assert cnf.num_literals > first
 
 
 class TestExprValue:
     def test_compiled_subexpression_value(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         conj = And(Bool("a"), Bool("b"))
         # nested (not top-level) so the conjunction gets its own literal
         cnf.assert_expr(Or(conj, Bool("g")))
         cnf.assert_expr(Not(Bool("g")))
         cnf.assert_expr(Bool("a"))
         cnf.assert_expr(Bool("b"))
-        assert sat.solve() is Result.SAT
-        assert cnf.expr_value(conj) is True
+        assert s.check() is Result.SAT
+        assert s.model()._compiled_value(conj) is True
 
     def test_top_level_and_is_destructured_not_compiled(self):
-        sat, cnf = fresh()
+        s, cnf = fresh()
         conj = And(Bool("a"), Bool("b"))
         cnf.assert_expr(conj)
-        assert sat.solve() is Result.SAT
+        assert s.check() is Result.SAT
+        m = s.model()
         # destructured: the conjunction itself has no literal of its own
-        assert cnf.expr_value(conj) is None
-        assert cnf.bool_value("a") and cnf.bool_value("b")
+        assert m._compiled_value(conj) is None
+        assert m.bool_value("a") and m.bool_value("b")
 
     def test_uncompiled_returns_none(self):
-        sat, cnf = fresh()
-        assert cnf.expr_value(And(Bool("x"), Bool("y"))) is None
+        s, cnf = fresh()
+        assert s.check() is Result.SAT
+        assert s.model()._compiled_value(And(Bool("x"), Bool("y"))) is None
+
+
+class TestOrderAtoms:
+    def test_order_atom_registers_a_difference_constraint(self):
+        s, cnf = fresh()
+        lit = cnf.literal(OneSidedLt("x", "y"))
+        theory = s._theory
+        x, y = theory.var_id("x"), theory.var_id("y")
+        assert theory._atoms[lit] == (x, y, -1)  # x - y <= -1
+
+    def test_order_atom_compiled_once(self):
+        s, cnf = fresh()
+        atom = OneSidedLt("x", "y")
+        assert cnf.literal(atom) == cnf.literal(atom)
+        assert cnf.literal(Not(atom)) == -cnf.literal(atom)

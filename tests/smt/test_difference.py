@@ -38,11 +38,15 @@ class TestUnit:
         assert th.value("v0") - th.value("v1") <= 5
 
     def test_negated_constraint(self):
-        # not(v0 - v1 <= 5)  ==  v1 - v0 <= -6  ==  v0 - v1 >= 6
+        # a false atom asserts nothing: not(v0 < v1) does not force
+        # v1 <= v0, so a second atom ordering v0 < v1 stays consistent
         th = fresh_theory(2)
-        th.add_atom(1, "v0", "v1", 5)
+        th.add_atom(1, "v0", "v1", -1)
+        th.add_atom(2, "v0", "v1", -1)
         assert th.assert_literal(-1) is None
-        assert th.value("v0") - th.value("v1") >= 6
+        assert th.assert_literal(2) is None
+        assert th.value("v0") < th.value("v1")
+        assert th.stats["asserts"] == 1
 
     def test_two_edge_cycle_conflict(self):
         # v0 - v1 <= -1 and v1 - v0 <= -1: negative cycle

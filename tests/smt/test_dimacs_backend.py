@@ -16,7 +16,7 @@ import pytest
 from repro.gallery import deposit_unserializable, fig8a_smallbank_observed
 from repro.isolation import IsolationLevel
 from repro.predict import IsoPredict, PredictionStrategy
-from repro.smt import Bool, Int, Not, Or, Result, Solver
+from repro.smt import Bool, Not, OneSidedLt, Or, Result, Solver
 from repro.smt.backends import (
     BackendUnavailable,
     DimacsProcessBackend,
@@ -54,9 +54,8 @@ class TestStubBridge:
 
     def test_theory_refinement_loop(self):
         s = Solver(backend=stub_backend)
-        x, y = Int("x"), Int("y")
-        s.add(x < y)
-        s.add(y < x)
+        s.add(OneSidedLt("x", "y"))
+        s.add(OneSidedLt("y", "x"))
         assert s.check() is Result.UNSAT
         # the skeleton alone is satisfiable: reaching UNSAT requires at
         # least one lazily learned theory lemma

@@ -1,18 +1,16 @@
-"""End-to-end Solver tests over the mixed Bool/Enum/difference fragment."""
+"""End-to-end Solver tests over the Bool/Enum/one-sided order fragment."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
     And,
     Bool,
-    Distinct,
     EnumSort,
     EnumVar,
-    Iff,
     Implies,
-    Int,
     ModelUnavailable,
     Not,
+    OneSidedLt,
     Or,
     Result,
     Solver,
@@ -50,11 +48,11 @@ class TestBooleanLayer:
         assert m.bool_value("r") is True
         assert m.bool_value("p") is False
 
-    def test_iff_chain(self):
+    def test_implication_chain(self):
         s = Solver()
         ps = [Bool(f"p{i}") for i in range(6)]
         for a, b in zip(ps, ps[1:]):
-            s.add(Iff(a, b))
+            s.add(Implies(a, b))
         s.add(ps[0])
         assert s.check() is Result.SAT
         assert all(s.model().bool_value(f"p{i}") for i in range(6))
@@ -79,62 +77,76 @@ class TestBooleanLayer:
 class TestIntegerLayer:
     def test_chain_of_strict_inequalities(self):
         s = Solver()
-        xs = [Int(f"x{i}") for i in range(5)]
+        xs = [f"x{i}" for i in range(5)]
         for a, b in zip(xs, xs[1:]):
-            s.add(a < b)
+            s.add(OneSidedLt(a, b))
         assert s.check() is Result.SAT
         m = s.model()
-        values = [m.int_value(f"x{i}") for i in range(5)]
+        values = [m.int_value(x) for x in xs]
         assert values == sorted(values)
         assert len(set(values)) == 5
 
     def test_cycle_unsat(self):
         s = Solver()
-        x, y, z = Int("x"), Int("y"), Int("z")
-        s.add(x < y, y < z, z < x)
+        s.add(OneSidedLt("x", "y"), OneSidedLt("y", "z"), OneSidedLt("z", "x"))
         assert s.check() is Result.UNSAT
+
+    def test_forced_one_sided_cycle_unsat(self):
+        """A cycle forced through Boolean guards is a theory conflict."""
+        s = Solver()
+        p, q = Bool("p"), Bool("q")
+        s.add(Or(p, q))
+        s.add(Implies(p, OneSidedLt("x", "y")))
+        s.add(Implies(q, OneSidedLt("x", "y")))
+        s.add(OneSidedLt("y", "z"), OneSidedLt("z", "x"))
+        assert s.check() is Result.UNSAT
+
+    def test_false_one_sided_literal_imposes_no_order(self):
+        """``not (x < y)`` does not assert ``y <= x``, so it coexists with
+        an order that puts x below y; a two-sided atom would be UNSAT here."""
+        s = Solver()
+        s.add(Not(OneSidedLt("x", "y")))
+        s.add(OneSidedLt("x", "z"), OneSidedLt("z", "y"))
+        assert s.check() is Result.SAT
+        m = s.model()
+        assert m.int_value("x") < m.int_value("z") < m.int_value("y")
 
     def test_conditional_ordering(self):
         s = Solver()
         p = Bool("p")
-        x, y = Int("x"), Int("y")
-        s.add(Implies(p, x < y), Implies(Not(p), y < x), x < y)
+        s.add(
+            Implies(p, OneSidedLt("x", "y")),
+            Implies(Not(p), OneSidedLt("y", "x")),
+            OneSidedLt("x", "y"),
+        )
         assert s.check() is Result.SAT
         assert s.model().bool_value("p") is True
-
-    def test_distinct_total_order(self):
-        s = Solver()
-        xs = [Int(f"t{i}") for i in range(4)]
-        s.add(Distinct(xs))
-        assert s.check() is Result.SAT
-        m = s.model()
-        assert len({m.int_value(f"t{i}") for i in range(4)}) == 4
-
-    def test_constant_bounds(self):
-        s = Solver()
-        x = Int("x")
-        s.add(x > 3, x <= 5)
-        assert s.check() is Result.SAT
-        assert s.model().int_value("x") in (4, 5)
-
-    def test_constant_bounds_unsat(self):
-        s = Solver()
-        x = Int("x")
-        s.add(x > 5, x <= 5)
-        assert s.check() is Result.UNSAT
 
     def test_boolean_choice_of_cycle(self):
         """Solver must flip the boolean to avoid the theory conflict."""
         s = Solver()
         p = Bool("p")
-        x, y = Int("x"), Int("y")
-        s.add(Or(Not(p), x < y))
-        s.add(Or(Not(p), y < x))
-        s.add(Or(p, x < y))
+        s.add(Or(Not(p), OneSidedLt("x", "y")))
+        s.add(Or(Not(p), OneSidedLt("y", "x")))
+        s.add(Or(p, OneSidedLt("x", "y")))
         assert s.check() is Result.SAT
         m = s.model()
         assert m.bool_value("p") is False
         assert m.int_value("x") < m.int_value("y")
+
+    def test_evaluate_false_one_sided_atom_is_true(self):
+        """A one-sided atom the model assigns false is no obligation, even
+        where the integer values order the other way."""
+        s = Solver()
+        p = Bool("p")
+        lt = OneSidedLt("x", "y")
+        s.add(Implies(p, lt), Not(lt), OneSidedLt("y", "x"))
+        assert s.check() is Result.SAT
+        m = s.model()
+        assert m.int_value("y") < m.int_value("x")
+        assert m.bool_value("p") is False
+        assert m.evaluate(lt) is True
+        assert m.evaluate(Implies(p, lt)) is True
 
 
 class TestEnumLayer:
@@ -183,27 +195,25 @@ class TestEnumLayer:
 
 class TestMixed:
     def test_enum_selects_order(self):
-        """Enum choice drives difference constraints, like phi_choice."""
+        """Enum choice drives order atoms, like phi_choice."""
         sort = EnumSort("writer", ["w1", "w2"])
         v = EnumVar("choice", sort)
-        x, y = Int("x"), Int("y")
         s = Solver()
-        s.add(Implies(v.eq("w1"), x < y))
-        s.add(Implies(v.eq("w2"), y < x))
-        s.add(x < y)
+        s.add(Implies(v.eq("w1"), OneSidedLt("x", "y")))
+        s.add(Implies(v.eq("w2"), OneSidedLt("y", "x")))
+        s.add(OneSidedLt("x", "y"))
         assert s.check() is Result.SAT
         assert s.model().enum_value(v) == "w1"
 
     def test_model_evaluates_assertions(self):
         s = Solver()
         p, q = Bool("p"), Bool("q")
-        x, y, z = Int("x"), Int("y"), Int("z")
         sort = EnumSort("k", ["u", "v", "w"])
         e = EnumVar("e", sort)
         assertions = [
             Or(p, q),
-            Implies(p, x < y),
-            Implies(q, y < z),
+            Implies(p, OneSidedLt("x", "y")),
+            Implies(q, OneSidedLt("y", "z")),
             Or(e.eq("u"), e.eq("w")),
             Implies(e.eq("u"), Not(p)),
         ]
@@ -215,13 +225,9 @@ class TestMixed:
             assert m.evaluate(a), f"model does not satisfy {a!r}"
 
 
-def _eval_clause_problem(draw):
-    pass
-
-
 @st.composite
 def mixed_problem(draw):
-    """Random implications between bools and small int-order atoms."""
+    """Random guarded one-sided order atoms: ``guard => i_a < i_b``."""
     n_bool = draw(st.integers(min_value=1, max_value=3))
     n_int = draw(st.integers(min_value=2, max_value=4))
     n_constraints = draw(st.integers(min_value=1, max_value=10))
@@ -279,7 +285,7 @@ class TestPropertyMixed:
         exprs = []
         for (g, pos, a, b) in constraints:
             guard = Bool(f"g{g}") if pos else Not(Bool(f"g{g}"))
-            atom = Int(f"i{a}") < Int(f"i{b}")
+            atom = OneSidedLt(f"i{a}", f"i{b}")
             exprs.append(Or(Not(guard), atom))
             s.add(exprs[-1])
         result = s.check()
@@ -289,3 +295,23 @@ class TestPropertyMixed:
             m = s.model()
             for e in exprs:
                 assert m.evaluate(e)
+
+
+class TestInstrumentationSeam:
+    def test_search_core_imports_no_instrumentation(self):
+        """Spans and fault points live at ``Solver.check``: the CDCL core
+        and the difference-logic theory import neither ``repro.obs`` nor
+        ``repro.faults``, so no instrumentation call can reach the
+        propagation or repair loops."""
+        from pathlib import Path
+
+        import repro.smt
+        from tests.isolation.test_property import imported_modules
+
+        package = Path(repro.smt.__file__).parent
+        for name in ("sat.py", "difference.py"):
+            for module in imported_modules(package / name, "repro.smt"):
+                assert module.split(".")[:2] not in (
+                    ["repro", "obs"],
+                    ["repro", "faults"],
+                ), f"{name} imports {module}"
