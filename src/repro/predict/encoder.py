@@ -8,8 +8,9 @@ paper writes as SMT functions over transaction pairs become:
   ``phi_obs``) — the constant folding in :mod:`repro.smt.ast` then erases
   them from the emitted formula;
 * **plain expressions** where the definition is non-recursive
-  (``phi_wr_k``, ``phi_wr``, ``phi_wwcausal``, ``phi_wwrc``) — hash-consing
-  shares the subterms across every use;
+  (``phi_wr_k``, ``phi_wr``, ``phi_wwcausal``, ``phi_wwrc``) — the
+  encoding's memo dicts build each subterm once and share that object
+  across every use, and the CNF compiler compiles it once;
 * **named Boolean variables with containment clauses** for the recursive
   ``phi_hb`` — but only for a cell the solver has something to decide: an
   hb cell that session order fixes is ``TRUE`` or ``FALSE``. Constraints

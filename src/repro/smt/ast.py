@@ -1,4 +1,4 @@
-"""Hash-consed expression AST for the SMT substrate.
+"""Expression AST for the SMT substrate.
 
 The fragment implemented here is exactly what IsoPredict's constraint
 generation needs (paper §4 and Appendix B):
@@ -10,11 +10,15 @@ generation needs (paper §4 and Appendix B):
   (:func:`OneSidedLt`), used for commit-order positions and decided by
   the difference-logic theory.
 
-Expressions are immutable and interned (hash-consed), so structurally equal
-subterms are the same object; the Tseitin transform in :mod:`repro.smt.cnf`
-exploits this to emit each shared subformula once. Constructors constant-fold
-aggressively because IsoPredict instantiates schema constraints over observed
-relations that are mostly static (e.g. ``phi_so`` is a constant per pair).
+Expressions are immutable values: two nodes are equal when they have the
+same kind and equal arguments, and their hash is computed once, at
+construction. Nothing is interned, so a term lives exactly as long as the
+encoding or solver that holds it. Sharing does not need identity: the
+Tseitin transform in :mod:`repro.smt.cnf` caches one literal per
+structurally distinct node, so it still emits each shared subformula once.
+Constructors constant-fold aggressively because IsoPredict instantiates
+schema constraints over observed relations that are mostly static (e.g.
+``phi_so`` is a constant per pair).
 """
 from __future__ import annotations
 
@@ -38,35 +42,31 @@ __all__ = [
 
 
 class Expr:
-    """A hash-consed expression node.
+    """An immutable expression node, compared by structure.
 
     ``kind`` is one of ``true``, ``false``, ``var``, ``not``, ``and``, ``or``,
     ``enum_eq``, ``lt``. ``args`` holds children for connectives, or the
     defining payload for atoms. Use the module-level constructors rather than
-    instantiating directly.
+    instantiating directly; ``TRUE`` and ``FALSE`` are the only constants.
     """
 
     __slots__ = ("kind", "args", "_hash")
 
-    _table: dict[tuple, "Expr"] = {}
-
-    def __new__(cls, kind: str, args: tuple):
-        key = (kind, args)
-        found = cls._table.get(key)
-        if found is not None:
-            return found
-        node = super().__new__(cls)
-        node.kind = kind
-        node.args = args
-        node._hash = hash(key)
-        cls._table[key] = node
-        return node
+    def __init__(self, kind: str, args: tuple):
+        self.kind = kind
+        self.args = args
+        self._hash = hash((kind, args))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return self is other
+        return self is other or (
+            type(other) is Expr
+            and self._hash == other._hash
+            and self.kind == other.kind
+            and self.args == other.args
+        )
 
     def __repr__(self) -> str:
         return _render(self)
@@ -103,17 +103,33 @@ def _flatten(kind: str, es: Iterable[Expr]) -> list[Expr]:
     return out
 
 
-def _complement_of(e: Expr) -> "Expr | None":
-    """The interned negation of ``e`` if it already exists, else None.
+def _fold(kind: str, es: Iterable[Expr], unit: Expr, zero: Expr) -> Expr:
+    """Flatten, deduplicate and constant-fold an ``and``/``or`` node.
 
-    Complement checks in And/Or only need to ask "is ¬e among the other
-    conjuncts/disjuncts?" — if ¬e was never interned it cannot be, so this
-    avoids allocating (and permanently interning) a Not node per argument
-    of every connective built.
+    ``unit`` is dropped and ``zero`` absorbs (``TRUE``/``FALSE`` for And).
+    An argument next to its own complement absorbs too. The check is local
+    to the arguments: ``negated`` holds ``e`` for every ``Not(e)`` seen so
+    far, so no ``Not`` node is built to ask whether one is present.
     """
-    if e.kind == "not":
-        return e.args[0]
-    return Expr._table.get(("not", (e,)))
+    seen: dict[Expr, None] = {}
+    negated: set[Expr] = set()
+    for e in _flatten(kind, es):
+        if e is zero:
+            return zero
+        if e is unit:
+            continue
+        if e.kind == "not":
+            if e.args[0] in seen:
+                return zero
+            negated.add(e.args[0])
+        elif e in negated:
+            return zero
+        seen[e] = None
+    if not seen:
+        return unit
+    if len(seen) == 1:
+        return next(iter(seen))
+    return Expr(kind, tuple(seen))
 
 
 def And(*es: Expr) -> Expr:
@@ -132,48 +148,19 @@ def And(*es: Expr) -> Expr:
             and b is not TRUE
             and b is not FALSE
         ):
-            if a is b:
+            if a == b:
                 return a
-            comp = a.args[0] if a.kind == "not" else None
-            if comp is b or (b.kind == "not" and b.args[0] is a):
+            if (a.kind == "not" and a.args[0] == b) or (
+                b.kind == "not" and b.args[0] == a
+            ):
                 return FALSE
             return Expr("and", (a, b))
-    flat = _flatten("and", es)
-    seen: dict[Expr, None] = {}
-    for e in flat:
-        if e is FALSE:
-            return FALSE
-        if e is TRUE:
-            continue
-        comp = _complement_of(e)
-        if comp is not None and comp in seen:
-            return FALSE
-        seen[e] = None
-    if not seen:
-        return TRUE
-    if len(seen) == 1:
-        return next(iter(seen))
-    return Expr("and", tuple(seen))
+    return _fold("and", es, TRUE, FALSE)
 
 
 def Or(*es: Expr) -> Expr:
     """Disjunction with flattening, deduplication and constant folding."""
-    flat = _flatten("or", es)
-    seen: dict[Expr, None] = {}
-    for e in flat:
-        if e is TRUE:
-            return TRUE
-        if e is FALSE:
-            continue
-        comp = _complement_of(e)
-        if comp is not None and comp in seen:
-            return TRUE
-        seen[e] = None
-    if not seen:
-        return FALSE
-    if len(seen) == 1:
-        return next(iter(seen))
-    return Expr("or", tuple(seen))
+    return _fold("or", es, FALSE, TRUE)
 
 
 def Implies(a: Expr, b: Expr) -> Expr:

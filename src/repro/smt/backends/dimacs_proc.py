@@ -231,20 +231,20 @@ class DimacsProcessBackend:
 
     # ------------------------------------------------------------------
     def _check_theory(self, assign: list[int]) -> Optional[list[int]]:
-        """Assert the model's theory literals; return a conflict or None.
+        """Assert the model's true theory atoms; return a conflict or None.
 
-        On success the assertions are *kept* so ``int_values`` can read the
-        repaired potential function; the next ``solve`` releases them.
+        A false atom asserts nothing, so it is not handed over. On success
+        the assertions are *kept* so ``int_values`` can read the repaired
+        potential function; the next ``solve`` releases them.
         """
         theory = self._theory
         if theory is None or not theory._atoms:
             return None
-        atoms = theory._atoms
-        for sat_var in sorted(atoms):
-            value = assign[sat_var] if sat_var < len(assign) else -1
-            lit = sat_var if value == 1 else -sat_var
+        for sat_var in sorted(theory._atoms):
+            if sat_var >= len(assign) or assign[sat_var] != 1:
+                continue
             self._asserted += 1
-            conflict = theory.assert_literal(lit)
+            conflict = theory.assert_literal(sat_var)
             if conflict is not None:
                 theory.pop_to(0)
                 self._asserted = 0

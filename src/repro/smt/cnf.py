@@ -1,10 +1,11 @@
 """Tseitin transformation from the expression AST to CNF.
 
-The compiler walks the hash-consed DAG once per distinct node, emitting:
+The compiler walks the expression DAG once per structurally distinct node
+(its literal cache is keyed by structural equality), emitting:
 
 * a fresh SAT variable per composite node with defining clauses in both
-  polarities (plain Tseitin; the DAG sharing from hash-consing keeps the
-  output small in practice),
+  polarities (plain Tseitin; a subformula shared by many constraints is
+  compiled once, which keeps the output small in practice),
 * a SAT variable per Boolean atom,
 * a SAT variable per ``enum_eq`` atom, together with *exactly-one* clauses
   over each enum variable's candidate domain the first time the variable is
@@ -29,7 +30,8 @@ class CnfCompiler:
     """Compiles :class:`Expr` assertions into a :class:`SatSolver`.
 
     One compiler per solver instance; it owns the atom and enum registries
-    used later for model extraction.
+    used later for model extraction. They live as long as the solver does,
+    and so do the terms they key.
     """
 
     def __init__(self, sat: SatSolver, theory: DifferenceTheory):

@@ -15,7 +15,7 @@ to the new edge's tail, exhibiting a negative cycle.
 
 Only a *true* atom adds an edge. The encoder's order atoms are one-sided
 (:func:`repro.smt.ast.OneSidedLt`): a false literal asserts nothing, so the
-SAT core may decide order atoms negatively without touching the graph.
+SAT core decides order atoms negatively without telling the theory.
 
 Backtracking pops edges LIFO. The potential function is *kept* across pops:
 a potential feasible for a superset of edges is feasible for any subset.
@@ -87,18 +87,14 @@ class DifferenceTheory:
     # Assertion / retraction (called by the SAT core)
     # ------------------------------------------------------------------
     def assert_literal(self, lit: int) -> Optional[list[int]]:
-        """Assert a signed literal over a registered atom.
+        """Assert a registered atom true, adding its edge.
 
         Returns ``None`` on success, or the conflict explanation: a list of
         currently-asserted literals (including ``lit``) whose conjunction is
         theory-inconsistent. The assertion is recorded either way; the SAT
-        core is expected to backtrack past it after a conflict.
+        core is expected to backtrack past it after a conflict. A false
+        atom has no theory content, so callers never assert one.
         """
-        if lit < 0:
-            # a false atom has no theory content; record a placeholder so
-            # assertion counts stay aligned with the SAT core
-            self._edges.append(None)
-            return None
         x, y, c = self._atoms[lit]
         src, dst, weight = y, x, c  # x - y <= c : edge y -> x
         self.stats["asserts"] += 1
@@ -115,8 +111,6 @@ class DifferenceTheory:
         """Retract edges so only the first ``n_asserted`` assertions remain."""
         while len(self._edges) > n_asserted:
             edge = self._edges.pop()
-            if edge is None:
-                continue  # false atom: nothing to undo
             removed = self._out[edge.src].pop()
             assert removed == len(self._edges)
 

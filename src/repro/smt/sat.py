@@ -9,7 +9,7 @@ A conflict-driven clause-learning solver in the MiniSat tradition:
 * LBD-scored learned-clause database reduction,
 * incremental clause addition between ``solve()`` calls, and
 * an optional *theory* hook (DPLL(T)): after every propagation fixpoint the
-  solver feeds newly assigned theory literals to the theory, which may answer
+  solver feeds newly true theory atoms to the theory, which may answer
   with a conflict explanation (a set of asserted literals that are jointly
   theory-inconsistent).
 
@@ -47,11 +47,13 @@ class Theory(Protocol):
     """Interface the SAT core expects from a theory solver."""
 
     def is_theory_var(self, var: int) -> bool:
-        """Whether ``var`` is a theory atom (gets asserted on assignment)."""
+        """Whether ``var`` is a theory atom (asserted when it becomes true)."""
 
     def assert_literal(self, lit: int) -> Optional[list[int]]:
-        """Assert a signed literal; return a conflicting literal set or None.
+        """Assert atom ``lit`` true; return a conflicting literal set or None.
 
+        Only true atoms are asserted: an atom assigned false constrains
+        nothing (the atoms are one-sided), so ``lit`` is always positive.
         The returned conflict must contain only literals previously asserted
         via this method (including ``lit`` itself), all currently true.
         """
@@ -252,9 +254,10 @@ class SatSolver:
 
         The Tseitin compiler's clauses contain in-range literals over
         pairwise-distinct variables by construction (connective arguments
-        are interned, deduplicated and complement-folded before they reach
-        it), so the duplicate/tautology bookkeeping of :meth:`add_clause`
-        is skipped. Root-level simplification and unit handling are kept —
+        are deduplicated and complement-folded by structural equality,
+        and the compiler maps structurally equal nodes to one literal), so
+        the duplicate/tautology bookkeeping of :meth:`add_clause` is
+        skipped. Root-level simplification and unit handling are kept —
         they carry incremental-solving semantics, not validation.
         """
         if self._trail_lim:
@@ -444,7 +447,7 @@ class SatSolver:
         return None
 
     def _theory_check(self) -> Optional[list[int]]:
-        """Feed newly assigned theory literals to the theory solver.
+        """Feed newly assigned true theory atoms to the theory solver.
 
         Returns a conflict as a *clause* of internal literals, or None.
         """
@@ -464,6 +467,8 @@ class SatSolver:
             idx = self._thead
             ilit = trail[idx]
             self._thead += 1
+            if ilit & 1:
+                continue  # a false atom asserts nothing
             var = ilit >> 1
             if atoms is not None:
                 if var not in atoms:
@@ -471,7 +476,7 @@ class SatSolver:
             elif not is_theory_var(var):
                 continue
             self._theory_trail.append(idx)
-            conflict = theory.assert_literal(self._to_external(ilit))
+            conflict = theory.assert_literal(var)
             if conflict is not None:
                 self.stats["theory_conflicts"] += 1
                 # theory reports true literals; conflict clause negates them

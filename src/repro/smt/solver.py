@@ -99,9 +99,12 @@ class Model:
     def evaluate(self, e: Expr) -> bool:
         """Semantically evaluate ``e`` bottom-up under this model.
 
-        This does not rely on the expression having been compiled; it
-        recomputes truth from variable values, which makes it the reference
-        oracle in the test suite.
+        Boolean structure is recomputed from variable values, not read
+        from compiled gates, which makes this the reference oracle in the
+        test suite. A compiled order atom is its SAT literal: asserted
+        false it imposes no order, so the potentials cannot tell it
+        apart from a true one. An order atom that was never compiled
+        reads the potentials.
         """
         kind = e.kind
         if kind == "true":
@@ -120,11 +123,10 @@ class Model:
             enum_var, idx = e.args
             return self.enum_value(enum_var) == enum_var.sort.values[idx]
         if kind == "lt":
-            # one-sided: a literal assigned false imposes no order, so it is
-            # no obligation on the integer values
+            value = self._compiled_value(e)
+            if value is not None:
+                return value
             x, y = e.args
-            if self._compiled_value(e) is False:
-                return True
             return self.int_value(x) < self.int_value(y)
         raise AssertionError(f"unknown expression kind {kind!r}")
 

@@ -12,7 +12,9 @@ import weakref
 import pytest
 
 from repro.api import Analysis
-from repro.bench_apps import Smallbank, WorkloadConfig
+from repro.bench_apps import TPCC, Smallbank, WorkloadConfig, record_observed
+from repro.serve import WindowConfig, WindowFamily, segment_history
+from repro.smt import Expr
 from repro.sources import BenchAppSource
 
 STRATEGIES = ("approx-relaxed", "approx-strict", "exact-relaxed",
@@ -91,3 +93,40 @@ class TestLruEviction:
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             _session(max_cached_configs=0)
+
+
+def _live_exprs() -> set[int]:
+    gc.collect()
+    return {id(o) for o in gc.get_objects() if isinstance(o, Expr)}
+
+
+class TestExpressionLifetime:
+    """A closed analysis frees every term its encoding built.
+
+    No term means anything outside its own encoding, so nothing may keep
+    one alive once the solver that compiled it is released.
+    """
+
+    def test_closed_sessions_leave_no_terms(self):
+        before = _live_exprs()
+        for seed in range(6):
+            with Analysis(
+                BenchAppSource(TPCC, WorkloadConfig.tiny(), seed)
+            ).under("causal").using(max_seconds=30.0) as session:
+                session.predict(k=2)
+                assert _live_exprs() - before, "the live solver holds terms"
+            assert _live_exprs() <= before, f"session {seed} leaked terms"
+
+    def test_window_walk_leaves_no_terms(self):
+        app = Smallbank(WorkloadConfig.small())
+        windows = segment_history(
+            record_observed(app, 1).history, WindowConfig(size=4, stride=2)
+        )
+        assert len(windows) >= 4
+        before = _live_exprs()
+        family = WindowFamily("causal")
+        for window in windows:
+            family.analyze(window, k=1)
+        family.release()
+        assert family.windows == len(windows)
+        assert _live_exprs() <= before

@@ -1,4 +1,4 @@
-"""Unit tests for the expression AST: folding, interning, atoms."""
+"""Unit tests for the expression AST: folding, structural equality, atoms."""
 from repro.smt import (
     And,
     Bool,
@@ -13,6 +13,12 @@ from repro.smt import (
     TRUE,
 )
 import pytest
+
+
+def assert_same(a, b):
+    """Structurally equal terms compare equal and hash alike."""
+    assert a == b
+    assert hash(a) == hash(b)
 
 
 class TestConstantFolding:
@@ -56,26 +62,47 @@ class TestConstantFolding:
 
     def test_dedup(self):
         p, q = Bool("p"), Bool("q")
-        assert And(p, q, p) is And(p, q)
+        assert_same(And(p, q, p), And(p, q))
+        assert And(p, q, p).args == (p, q)
 
     def test_flattening(self):
         p, q, r = Bool("p"), Bool("q"), Bool("r")
-        assert And(And(p, q), r) is And(p, q, r)
-        assert Or(Or(p, q), r) is Or(p, q, r)
+        assert_same(And(And(p, q), r), And(p, q, r))
+        assert_same(Or(Or(p, q), r), Or(p, q, r))
 
 
-class TestInterning:
-    def test_same_structure_same_object(self):
+class TestStructuralEquality:
+    def test_same_structure_is_equal(self):
         p, q = Bool("p"), Bool("q")
-        assert And(p, q) is And(p, q)
-        assert Or(p, q) is Or(p, q)
+        assert_same(And(p, q), And(p, q))
+        assert_same(Or(p, q), Or(p, q))
+        assert And(p, q) != Or(p, q)
+        assert And(p, q) != And(q, p)
 
-    def test_var_interned_by_name(self):
-        assert Bool("zzz") is Bool("zzz")
+    def test_terms_are_not_interned(self):
+        # equal terms built twice are two objects: nothing outlives the
+        # encoding that built it
+        assert Bool("zzz") is not Bool("zzz")
+        assert And(Bool("p"), Bool("q")) is not And(Bool("p"), Bool("q"))
+
+    def test_var_equal_by_name(self):
+        assert_same(Bool("zzz"), Bool("zzz"))
+        assert Bool("zzz") != Bool("zz")
 
     def test_implies_expands(self):
         p, q = Bool("p"), Bool("q")
-        assert Implies(p, q) is Or(Not(p), q)
+        assert_same(Implies(p, q), Or(Not(p), q))
+
+    def test_dedup_and_complements_across_copies(self):
+        # separately built copies dedupe and fold like one object would
+        p = Bool("p")
+        assert And(p, Bool("p")) == p
+        assert And(Bool("p"), Bool("q"), Bool("p")).args == (p, Bool("q"))
+        assert And(p, Not(Bool("p"))) is FALSE
+        assert And(Not(Bool("p")), p) is FALSE
+        assert Or(Bool("q"), p, Not(Bool("p"))) is TRUE
+        assert And(Bool("q"), Not(Bool("p")), Bool("p")) is FALSE
+        assert_same(Not(Not(Bool("p"))), p)
 
 
 class TestOrderAtoms:
@@ -85,9 +112,9 @@ class TestOrderAtoms:
         assert atom.args == ("x", "y")
         assert repr(atom) == "(x < y)"
 
-    def test_one_sided_lt_is_interned_and_directed(self):
-        assert OneSidedLt("x", "y") is OneSidedLt("x", "y")
-        assert OneSidedLt("x", "y") is not OneSidedLt("y", "x")
+    def test_one_sided_lt_is_structural_and_directed(self):
+        assert_same(OneSidedLt("x", "y"), OneSidedLt("x", "y"))
+        assert OneSidedLt("x", "y") != OneSidedLt("y", "x")
 
     def test_reflexive_comparison_folds(self):
         assert OneSidedLt("x", "x") is FALSE
@@ -97,8 +124,8 @@ class TestEnums:
     def test_eq_atom(self):
         sort = EnumSort("color", ["r", "g", "b"])
         v = EnumVar("c", sort)
-        assert v.eq("r") is v.eq("r")
-        assert v.eq("r") is not v.eq("g")
+        assert_same(v.eq("r"), v.eq("r"))
+        assert v.eq("r") != v.eq("g")
 
     def test_eq_non_candidate_is_false(self):
         sort = EnumSort("color", ["r", "g", "b"])
@@ -129,7 +156,7 @@ class TestEnums:
     def test_ne(self):
         sort = EnumSort("color", ["r", "g"])
         v = EnumVar("c", sort)
-        assert v.ne("r") is Not(v.eq("r"))
+        assert_same(v.ne("r"), Not(v.eq("r")))
 
 
 class TestSortChecks:

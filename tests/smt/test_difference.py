@@ -1,7 +1,9 @@
 """Difference-logic theory tests, including a Bellman–Ford oracle."""
 from hypothesis import given, settings, strategies as st
 
+from repro.smt import Result
 from repro.smt.difference import DifferenceTheory
+from repro.smt.sat import SatSolver
 
 
 def feasible_bellman_ford(constraints: list[tuple[int, int, int]], nvars: int):
@@ -37,14 +39,23 @@ class TestUnit:
         assert th.assert_literal(1) is None
         assert th.value("v0") - th.value("v1") <= 5
 
-    def test_negated_constraint(self):
+    def test_false_atom_never_reaches_the_theory(self):
         # a false atom asserts nothing: not(v0 < v1) does not force
-        # v1 <= v0, so a second atom ordering v0 < v1 stays consistent
+        # v1 <= v0, so a second atom ordering v0 < v1 stays consistent,
+        # and the SAT core hands the theory the true atom alone
         th = fresh_theory(2)
-        th.add_atom(1, "v0", "v1", -1)
-        th.add_atom(2, "v0", "v1", -1)
-        assert th.assert_literal(-1) is None
-        assert th.assert_literal(2) is None
+        asserted = []
+        assert_literal = th.assert_literal
+        th.assert_literal = lambda lit: (
+            asserted.append(lit) or assert_literal(lit)
+        )
+        sat = SatSolver(theory=th)
+        for var in (sat.new_var(), sat.new_var()):
+            th.add_atom(var, "v0", "v1", -1)
+        sat.add_clause([-1])
+        sat.add_clause([2])
+        assert sat.solve() is Result.SAT
+        assert asserted == [2]
         assert th.value("v0") < th.value("v1")
         assert th.stats["asserts"] == 1
 

@@ -134,19 +134,25 @@ class TestIntegerLayer:
         assert m.bool_value("p") is False
         assert m.int_value("x") < m.int_value("y")
 
-    def test_evaluate_false_one_sided_atom_is_true(self):
-        """A one-sided atom the model assigns false is no obligation, even
-        where the integer values order the other way."""
+    def test_evaluate_reads_a_compiled_atom_from_its_literal(self):
+        """A one-sided atom the model assigns false evaluates false, even
+        where the integer values happen to order it true; an atom never
+        compiled reads the integer values."""
         s = Solver()
         p = Bool("p")
         lt = OneSidedLt("x", "y")
-        s.add(Implies(p, lt), Not(lt), OneSidedLt("y", "x"))
+        asserted = [
+            Implies(p, lt), Not(lt), OneSidedLt("x", "z"), OneSidedLt("z", "y")
+        ]
+        s.add(*asserted)
         assert s.check() is Result.SAT
         m = s.model()
-        assert m.int_value("y") < m.int_value("x")
+        assert m.int_value("x") < m.int_value("y")
         assert m.bool_value("p") is False
-        assert m.evaluate(lt) is True
-        assert m.evaluate(Implies(p, lt)) is True
+        for e in asserted:
+            assert m.evaluate(e) is True, f"model falsifies {e!r}"
+        assert m.evaluate(lt) is False
+        assert m.evaluate(OneSidedLt("y", "x")) is False  # never compiled
 
 
 class TestEnumLayer:
