@@ -22,6 +22,7 @@ import os
 from collections import defaultdict
 
 from ..jsonl import JsonlReader
+from ..perf import STAGES
 from .trace import SCHEMA_VERSION
 
 __all__ = [
@@ -32,12 +33,7 @@ __all__ = [
 ]
 
 #: span names that map onto ``repro.perf`` stage vocabulary
-STAGE_SPANS = {
-    "stage.encode": "encode",
-    "stage.compile": "compile",
-    "stage.solve": "solve",
-    "stage.decode": "decode",
-}
+STAGE_SPANS = {f"stage.{stage}": stage for stage in STAGES}
 
 _SPAN_FIELDS = ("trace", "span", "name", "ts", "dur", "pid", "attrs")
 _POINT_FIELDS = ("trace", "name", "ts", "pid", "attrs")
@@ -215,7 +211,7 @@ def format_report(report: dict, top: int = 12) -> str:
     lines.append("")
     lines.append("stage totals (all processes):")
     total = sum(report["stages"].values())
-    for stage in ("encode", "compile", "solve", "decode"):
+    for stage in STAGES:
         dur = report["stages"][stage]
         count = report["stage_counts"][stage]
         share = (100.0 * dur / total) if total else 0.0

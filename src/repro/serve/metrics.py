@@ -32,17 +32,12 @@ from dataclasses import dataclass, field
 from ..obs import enabled as obs_enabled
 from ..obs import get_registry
 from ..obs import monotonic as obs_monotonic
+from ..perf import STAGES
 
 __all__ = ["StreamMetrics"]
 
 #: Stage-seconds keys folded from window stats into the service totals.
-_STAGE_KEYS = (
-    "encode_seconds",
-    "compile_seconds",
-    "solve_seconds",
-    "decode_seconds",
-    "gen_seconds",
-)
+_STAGE_KEYS = (*(f"{stage}_seconds" for stage in STAGES), "gen_seconds")
 
 #: Solver counters summed across windows (the perf-suite vocabulary).
 _COUNTER_KEYS = (
