@@ -56,10 +56,7 @@ class CnfCompiler:
             return
         if e.kind == "or":
             cache = self._lit_cache
-            lits = [
-                cache[arg] if arg in cache else self.literal(arg)
-                for arg in e.args
-            ]
+            lits = [cache.get(arg) or self.literal(arg) for arg in e.args]
             self._emit(lits)
             return
         self._emit([self.literal(e)])
@@ -86,18 +83,18 @@ class CnfCompiler:
         produced.
         """
         cache = self._lit_cache
+        kind = e.kind
+        if kind == "not":
+            # a compiled child answers without a lookup of the negation
+            # itself, which is usually a fresh node equal to a cached one
+            inner = cache.get(e.args[0])
+            if inner is not None:
+                return -inner
         lit = cache.get(e)
         if lit is not None:
             return lit
-        kind = e.kind
         if kind != "and" and kind != "or":
-            if kind == "not":
-                inner = cache.get(e.args[0])
-                if inner is not None:
-                    lit = -inner
-                    cache[e] = lit
-                    return lit
-            else:
+            if kind != "not":
                 lit = self._atom(e)
                 cache[e] = lit
                 return lit
