@@ -179,11 +179,6 @@ class SatSolver:
     def _to_internal(lit: int) -> int:
         return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
-    @staticmethod
-    def _to_external(ilit: int) -> int:
-        var = ilit >> 1
-        return -var if ilit & 1 else var
-
     def _push_clause(self, clause: list[int], lbd: int) -> int:
         """Append a clause to the arena and watch its first two literals."""
         ci = len(self._cbase)

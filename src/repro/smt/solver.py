@@ -101,9 +101,9 @@ class Model:
 
         Boolean structure is recomputed from variable values, not read
         from compiled gates, which makes this the reference oracle in the
-        test suite. A compiled order atom is its SAT literal: asserted
-        false it imposes no order, so the potentials cannot tell it
-        apart from a true one. An order atom that was never compiled
+        test suite. A compiled order atom reads its SAT literal: assigned
+        false it imposes no order, so the potentials may order its
+        variables either way. An order atom that was never compiled
         reads the potentials.
         """
         kind = e.kind

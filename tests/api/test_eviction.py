@@ -95,9 +95,14 @@ class TestLruEviction:
             _session(max_cached_configs=0)
 
 
-def _live_exprs() -> set[int]:
+def _live_exprs() -> dict[int, Expr]:
+    """Every live term by id (holding them keeps their ids from reuse)."""
     gc.collect()
-    return {id(o) for o in gc.get_objects() if isinstance(o, Expr)}
+    return {id(o): o for o in gc.get_objects() if isinstance(o, Expr)}
+
+
+def _built_since(before: dict[int, Expr]) -> int:
+    return len(_live_exprs().keys() - before.keys())
 
 
 class TestExpressionLifetime:
@@ -114,8 +119,8 @@ class TestExpressionLifetime:
                 BenchAppSource(TPCC, WorkloadConfig.tiny(), seed)
             ).under("causal").using(max_seconds=30.0) as session:
                 session.predict(k=2)
-                assert _live_exprs() - before, "the live solver holds terms"
-            assert _live_exprs() <= before, f"session {seed} leaked terms"
+                assert _built_since(before), "the live solver holds terms"
+            assert _built_since(before) == 0, f"session {seed} leaked terms"
 
     def test_window_walk_leaves_no_terms(self):
         app = Smallbank(WorkloadConfig.small())
@@ -129,4 +134,4 @@ class TestExpressionLifetime:
             family.analyze(window, k=1)
         family.release()
         assert family.windows == len(windows)
-        assert _live_exprs() <= before
+        assert _built_since(before) == 0

@@ -22,12 +22,12 @@ change and records the previous digest in ``CHANGES.md``.
 """
 import hashlib
 import json
+from pathlib import Path
 
 from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.isolation import IsolationLevel
 from repro.predict import IsoPredict, PredictionStrategy
 from repro.smt.backends import InProcessBackend
-from pathlib import Path
 
 PIN_PATH = Path(__file__).parent / "trajectory_pin.json"
 
