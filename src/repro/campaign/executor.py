@@ -31,7 +31,6 @@ import json
 import multiprocessing
 import os
 import signal
-import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -250,6 +249,7 @@ class CampaignExecutor:
                 rounds=len(report.results),
                 cancelled=report.cancelled,
             )
+        report.wall_seconds = root.duration
         if obs_enabled():
             events = self._events
             reg = get_registry()
@@ -259,7 +259,6 @@ class CampaignExecutor:
         return report
 
     def _run_observed(self) -> CampaignReport:
-        start = time.monotonic()
         prior, pending = self.plan()
         total = len(prior) + len(pending)
         if prior:
@@ -324,7 +323,6 @@ class CampaignExecutor:
             self.spec,
             results,
             jobs=self.jobs,
-            wall_seconds=time.monotonic() - start,
             cancelled=cancelled,
             events=dict(self._events),
         )

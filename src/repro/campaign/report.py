@@ -199,7 +199,6 @@ class CampaignReport:
         spec: CampaignSpec,
         results: list,
         jobs: int = 1,
-        wall_seconds: float = 0.0,
         cancelled: bool = False,
         events: Optional[dict] = None,
     ) -> "CampaignReport":
@@ -209,7 +208,6 @@ class CampaignReport:
             results=ordered,
             cells=aggregate(ordered),
             jobs=jobs,
-            wall_seconds=wall_seconds,
             cancelled=cancelled,
             counters=cls._fault_counters(ordered, events),
         )

@@ -252,7 +252,8 @@ def run_round(spec: RoundSpec) -> RoundResult:
     Transient failures (injected faults, locked archives, timeouts) are
     retried in-worker under the ambient :class:`RetryPolicy` before the
     round is given up as errored; fault/retry accounting for the whole
-    round rides along in ``result.faults``.
+    round rides along in ``result.faults``; ``wall_seconds`` sums the
+    attempts' spans, leaving out the backoff sleeps between them.
     """
     dedupe = spec.mode == "predict" and spec.source.startswith("trace:")
     if dedupe:
@@ -266,10 +267,11 @@ def run_round(spec: RoundSpec) -> RoundResult:
             )
     policy = RetryPolicy.from_env(jitter_seed=spec.seed)
     before = fault_counters()
-    start = time.monotonic()
+    wall = 0.0
     attempt = 0
     while True:
         result = _fresh_result(spec)
+        retry = False
         with obs_span(
             "campaign.round", round_id=spec.round_id, attempt=attempt
         ) as round_span:
@@ -283,20 +285,24 @@ def run_round(spec: RoundSpec) -> RoundResult:
                     _run_exploration(spec, result)
             except Exception as exc:
                 transient = is_transient_fault(exc)
-                if transient and attempt < policy.max_retries:
+                retry = transient and attempt < policy.max_retries
+                if retry:
                     round_span.set(status="retry", transient=True)
                     count_retry(f"campaign.round|{spec.round_id}")
-                    time.sleep(policy.delay(attempt, key=spec.round_id))
-                    attempt += 1
-                    continue
-                result.status = "error"
-                result.error = traceback.format_exc(limit=8)
-                result.error_kind = "transient" if transient else "fatal"
-            round_span.set(status=result.status)
-        break
+                else:
+                    result.status = "error"
+                    result.error = traceback.format_exc(limit=8)
+                    result.error_kind = "transient" if transient else "fatal"
+            if not retry:
+                round_span.set(status=result.status)
+        wall += round_span.duration
+        if not retry:
+            break
+        time.sleep(policy.delay(attempt, key=spec.round_id))
+        attempt += 1
     result.attempts = attempt + 1
     result.faults = diff_fault_counters(before, fault_counters())
-    result.wall_seconds = time.monotonic() - start
+    result.wall_seconds = wall
     if obs_enabled():
         get_registry().counter("worker_rounds").inc(key=result.status)
         flush_process_metrics()

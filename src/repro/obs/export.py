@@ -51,8 +51,9 @@ def flush_process_metrics() -> Optional[str]:
 
 
 #: ``Analysis.stats()`` keys folded into registry counters; ``*_seconds``
-#: keys flow into a histogram instead (skipped under the fixed clock,
-#: where real timings would break byte identity).
+#: keys flow into a histogram instead. Those seconds are span durations,
+#: so under the fixed clock the histogram holds zeros and stays
+#: deterministic.
 _STAT_COUNTERS = COUNTER_KEYS
 
 
@@ -65,10 +66,6 @@ def observe_analysis_stats(stats: dict, prefix: str = "solver") -> None:
         value = stats.get(key)
         if isinstance(value, (int, float)) and value:
             reg.counter(f"{prefix}_{key}").inc(value)
-    rec = _trace.active_recorder()
-    deterministic = rec is not None and rec.deterministic
-    if deterministic:
-        return
     for key, value in stats.items():
         if key.endswith("_seconds") and isinstance(value, (int, float)):
             reg.histogram(f"{prefix}_seconds").observe(value, key=key)

@@ -10,12 +10,16 @@ a single idiom at every instrumented seam::
     with span("campaign.round", round_id=spec.round_id, attempt=attempt):
         ...
 
-Telemetry is **off by default**: with no sink installed, ``span()``
-returns a shared no-op object and the instrumentation costs one ``if``.
-Installing a sink (:func:`install`, or the ``--telemetry PATH`` CLI
-flag) turns every span into one schema-versioned JSONL event, written on
-close to a per-process part file that :mod:`repro.obs.export` later
-merges into a single ordered trace file.
+A span is the only stopwatch: every measured duration (stage stats,
+walls, stream metrics) is some span's ``duration``, set on exit.
+
+Telemetry is **off by default**: with no sink installed (one
+``os.environ`` lookup), ``span()`` returns a real-clock stopwatch that
+records nothing.  Installing a sink (:func:`install`, or the
+``--telemetry PATH`` CLI flag) turns every span into one
+schema-versioned JSONL event, written on close to a per-process part
+file that :mod:`repro.obs.export` later merges into a single ordered
+trace file.
 
 **Cross-process stitching** works exactly like
 :data:`repro.faults.plan.FAULT_PLAN_ENV`: the sink path travels in
@@ -30,11 +34,12 @@ a forked child instead of sharing the parent's file handle.
 **Determinism.** Timestamps come from an injectable clock.  Installing
 the fixed clock (:data:`CLOCK_ENV` = ``"fixed"``, or
 ``install(..., clock="fixed")``) freezes wall/monotonic time, zeroes
-every duration, reports ``pid`` as 0, and derives span ids purely from
-``(parent, name, attrs, occurrence)`` — so same-seed runs emit
-byte-identical event streams whatever the worker count, which is what
-makes telemetry itself diffable and testable (the fault-plan
-determinism discipline applied to observability).
+every duration (and every stat, wall and rate read from one), reports
+``pid`` as 0, and derives span ids purely from ``(parent, name, attrs,
+occurrence)`` — so same-seed runs emit byte-identical event streams
+whatever the worker count, which is what makes telemetry itself
+diffable and testable (the fault-plan determinism discipline applied
+to observability).
 
 Event schema (one JSON object per line; see ``docs/observability.md``):
 
@@ -191,28 +196,29 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         rec = active_recorder()
-        if rec is not None:
+        if rec is None:  # telemetry was switched off inside the span
+            self.duration = 0.0
+        else:
             if exc is not None and "error" not in self.attrs:
                 self.attrs["error"] = type(exc).__name__
             rec.close_span(self)
 
 
-class _NoopSpan:
-    """The shared do-nothing span handed out while telemetry is off."""
+class _Stopwatch:
+    """The span while telemetry is off: times its region, records nothing."""
 
-    __slots__ = ()
+    __slots__ = ("_start", "duration")
 
-    def set(self, **attrs) -> "_NoopSpan":
+    def set(self, **attrs) -> "_Stopwatch":
         return self
 
-    def __enter__(self) -> "_NoopSpan":
+    def __enter__(self) -> "_Stopwatch":
+        self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        return None
+        self.duration = time.monotonic() - self._start
 
-
-_NOOP = _NoopSpan()
 
 _RECORDER: Optional["Recorder"] = None
 
@@ -316,8 +322,9 @@ class Recorder:
     def _finish(self, span: Span) -> None:
         if span in self.stack:
             self.stack.remove(span)
-        span.duration = max(
-            0.0, self.clock.monotonic() - span.start_mono
+        # rounded as written: stats summing durations match the trace
+        span.duration = round(
+            max(0.0, self.clock.monotonic() - span.start_mono), _ROUND
         )
         self.closed += 1
         self._write(
@@ -328,7 +335,7 @@ class Recorder:
                 "parent": span.parent_id,
                 "name": span.name,
                 "ts": round(span.start_wall, _ROUND),
-                "dur": round(span.duration, _ROUND),
+                "dur": span.duration,
                 "pid": self.reported_pid,
                 "attrs": span.attrs,
             }
@@ -474,10 +481,11 @@ def deterministic() -> bool:
 
 
 def span(name: str, **attrs):
-    """Open a span (context manager). A shared no-op when disabled."""
+    """Open a span (context manager) timed by the recorder's clock, or
+    a real-clock :class:`_Stopwatch` when disabled; ``duration`` on exit."""
     rec = active_recorder() if enabled() else None
     if rec is None:
-        return _NOOP
+        return _Stopwatch()
     return rec.open_span(name, attrs)
 
 
@@ -520,8 +528,8 @@ class propagate_context:
 def monotonic() -> float:
     """Monotonic seconds through the telemetry clock when one is active.
 
-    Instrumented timing code (stream metrics, exporters) reads time
-    through this so a fixed-clock run zeroes its derived rates too.
+    Timings that are not a region (a stream's elapsed time, an ingest
+    lag) read this, so the fixed clock zeroes them like span durations.
     """
     rec = active_recorder() if enabled() else None
     if rec is not None:

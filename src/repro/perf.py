@@ -9,11 +9,12 @@ Every prediction query decomposes into four stages:
   blocking-clause enumeration), and
 * **decode** — turning satisfying models back into predicted histories.
 
-The analysis layer threads per-stage wall times through its existing
+The analysis layer threads per-stage times through its existing
 ``stats`` dictionaries under ``<stage>_seconds`` keys (``gen_seconds``
 remains the encode+compile sum for backwards compatibility), and the SAT
 core contributes its counters (propagations, conflicts, learned-clause
-stats, …). This module gives those measurements one shared vocabulary:
+stats, …); each stage time is its ``stage.*`` span's duration. This
+module gives those measurements one shared vocabulary:
 
 * :func:`profile_from_stats` splits a flat stats dict into the
   ``{"stages": ..., "counters": ...}`` shape ``BENCH_*.json`` records;
@@ -237,6 +238,7 @@ def run_measured(
     ``stats`` dict (the shape :func:`profile_from_stats` understands).
     Several sides run interleaved (A, B, B, A, ...), so drift over the
     run lands on every side instead of on whichever is timed last.
+    Walls read the real clock, so telemetry's own cost is measured too.
     """
     walls: list[list[float]] = [[] for _ in sides]
     profiles: list[list[dict]] = [[] for _ in sides]

@@ -255,14 +255,13 @@ class IsoPredict:
         self, observed: History, boundary: BoundaryMode
     ) -> tuple[Encoding, Solver, dict]:
         """Build and compile the feasibility+isolation encoding, timing the
-        two stages apart.
+        two stages apart by their spans.
 
         Returns ``(encoding, solver, timings)`` where ``timings`` carries
         ``encode_seconds`` (expression generation), ``compile_seconds``
         (Tseitin compilation into the SAT core) and their sum
         ``gen_seconds`` (the stat the paper's tables report).
         """
-        start = time.monotonic()
         with obs_span("stage.encode") as enc_span:
             enc = Encoding(observed, boundary=boundary)
             solver = Solver(backend=self.solver)
@@ -271,16 +270,13 @@ class IsoPredict:
             constraints += isolation_constraints(enc, self.isolation)
             constraints += enc.definitions()
             enc_span.set(constraints=len(constraints))
-        encode_seconds = time.monotonic() - start
-        compile_start = time.monotonic()
-        with obs_span("stage.compile"):
+        with obs_span("stage.compile") as compile_span:
             for c in constraints:
                 solver.add(c)
-        compile_seconds = time.monotonic() - compile_start
         timings = {
-            "encode_seconds": encode_seconds,
-            "compile_seconds": compile_seconds,
-            "gen_seconds": encode_seconds + compile_seconds,
+            "encode_seconds": enc_span.duration,
+            "compile_seconds": compile_span.duration,
+            "gen_seconds": enc_span.duration + compile_span.duration,
         }
         return enc, solver, timings
 
@@ -382,11 +378,12 @@ class PredictionEnumeration:
                 self._status = status  # a budget ran out; resumable
                 return
             self._candidates += 1
-            decode_start = time.monotonic()
-            with obs_span("stage.decode", candidate=self._candidates):
+            with obs_span(
+                "stage.decode", candidate=self._candidates
+            ) as decode_span:
                 model = self._solver.model()
                 predicted = decode_history(self._enc, model)
-            self._decode_seconds += time.monotonic() - decode_start
+            self._decode_seconds += decode_span.duration
             cycle = self._check(model, predicted)
             if cycle is None:
                 rejected += 1
@@ -424,11 +421,10 @@ class PredictionEnumeration:
 
     def _accept(self, model, predicted: History, cycle: list) -> None:
         """Record an unserializable candidate as a prediction and block it."""
-        decode_start = time.monotonic()
         with obs_span("stage.decode", candidate=self._candidates,
-                      part="boundaries"):
+                      part="boundaries") as decode_span:
             boundaries = decode_boundaries(self._enc, model)
-        self._decode_seconds += time.monotonic() - decode_start
+        self._decode_seconds += decode_span.duration
         self.predictions.append(
             PredictionResult(
                 status=Result.SAT,

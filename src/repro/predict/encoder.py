@@ -145,7 +145,6 @@ class Encoding:
         self._hb: dict[tuple[str, str], Expr] = {}
         self._wr_cache: dict[tuple[str, str, str], Expr] = {}
         self._wr_union_cache: dict[tuple[str, str], Expr] = {}
-        self._boundary_gt_cache: dict[tuple[str, int], Expr] = {}
         self._boundary_ge_cache: dict[tuple[str, int], Expr] = {}
         self._included_cache: dict[tuple[str, str], Expr] = {}
         self._built_hb = False
@@ -174,19 +173,13 @@ class Encoding:
     # Boundary helpers
     # ------------------------------------------------------------------
     def boundary_gt(self, session: str, pos: int) -> Expr:
-        """``boundary(session) > pos`` — t0's pseudo-session is unbounded."""
-        var = self.boundary.get(session)
-        if var is None:  # t0's session: boundary fixed at infinity
-            return TRUE
-        cached = self._boundary_gt_cache.get((session, pos))
-        if cached is None:
-            cached = Or(*[var.eq(p) for p in var.candidates if p > pos])
-            self._boundary_gt_cache[(session, pos)] = cached
-        return cached
+        """``boundary(session) > pos``: positions are integers."""
+        return self.boundary_ge(session, pos + 1)
 
     def boundary_ge(self, session: str, pos: int) -> Expr:
+        """``boundary(session) >= pos`` — t0's pseudo-session is unbounded."""
         var = self.boundary.get(session)
-        if var is None:
+        if var is None:  # t0's session: boundary fixed at infinity
             return TRUE
         cached = self._boundary_ge_cache.get((session, pos))
         if cached is None:

@@ -18,9 +18,9 @@ folds only the increase — so a caller can never double-count by
 re-reporting, and the same feed can simultaneously increment the
 process-wide registry without drift.
 
-Time is read through :func:`repro.obs.monotonic`, so a telemetry
-session with the fixed clock freezes ``elapsed_seconds`` and the
-derived rates along with every span duration.  After :meth:`finish`
+Window walls and stage seconds are span durations; elapsed time and
+ingest lags read :func:`repro.obs.monotonic`. So a telemetry session
+with the fixed clock zeroes every wall, lag and derived rate.  After :meth:`finish`
 the object is sealed: ``elapsed_seconds`` and ``findings_per_sec`` are
 stable — ``to_stats`` never re-reads the clock.
 """

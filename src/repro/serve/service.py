@@ -22,12 +22,12 @@ a caller keeps a ``follow=True`` source finite.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from ..faults import diff_fault_counters, fault_counters, fault_point
+from ..obs import monotonic as obs_monotonic
 from ..obs import span as obs_span
 from ..predict.analysis import PredictionResult
 from ..sources import HistorySource, as_source, iter_runs
@@ -227,45 +227,49 @@ class StreamingAnalysis:
             and len(self.findings) >= self.max_findings
         )
 
-    def _analyze_window(self, run_index: int, window: Window) -> list:
-        """One window through every family lane; returns new findings."""
+    def _analyze_window(self, run_index: int, window: Window) -> None:
+        """One window through every family lane, timed by its span."""
         admitted: list[Finding] = []
         duplicates_before = self.deduper.duplicates
-        wall_start = time.monotonic()
         combined_stats: dict = {}
-        for family in self.families:
-            predictions, stats = family.analyze(
-                window, k=self.k, run_key=run_index
-            )
-            for key, value in stats.items():
-                if isinstance(value, (int, float)):
-                    combined_stats[key] = combined_stats.get(key, 0) + value
-            for prediction in predictions:
-                if not prediction.found:
-                    continue
-                key = finding_key(prediction, window.history)
-                if not self.deduper.admit(key):
-                    continue
-                finding = Finding(
-                    key=key,
-                    isolation=str(prediction.isolation),
-                    strategy=str(prediction.strategy),
-                    run_index=run_index,
-                    window_index=window.index,
-                    window_start=window.start,
-                    window_stop=window.stop,
-                    cycle=list(prediction.cycle),
-                    fingerprint=key.split("|", 2)[-1],
-                    boundary_reads=window.boundary_reads,
-                    run_meta=dict(window.run_meta),
-                    prediction=prediction,
+        with obs_span(
+            "watch.window", run=run_index, window=window.index
+        ) as win_span:
+            for family in self.families:
+                predictions, stats = family.analyze(
+                    window, k=self.k, run_key=run_index
                 )
-                admitted.append(finding)
-                self.findings.append(finding)
-                if self.on_finding is not None:
-                    self.on_finding(finding)
-        wall = time.monotonic() - wall_start
-        self.metrics.observe_window(wall, combined_stats)
+                for key, value in stats.items():
+                    if isinstance(value, (int, float)):
+                        combined_stats[key] = (
+                            combined_stats.get(key, 0) + value
+                        )
+                for prediction in predictions:
+                    if not prediction.found:
+                        continue
+                    key = finding_key(prediction, window.history)
+                    if not self.deduper.admit(key):
+                        continue
+                    finding = Finding(
+                        key=key,
+                        isolation=str(prediction.isolation),
+                        strategy=str(prediction.strategy),
+                        run_index=run_index,
+                        window_index=window.index,
+                        window_start=window.start,
+                        window_stop=window.stop,
+                        cycle=list(prediction.cycle),
+                        fingerprint=key.split("|", 2)[-1],
+                        boundary_reads=window.boundary_reads,
+                        run_meta=dict(window.run_meta),
+                        prediction=prediction,
+                    )
+                    admitted.append(finding)
+                    self.findings.append(finding)
+                    if self.on_finding is not None:
+                        self.on_finding(finding)
+            win_span.set(findings=len(admitted))
+        self.metrics.observe_window(win_span.duration, combined_stats)
         self.metrics.observe_findings(
             len(admitted), self.deduper.duplicates - duplicates_before
         )
@@ -277,7 +281,6 @@ class StreamingAnalysis:
                 f"{len(admitted)} new finding(s) "
                 f"({self.deduper.duplicates} duplicates so far)"
             )
-        return admitted
 
     # ------------------------------------------------------------------
     def run(self) -> StreamReport:
@@ -291,7 +294,7 @@ class StreamingAnalysis:
         session_span.__enter__()
         try:
             for run_index, run in enumerate(iter_runs(self.source)):
-                arrived = time.monotonic()
+                arrived = obs_monotonic()
                 history = run.history
                 self.metrics.observe_run(len(history))
                 windows = segment_history(
@@ -313,11 +316,7 @@ class StreamingAnalysis:
                     fault_point(
                         "watch.window", run=run_index, window=window.index
                     )
-                    with obs_span(
-                        "watch.window", run=run_index, window=window.index
-                    ) as win_span:
-                        admitted = self._analyze_window(run_index, window)
-                        win_span.set(findings=len(admitted))
+                    self._analyze_window(run_index, window)
                     windows_done += 1
                     # mid-run saves keep the pre-run committed cursor:
                     # a crash here replays the whole run, and the saved
@@ -329,7 +328,7 @@ class StreamingAnalysis:
                     ) or self._stop_findings():
                         stop = True
                         break
-                self.metrics.observe_lag(time.monotonic() - arrived)
+                self.metrics.observe_lag(obs_monotonic() - arrived)
                 if stop:
                     break
                 # the run is fully analyzed: commit the cursor past it

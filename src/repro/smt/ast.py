@@ -215,23 +215,29 @@ class EnumVar:
     """A variable ranging over (a subset of) an :class:`EnumSort`.
 
     ``var.eq(value)`` produces the atom asserting the variable equals that
-    member. The CNF layer adds exactly-one constraints over the variable's
-    candidate members, so a model always assigns each EnumVar one value.
+    member; the variable holds one atom per member, so they are freed
+    with the encoding that owns it. The CNF layer adds exactly-one
+    constraints over the variable's candidate members, so a model always
+    assigns each EnumVar one value.
     """
 
-    __slots__ = ("name", "sort", "candidates")
+    __slots__ = ("name", "sort", "candidates", "_eq")
 
     def __init__(self, name: str, sort: EnumSort, candidates=None):
         self.name = name
         self.sort = sort
-        if candidates is None:
-            self.candidates = tuple(sort.values)
-        else:
-            self.candidates = tuple(candidates)
-            for value in self.candidates:
-                sort.index_of(value)
+        self.candidates = tuple(
+            sort.values if candidates is None else candidates
+        )
         if not self.candidates:
             raise SortError(f"enum var {name!r} has an empty domain")
+        atoms = [  # index_of rejects a candidate outside the sort
+            Expr("enum_eq", (self, sort.index_of(value)))
+            for value in self.candidates
+        ]
+        if len(atoms) == 1:
+            atoms = [TRUE]
+        self._eq = dict(zip(self.candidates, atoms))
 
     def eq(self, value: object) -> Expr:
         """Atom: this variable equals ``value``.
@@ -239,12 +245,8 @@ class EnumVar:
         FALSE if ``value`` is not a candidate, TRUE if it is the only one
         (the exactly-one constraint would pin the atom anyway).
         """
-        index = self.sort.index_of(value)
-        if value not in self.candidates:
-            return FALSE
-        if len(self.candidates) == 1:
-            return TRUE
-        return Expr("enum_eq", (self, index))
+        self.sort.index_of(value)  # a non-member is an error, not FALSE
+        return self._eq.get(value, FALSE)
 
     def ne(self, value: object) -> Expr:
         return Not(self.eq(value))

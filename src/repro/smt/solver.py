@@ -13,7 +13,6 @@ This is the z3py stand-in used throughout the repository::
 """
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from ..faults import count_downgrade, fault_point
@@ -170,7 +169,6 @@ class Solver:
         max_seconds: Optional[float] = None,
     ) -> Result:
         """Decide the asserted constraints; captures a model when SAT."""
-        start = time.monotonic()
         with obs_span(
             "stage.solve", backend=getattr(self._backend, "name", "?")
         ) as solve_span:
@@ -188,7 +186,7 @@ class Solver:
                     max_conflicts=max_conflicts, max_seconds=max_seconds
                 )
             solve_span.set(result=result.value)
-        self.check_seconds += time.monotonic() - start
+        self.check_seconds += solve_span.duration
         self._last_result = result
         if result is Result.SAT:
             self._model = Model(self)

@@ -16,7 +16,6 @@ execution.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +23,7 @@ from ..history.model import History, INIT_TID
 from ..history.relations import hb_pairs, topological_order
 from ..isolation.checkers import is_serializable, is_valid_under
 from ..isolation.levels import IsolationLevel
+from ..obs import span as obs_span
 from ..store.backend import DEFAULT_BACKEND, StoreBackend
 from ..store.policies import DirectedReplayPolicy
 from ..store.scheduler import Program
@@ -74,30 +74,31 @@ def validate_prediction(
     fallback of re-reading the observed writer upon divergence.
     ``backend`` selects where the replay executes (default: in-memory).
     """
-    start = time.monotonic()
     backend = backend or DEFAULT_BACKEND
-    policy = DirectedReplayPolicy(predicted, isolation, observed=observed)
-    run = backend.execute(
-        programs,
-        lambda session: policy,
-        initial=dict(initial or predicted.initial_values),
-        seed=seed,
-        turn_order=_turn_order(predicted),
-    )
-    validating = run.history
-    divergences = list(policy.divergences)
-    diverged = bool(divergences) or _structure_differs(predicted, validating)
-    serializable = bool(is_serializable(validating))
-    feasible_weak = is_valid_under(validating, isolation)
-    report = ValidationReport(
+    with obs_span("validate.replay") as replay_span:
+        policy = DirectedReplayPolicy(predicted, isolation, observed=observed)
+        run = backend.execute(
+            programs,
+            lambda session: policy,
+            initial=dict(initial or predicted.initial_values),
+            seed=seed,
+            turn_order=_turn_order(predicted),
+        )
+        validating = run.history
+        divergences = list(policy.divergences)
+        diverged = bool(divergences) or _structure_differs(
+            predicted, validating
+        )
+        serializable = bool(is_serializable(validating))
+        feasible_weak = is_valid_under(validating, isolation)
+    return ValidationReport(
         validated=(not serializable) and feasible_weak,
         diverged=diverged,
         validating=validating,
         isolation=isolation,
         divergences=divergences,
-        seconds=time.monotonic() - start,
+        seconds=replay_span.duration,
     )
-    return report
 
 
 def _structure_differs(predicted: History, validating: History) -> bool:

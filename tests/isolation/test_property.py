@@ -35,6 +35,60 @@ def imported_modules(path: Path, package: str):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
+#: ``time`` functions that read a clock (``sleep`` waits, it reads none).
+CLOCK_FUNCTIONS = {
+    name + suffix
+    for name in ("monotonic", "perf_counter", "time", "process_time")
+    for suffix in ("", "_ns")
+}
+
+#: The functions outside the span recorder that may read the clock: each
+#: is a deadline, a poll or a harness wall, which must keep running when
+#: the telemetry clock is frozen. Every measured region is a span.
+CLOCK_READERS = {
+    ("repro/predict/analysis.py", "IsoPredict._deadline"),
+    ("repro/predict/analysis.py", "_remaining"),
+    ("repro/smt/sat.py", "SatSolver.solve"),
+    ("repro/smt/backends/dimacs_proc.py", "DimacsProcessBackend.solve"),
+    ("repro/serve/incremental.py", "WindowFamily.analyze"),
+    ("repro/serve/stream.py", "_Tailer.runs"),
+    ("repro/fuzz/engine.py", "Fuzzer.run"),
+    ("repro/perf.py", "run_measured"),
+}
+
+
+def clock_reads(path: Path):
+    """The qualified name of the scope around each clock read in
+    ``path`` (``time.monotonic()``-style calls and ``from time import``
+    of a clock function)."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "time"
+    }
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.ImportFrom) and child.module == "time"
+                and any(a.name in CLOCK_FUNCTIONS for a in child.names)
+            ) or (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id in modules
+                and child.attr in CLOCK_FUNCTIONS
+            ):
+                yield ".".join(scope) or "<module>"
+            yield from visit(child, scope)
+
+    return visit(tree, ())
+
+
 @st.composite
 def random_history(draw):
     """Small random histories with consistent wr choices.
@@ -167,3 +221,16 @@ class TestFrontierSearch:
                 assert top in sys.stdlib_module_names or top in (
                     "__future__", "repro"
                 ), f"{path.relative_to(src)} imports {module}"
+
+    def test_spans_are_the_only_stopwatch(self):
+        """Outside ``obs/trace.py`` only the named deadline, poll and
+        harness functions read the clock; a region is timed by the span
+        around it, so the fixed telemetry clock zeroes every duration."""
+        src = Path(repro.__file__).parent.parent
+        readers = set()
+        for path in sorted(src.glob("repro/**/*.py")):
+            name = path.relative_to(src).as_posix()
+            if name != "repro/obs/trace.py":
+                readers.update((name, scope) for scope in clock_reads(path))
+        assert readers - CLOCK_READERS == set()
+        assert CLOCK_READERS - readers == set()  # no stale allowance

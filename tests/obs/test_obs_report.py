@@ -118,3 +118,25 @@ class TestReport:
         assert "stage totals" in text
         assert "critical path:" in text
         assert "stage.solve" in text
+
+    def test_stage_totals_equal_the_analysis_stats(self, tmp_path):
+        """Spans are the only stopwatch: the report of a traced analysis
+        lands on the very stage seconds its stats carry."""
+        from repro.api import Analysis
+        from repro.obs import load_events, telemetry_session
+        from repro.perf import STAGES
+        from repro.sources import BenchAppSource
+
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="analyze"):
+            batch = (
+                Analysis(BenchAppSource("smallbank", seed=1))
+                .under("causal")
+                .predict(3)
+            )
+        report = build_report(load_events(str(sink)))
+        assert report["stage_counts"]["solve"] > 1
+        for stage in STAGES:
+            want = batch.stats[f"{stage}_seconds"]
+            assert abs(report["stages"][stage] - want) <= 1e-9, stage
+        assert report["stages"]["encode"] > 0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.obs import (
     uninstall,
     wall,
 )
-from repro.obs.trace import _NOOP, active_recorder
+from repro.obs.trace import active_recorder
 
 
 def read_part(recorder):
@@ -33,9 +34,16 @@ def read_part(recorder):
 
 
 class TestDisabled:
-    def test_span_is_the_shared_noop(self):
-        assert span("anything") is _NOOP
-        assert span("anything", key=1) is span("other")
+    def test_a_disabled_span_times_itself(self):
+        """With telemetry off a span records nothing but still carries
+        its region's real duration, which the stage stats read."""
+        with span("anything", key=1) as s:
+            start = time.monotonic()
+            while time.monotonic() - start < 0.002:
+                pass
+        assert 0.002 <= s.duration < 1.0
+        assert active_recorder() is None
+        assert span("a") is not span("a")  # each region its own stopwatch
 
     def test_noop_supports_the_full_span_protocol(self):
         with span("x", a=1) as s:

@@ -151,17 +151,30 @@ class TestAnalysisStats:
                 == batch.stats["learned"]
             )
 
-    def test_seconds_are_skipped_under_the_fixed_clock(self, tmp_path):
+    def test_a_fixed_clock_analysis_folds_zero_seconds(self, tmp_path):
+        """Stage seconds are span durations, so a real analysis under the
+        fixed clock reports, and folds, zeros: the histogram stays
+        deterministic without skipping anything."""
+        from repro.api import Analysis
+        from repro.sources import BenchAppSource
+
         with telemetry_session(str(tmp_path / "t.jsonl"), command="t",
                                clock="fixed"):
-            observe_analysis_stats(
-                {"decisions": 1, "encode_seconds": 0.5}
+            batch = (
+                Analysis(BenchAppSource("smallbank", seed=2))
+                .under("causal")
+                .predict(2)
             )
+            observe_analysis_stats(batch.stats)
             reg = get_registry()
-            assert reg.counter("solver_decisions").value() == 1
-            assert reg.histogram("solver_seconds").value(
-                "encode_seconds"
-            ) is None
+            assert reg.counter("solver_decisions").value() == (
+                batch.stats["decisions"]
+            )
+            for stage in ("encode", "compile", "solve", "decode", "gen"):
+                key = f"{stage}_seconds"
+                assert batch.stats[key] == 0.0
+                cell = reg.histogram("solver_seconds").value(key)
+                assert cell["count"] == 1 and cell["sum"] == 0.0, key
 
     def test_disabled_telemetry_ignores_stats(self):
         observe_analysis_stats({"decisions": 10})

@@ -6,6 +6,8 @@ overwrite fields with the source's *cumulative* totals while every other
 and re-reports double-counted downstream. Now the diff happens at the
 observation boundary and the object seals on :meth:`finish`.
 """
+import json
+
 import pytest
 
 from repro.obs import (
@@ -14,7 +16,9 @@ from repro.obs import (
     reset_telemetry,
     telemetry_session,
 )
+from repro.serve import StreamingAnalysis
 from repro.serve.metrics import StreamMetrics
+from repro.sources import FuzzSource
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +85,37 @@ class TestSealedRates:
             m.finish()
             assert m.elapsed_seconds == 0.0
             assert m.findings_per_sec == 0.0
+
+
+class TestFixedClockStream:
+    """Window walls are ``watch.window`` spans and lags read the telemetry
+    clock, so the fixed clock freezes everything a stream times."""
+
+    @staticmethod
+    def watch(path):
+        with telemetry_session(str(path), command="watch", clock="fixed"):
+            report = StreamingAnalysis(
+                FuzzSource(shape_seed=3), window=8, k=1, max_runs=2
+            ).run()
+        return path.read_bytes(), report.metrics.summary()
+
+    def test_same_seed_sessions_are_byte_identical(self, tmp_path):
+        first = self.watch(tmp_path / "a.jsonl")
+        assert self.watch(tmp_path / "b.jsonl") == first
+        trace, summary = first
+        assert summary["windows"] > 1 and summary["findings"] > 0
+        timed = {
+            key: value for key, value in summary.items()
+            if "_seconds" in key or key.endswith("_per_sec")
+        }
+        assert len(timed) == 7 and set(timed.values()) == {0.0}, timed
+        events = [json.loads(line) for line in trace.splitlines()]
+        assert {e["dur"] for e in events if e["event"] == "span"} == {0.0}
+        (metrics,) = [e["metrics"] for e in events
+                      if e["event"] == "metrics"]
+        for name in ("stream_window_seconds", "stream_lag_seconds"):
+            (cell,) = metrics[name]["values"].values()
+            assert cell["count"] > 0 and cell["sum"] == 0.0, name
 
 
 class TestRegistryMirror:
