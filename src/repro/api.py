@@ -110,6 +110,9 @@ class Analysis:
         if max_cached_configs < 1:
             raise ValueError("max_cached_configs must be >= 1")
         self.source = as_source(source)
+        # a backend the session builds from a spec string is the
+        # session's to close; a passed-in instance stays its caller's
+        self._owns_backend = isinstance(backend, str)
         if backend is not None:
             from .store.backends import make_store_backend
 
@@ -217,14 +220,21 @@ class Analysis:
         return enum
 
     def close(self) -> None:
-        """Release every cached incremental solver.
+        """Release every cached incremental solver, and the store backend
+        the session built from a ``backend=`` spec string (its archive
+        connection, if any).
 
-        The session stays usable — the recorded history is kept, and the
-        next :meth:`predict` simply re-encodes its configuration. Use this
-        (or the context-manager form) after sweeping many configurations
-        to return the solver memory.
+        The session stays usable — the recorded history is kept, the
+        next :meth:`predict` simply re-encodes its configuration, and a
+        later write reopens the archive. Use this (or the context-manager
+        form) after sweeping many configurations to return the solver
+        memory.
         """
         self._enumerations.clear()
+        if self._owns_backend:
+            from .store.backends import close_store_backend
+
+            close_store_backend(self.backend)
 
     def __enter__(self) -> "Analysis":
         return self

@@ -52,7 +52,7 @@ from ..obs import (
     span as obs_span,
 )
 from .report import CampaignReport
-from .rounds import RoundResult, run_round
+from .rounds import RoundResult, round_backend, run_round
 from .spec import CampaignSpec
 
 __all__ = [
@@ -316,6 +316,10 @@ class CampaignExecutor:
                         f"[{self.spec.name}] cancelled with "
                         f"{len(results)}/{total} rounds complete"
                     )
+                finally:
+                    # an interrupted stream releases its pool or archive
+                    # connection now, not when it is collected
+                    stream.close()
         finally:
             if sink is not None:
                 sink.close()
@@ -329,8 +333,11 @@ class CampaignExecutor:
 
     # ------------------------------------------------------------------
     def _run_inline(self, pending):
-        for spec in pending:
-            yield run_round(spec)
+        """Run ``pending`` in this process on one store backend, built
+        once for the run and closed when the stream ends."""
+        with round_backend(self.spec.backend) as backend:
+            for spec in pending:
+                yield run_round(spec, backend)
 
     def _stall_budget(self) -> int:
         if self.max_retries is not None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator, Optional
 
 from ..api import Analysis
 from ..bench_apps import (
@@ -36,9 +38,11 @@ from ..obs import (
     span as obs_span,
 )
 from ..smt import Result
+from ..store.backend import StoreBackend
+from ..store.backends import close_store_backend, make_store_backend
 from .spec import RoundSpec
 
-__all__ = ["RoundResult", "run_round"]
+__all__ = ["RoundResult", "round_backend", "run_round"]
 
 _APPS = {app.name: app for app in ALL_APPS}
 
@@ -137,7 +141,23 @@ def _characteristics(result: RoundResult, history) -> None:
     result.writes = sum(len(t.writes) for t in txns)
 
 
-def _run_predict(spec: RoundSpec, result: RoundResult) -> None:
+@contextmanager
+def round_backend(spec: str) -> Iterator[Optional[StoreBackend]]:
+    """The store backend rounds of canonical backend ``spec`` execute on.
+
+    ``None`` for the in-memory default. The backend is closed on exit, so
+    an archive connection it opened never waits for garbage collection.
+    """
+    backend = None if spec == "inmemory" else make_store_backend(spec)
+    try:
+        yield backend
+    finally:
+        close_store_backend(backend)
+
+
+def _run_predict(
+    spec: RoundSpec, result: RoundResult, backend: Optional[StoreBackend]
+) -> None:
     """The Fig. 4 pipeline with k-prediction enumeration (§3, §4).
 
     Drives the source-agnostic :class:`repro.api.Analysis` session, so a
@@ -146,7 +166,7 @@ def _run_predict(spec: RoundSpec, result: RoundResult) -> None:
     no replayable application).
     """
     session = (
-        Analysis(spec.history_source())
+        Analysis(spec.history_source(backend))
         .under(spec.isolation)
         .using(
             spec.strategy,
@@ -186,11 +206,10 @@ def _make_app(spec: RoundSpec):
     return _APPS[spec.app](config)
 
 
-def _run_exploration(spec: RoundSpec, result: RoundResult) -> None:
+def _run_exploration(
+    spec: RoundSpec, result: RoundResult, backend: Optional[StoreBackend]
+) -> None:
     """MonkeyDB-style random exploration / the interleaved-rc stand-in."""
-    backend = (
-        None if spec.backend == "inmemory" else spec.store_backend()
-    )
     if spec.mode == "monkeydb":
         outcome = run_random_weak(
             _make_app(spec), spec.seed,
@@ -246,7 +265,9 @@ def _fresh_result(spec: RoundSpec) -> RoundResult:
     )
 
 
-def run_round(spec: RoundSpec) -> RoundResult:
+def run_round(
+    spec: RoundSpec, backend: Optional[StoreBackend] = None
+) -> RoundResult:
     """Execute one round; never raises (errors land in the result).
 
     Transient failures (injected faults, locked archives, timeouts) are
@@ -254,7 +275,21 @@ def run_round(spec: RoundSpec) -> RoundResult:
     round is given up as errored; fault/retry accounting for the whole
     round rides along in ``result.faults``; ``wall_seconds`` sums the
     attempts' spans, leaving out the backoff sleeps between them.
+
+    ``backend`` is the store backend an inline campaign run shares across
+    its rounds (its owner closes it). Without one — the pool path — a
+    round on a non-default backend builds its own and closes it at the
+    end of the round.
     """
+    if backend is None:
+        with round_backend(spec.backend) as backend:
+            return _run_round(spec, backend)
+    return _run_round(spec, backend)
+
+
+def _run_round(
+    spec: RoundSpec, backend: Optional[StoreBackend]
+) -> RoundResult:
     dedupe = spec.mode == "predict" and spec.source.startswith("trace:")
     if dedupe:
         cached = _TRACE_MEMO.get(_trace_memo_key(spec))
@@ -280,9 +315,9 @@ def run_round(spec: RoundSpec) -> RoundResult:
                     "campaign.round", round_id=spec.round_id, attempt=attempt
                 )
                 if spec.mode == "predict":
-                    _run_predict(spec, result)
+                    _run_predict(spec, result, backend)
                 else:
-                    _run_exploration(spec, result)
+                    _run_exploration(spec, result, backend)
             except Exception as exc:
                 transient = is_transient_fault(exc)
                 retry = transient and attempt < policy.max_retries

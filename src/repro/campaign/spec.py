@@ -193,23 +193,14 @@ class RoundSpec:
     def workload_config(self) -> WorkloadConfig:
         return _workload_config(self.workload, self.ops_scale)
 
-    def store_backend(self):
-        """A fresh :class:`~repro.store.backend.StoreBackend` for the round.
+    def history_source(self, backend=None):
+        """The :class:`repro.sources.HistorySource` this round analyzes.
 
-        Built per call from the canonical spec string — rounds pickle to
-        worker processes, so the backend selection travels as data.
+        ``backend`` is the store backend the source executes on (``None``
+        for the in-memory default); whoever built it closes it.
         """
-        from ..store.backends import make_store_backend
-
-        return make_store_backend(self.backend)
-
-    def history_source(self):
-        """The :class:`repro.sources.HistorySource` this round analyzes."""
         from ..sources import BenchAppSource, FuzzSource, TraceFileSource
 
-        backend = (
-            None if self.backend == "inmemory" else self.store_backend()
-        )
         if self.source == "bench":
             return BenchAppSource(
                 self.app, self.workload_config(), self.seed,
@@ -352,8 +343,10 @@ class CampaignSpec:
                 "duplicated rows are intentional",
                 stacklevel=2,
             )
-        # expansion validates each round eagerly (unknown app/mode/workload)
-        self.rounds()
+        # expansion validates each round eagerly (unknown app/mode/workload);
+        # the tuple is kept as a plain attribute, not a field, so equality,
+        # hashing, repr and to_mapping ignore it
+        object.__setattr__(self, "_rounds", self._expand())
 
     # ------------------------------------------------------------------
     def rounds(self) -> tuple[RoundSpec, ...]:
@@ -362,8 +355,12 @@ class CampaignSpec:
         Order: mode → workload → app → isolation → strategy → seed. The
         non-predict modes ignore strategies (one round per cell×seed), and
         ``interleaved`` pins isolation to read committed — it models the
-        paper's MySQL stand-in.
+        paper's MySQL stand-in. The spec is frozen, so the expansion made
+        at construction is returned every time.
         """
+        return self._rounds
+
+    def _expand(self) -> tuple[RoundSpec, ...]:
         out: list[RoundSpec] = []
         for mode in self.modes:
             levels = (

@@ -49,6 +49,7 @@ from .jsonl import JsonlError, open_append
 from .predict import PredictionStrategy
 from .smt import BackendSpec, BackendUnavailable, Result
 from .sources import BenchAppSource, FuzzSource, TraceFileSource
+from .store.backends import close_store_backend
 from .viz import history_to_dot, history_to_text
 
 __all__ = ["main"]
@@ -78,9 +79,13 @@ def _store_backend(args):
 
 def _cmd_record(args) -> int:
     app_cls = _APPS[args.app]
-    outcome = record_observed(
-        app_cls(_workload(args)), args.seed, backend=_store_backend(args)
-    )
+    backend = _store_backend(args)
+    try:
+        outcome = record_observed(
+            app_cls(_workload(args)), args.seed, backend=backend
+        )
+    finally:
+        close_store_backend(backend)
     meta = {
         "app": args.app,
         "seed": args.seed,
@@ -191,8 +196,16 @@ def _analyze_source(args):
 
 def _cmd_analyze(args) -> int:
     """Source-agnostic record→predict→validate in one command."""
+    source = _analyze_source(args)
+    try:
+        return _analyze(source, args)
+    finally:
+        close_store_backend(getattr(source, "backend", None))
+
+
+def _analyze(source, args) -> int:
     session = (
-        Analysis(_analyze_source(args))
+        Analysis(source)
         .under(IsolationLevel.parse(args.isolation))
         .using(
             PredictionStrategy.parse(args.strategy),
@@ -711,8 +724,9 @@ def _cmd_watch(args) -> int:
                 f"[{finding.window_start}:{finding.window_stop}])"
             )
 
+    source = _watch_source(args)
     engine = StreamingAnalysis(
-        _watch_source(args),
+        source,
         window=args.window,
         stride=args.stride,
         isolation=levels,
@@ -735,6 +749,7 @@ def _cmd_watch(args) -> int:
         report = engine.report()
         print("\ninterrupted — reporting the stream so far", file=sys.stderr)
     finally:
+        close_store_backend(getattr(source, "backend", None))  # --archive
         if out_fh is not None:
             out_fh.close()
         if metrics_server is not None:

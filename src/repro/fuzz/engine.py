@@ -229,17 +229,18 @@ class Fuzzer:
         from ..api import Analysis
         from ..sources import FuzzSource
 
-        session = Analysis(
+        # closing the session closes the backend it built from ``backend``
+        with Analysis(
             FuzzSource(plan=plan, seed=self.config.record_seed),
             backend=backend,
-        )
-        session.under(isolation).using(
-            "approx-relaxed",
-            max_seconds=None,  # conflict-bounded: deterministic verdicts
-            max_conflicts=self.config.max_conflicts,
-        )
-        batch = session.predict(self.config.k)
-        return batch, session.history, dict(session.recorded.meta)
+        ) as session:
+            session.under(isolation).using(
+                "approx-relaxed",
+                max_seconds=None,  # conflict-bounded: deterministic verdicts
+                max_conflicts=self.config.max_conflicts,
+            )
+            batch = session.predict(self.config.k)
+            return batch, session.history, dict(session.recorded.meta)
 
     # -- the loop -------------------------------------------------------
     def step(self) -> IterationRecord:

@@ -186,6 +186,12 @@ class StreamMetrics:
             if downgrades:
                 reg.counter("stream_downgrades").inc(downgrades)
 
+    def start(self) -> None:
+        """Start the session clock; the run calls this as it begins, so a
+        clock installed after construction (a telemetry session) is the
+        one ``elapsed_seconds`` reads."""
+        self._started = obs_monotonic()
+
     def finish(self) -> None:
         """Seal the session: freeze ``elapsed_seconds`` and the rates."""
         if not self._finished:

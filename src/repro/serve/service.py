@@ -285,6 +285,7 @@ class StreamingAnalysis:
     # ------------------------------------------------------------------
     def run(self) -> StreamReport:
         """Consume the source until it ends or a bound trips."""
+        self.metrics.start()
         windows_done = 0
         if self.checkpoint is not None and self._committed_cursor is None:
             self._committed_cursor = self.source.cursor()

@@ -55,6 +55,7 @@ __all__ = [
     "ShardedBackend",
     "ShardedStore",
     "SqliteBackend",
+    "close_store_backend",
     "compact_archive",
     "count_executions",
     "execution_content_hash",
@@ -86,9 +87,10 @@ def make_store_backend(spec: StoreBackendLike) -> StoreBackend:
     """
     if spec is None:
         return DEFAULT_BACKEND
-    if isinstance(spec, StoreBackend) and not isinstance(spec, str):
-        return spec
+    # strings first: the runtime-checkable Protocol test is the costly one
     if not isinstance(spec, str):
+        if isinstance(spec, StoreBackend):
+            return spec
         raise ValueError(
             f"cannot build a store backend from {spec!r}; expected a spec "
             f"string naming one of {KNOWN_STORE_BACKENDS} or a StoreBackend"
@@ -112,6 +114,17 @@ def make_store_backend(spec: StoreBackendLike) -> StoreBackend:
         f"unknown store backend {spec!r}; expected one of "
         f"{KNOWN_STORE_BACKENDS} (e.g. 'sharded:4', 'sqlite:runs.sqlite')"
     )
+
+
+def close_store_backend(backend: Optional[StoreBackend]) -> None:
+    """Release what ``backend`` holds open, e.g. a SQLite archive connection.
+
+    The owner of a backend built from a spec calls this when it is done;
+    backends that hold nothing open (and ``None``) have nothing to close.
+    """
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()
 
 
 def _parse_sharded(rest: str, spec: str) -> ShardedBackend:

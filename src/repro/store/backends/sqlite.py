@@ -16,17 +16,22 @@ order). Reopening defaults to the recorded runs, so analyzing the archive
 of an ``analyze --backend sqlite:…`` session sees exactly the histories
 the in-memory pipeline analyzed.
 
-Writes use one short-lived connection per execution with a generous
-busy-timeout and WAL journaling, so campaign workers and a concurrent
-``watch`` reader may safely share a single archive file; persistence
-retries transient contention under the ambient
-:class:`~repro.faults.RetryPolicy`.
+A :class:`SqliteBackend` writes through one connection of its own,
+opened on its first write and kept until :meth:`SqliteBackend.close`, so
+a campaign run pays WAL setup and the schema check once rather than once
+per execution. Each execution is still its own transaction, retried
+under the ambient :class:`~repro.faults.RetryPolicy`; an attempt that
+fails rolls back, closes the connection, and the retry opens a fresh
+one. WAL journaling and a generous busy-timeout let campaign workers
+and a concurrent ``watch`` reader share one archive file: a reader sees
+every committed row while the writer's connection stays open.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -92,13 +97,51 @@ def _connect(path: Union[str, Path]) -> sqlite3.Connection:
             (str(SQLITE_SCHEMA_VERSION),),
         )
         conn.commit()
-    elif int(row[0]) > SQLITE_SCHEMA_VERSION:
-        conn.close()
+    else:
+        try:
+            _check_schema_version(path, row[0])
+        except ValueError:
+            conn.close()
+            raise
+    return conn
+
+
+def _check_schema_version(path: Union[str, Path], version: str) -> None:
+    if int(version) > SQLITE_SCHEMA_VERSION:
         raise ValueError(
-            f"execution archive {path} has schema version {row[0]}, newer "
+            f"execution archive {path} has schema version {version}, newer "
             f"than this reader (supports <= {SQLITE_SCHEMA_VERSION})"
         )
-    return conn
+
+
+def _read_source_rows(path: Path) -> list[tuple]:
+    """Every row of a source archive, oldest first, read without writing.
+
+    The connection is read-only (``mode=ro``) and runs no DDL or pragma,
+    so the file's bytes and journal mode stay as they were; a WAL source
+    still shows its uncheckpointed rows (SQLite may leave the ``-wal`` and
+    ``-shm`` files it needs for that beside it).
+    """
+    uri = f"{path.resolve().as_uri()}?mode=ro"
+    with closing(sqlite3.connect(uri, uri=True, timeout=30.0)) as conn:
+        tables = {
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        if "format" in tables:
+            row = conn.execute(
+                "SELECT value FROM format WHERE key = 'schema_version'"
+            ).fetchone()
+            if row is not None:
+                _check_schema_version(path, row[0])
+        if "executions" not in tables:
+            return []
+        return conn.execute(
+            "SELECT phase, seed, sessions, transactions, doc"
+            " FROM executions ORDER BY id"
+        ).fetchall()
 
 
 def persist_execution(
@@ -110,35 +153,15 @@ def persist_execution(
     sessions: int,
     meta: Optional[dict] = None,
 ) -> int:
-    """Append one execution to the archive; returns its row id.
+    """Append one execution to the archive at ``path``; returns its row id.
 
-    The write is one transaction and retries transient contention
-    (locked/busy archive, injected I/O faults) under the ambient retry
-    policy before giving up — a failed attempt leaves no partial row.
+    :meth:`SqliteBackend.persist` on a backend of its own, closed again
+    before returning — for one-off writes outside an execution loop.
     """
-    doc = history_to_json(history, meta=meta)
-    payload = json.dumps(doc)
-
-    def attempt() -> int:
-        fault_point("store.sqlite.persist", path=str(path), phase=phase)
-        conn = _connect(path)
-        try:
-            with conn:  # one transaction per execution
-                cursor = conn.execute(
-                    "INSERT INTO executions"
-                    " (phase, seed, sessions, transactions, doc)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    (phase, seed, sessions, len(history), payload),
-                )
-                return int(cursor.lastrowid)
-        finally:
-            conn.close()
-
-    policy = RetryPolicy.from_env()
-    with obs_span(
-        "store.sqlite.persist", phase=phase, transactions=len(history)
-    ):
-        return policy.call(attempt, key=f"store.sqlite.persist|{path}")
+    with closing(SqliteBackend(path)) as backend:
+        return backend.persist(
+            history, phase=phase, seed=seed, sessions=sessions, meta=meta
+        )
 
 
 def iter_executions(
@@ -214,25 +237,28 @@ def prune_executions(
     """
     if max_runs < 0:
         raise ValueError("max_runs must be >= 0")
-    conn = _connect(path)
-    try:
-        with conn:
-            if phase is None:
-                cursor = conn.execute(
-                    "DELETE FROM executions WHERE id NOT IN"
-                    " (SELECT id FROM executions ORDER BY id DESC LIMIT ?)",
-                    (max_runs,),
-                )
-            else:
-                cursor = conn.execute(
-                    "DELETE FROM executions WHERE phase = ? AND id NOT IN"
-                    " (SELECT id FROM executions WHERE phase = ?"
-                    "  ORDER BY id DESC LIMIT ?)",
-                    (phase, phase, max_runs),
-                )
-            return int(cursor.rowcount)
-    finally:
-        conn.close()
+    with closing(_connect(path)) as conn:
+        return _prune(conn, max_runs, phase)
+
+
+def _prune(
+    conn: sqlite3.Connection, max_runs: int, phase: Optional[str] = None
+) -> int:
+    with conn:
+        if phase is None:
+            cursor = conn.execute(
+                "DELETE FROM executions WHERE id NOT IN"
+                " (SELECT id FROM executions ORDER BY id DESC LIMIT ?)",
+                (max_runs,),
+            )
+        else:
+            cursor = conn.execute(
+                "DELETE FROM executions WHERE phase = ? AND id NOT IN"
+                " (SELECT id FROM executions WHERE phase = ?"
+                "  ORDER BY id DESC LIMIT ?)",
+                (phase, phase, max_runs),
+            )
+        return int(cursor.rowcount)
 
 
 def load_execution(path: Union[str, Path], execution_id: int) -> Trace:
@@ -323,9 +349,10 @@ def compact_archive(
     the earliest row (lowest id, destination before sources, sources in
     the given order) wins, so surviving ids stay monotone and tail
     cursors held by concurrent readers stay valid. Source archives are
-    only read, never modified — after a fleet campaign the per-worker
-    archives fold into one reopenable archive and can then be deleted by
-    the caller. A missing destination is created empty first, so merging
+    only read, through read-only connections, never modified: their
+    bytes and journal mode stay as they were. After a fleet campaign the
+    per-worker archives fold into one reopenable archive and can then be
+    deleted by the caller. A missing destination is created empty first, so merging
     N worker archives into a fresh file is the one-step
     ``compact_archive("merged.sqlite", worker_archives)``.
 
@@ -373,15 +400,7 @@ def compact_archive(
                     else:
                         seen[digest] = int(row_id)
                 for src in source_paths:
-                    src_conn = _connect(src)
-                    try:
-                        src_rows = src_conn.execute(
-                            "SELECT phase, seed, sessions, transactions, doc"
-                            " FROM executions ORDER BY id"
-                        ).fetchall()
-                    finally:
-                        src_conn.close()
-                    for content in src_rows:
+                    for content in _read_source_rows(src):
                         rows_in += 1
                         digest = execution_content_hash(*content)
                         if digest in seen:
@@ -462,6 +481,14 @@ class SqliteBackend:
     so a long-lived ingest loop — ``isopredict watch`` feeding a shared
     archive — cannot grow the file without bound. ``None`` (the default)
     keeps everything, preserving the PR 5 archival behavior.
+
+    The backend owns one connection to the archive. It opens on the first
+    write, at ``path`` as resolved against the working directory of that
+    moment (fleet workers chdir into their workdir first), and serves
+    every later persist and prune until :meth:`close`. A write that
+    raises closes it, so a broken connection never outlives its fault.
+    Like any ``sqlite3`` connection it belongs to the thread that opened
+    it: drive one backend from one thread.
     """
 
     name = "sqlite"
@@ -473,6 +500,62 @@ class SqliteBackend:
             raise ValueError("max_runs must be >= 1 (or None to keep all)")
         self.path = Path(path)
         self.max_runs = max_runs
+        self._conn: Optional[sqlite3.Connection] = None
+
+    def close(self) -> None:
+        """Close the archive connection; the next write opens a new one."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            self._conn = _connect(self.path)
+        return self._conn
+
+    def persist(
+        self,
+        history: History,
+        *,
+        phase: str,
+        seed: int,
+        sessions: int,
+        meta: Optional[dict] = None,
+    ) -> int:
+        """Append one execution to the archive; returns its row id.
+
+        The write is one transaction and retries transient contention
+        (locked/busy archive, injected I/O faults) under the ambient retry
+        policy before giving up. A failed attempt rolls back, so it leaves
+        no partial row, and closes the connection: the retry reopens.
+        """
+        payload = json.dumps(history_to_json(history, meta=meta))
+
+        def attempt() -> int:
+            try:
+                fault_point(
+                    "store.sqlite.persist", path=str(self.path), phase=phase
+                )
+                conn = self._connection()
+                with conn:  # one transaction per execution
+                    cursor = conn.execute(
+                        "INSERT INTO executions"
+                        " (phase, seed, sessions, transactions, doc)"
+                        " VALUES (?, ?, ?, ?, ?)",
+                        (phase, seed, sessions, len(history), payload),
+                    )
+                    return int(cursor.lastrowid)
+            except BaseException:
+                self.close()
+                raise
+
+        policy = RetryPolicy.from_env()
+        with obs_span(
+            "store.sqlite.persist", phase=phase, transactions=len(history)
+        ):
+            return policy.call(
+                attempt, key=f"store.sqlite.persist|{self.path}"
+            )
 
     @property
     def spec(self) -> str:
@@ -485,7 +568,11 @@ class SqliteBackend:
         """Apply the retention bound now; returns rows dropped."""
         if self.max_runs is None:
             return 0
-        return prune_executions(self.path, self.max_runs)
+        try:
+            return _prune(self._connection(), self.max_runs)
+        except BaseException:
+            self.close()
+            raise
 
     def compact(
         self,
@@ -525,8 +612,7 @@ class SqliteBackend:
             "path": str(self.path),
             "phase": phase,
         }
-        execution_id = persist_execution(
-            self.path,
+        execution_id = self.persist(
             history,
             phase=phase,
             seed=seed,
