@@ -70,7 +70,7 @@ def _workload(label: str) -> WorkloadConfig:
     raise ValueError(f"unknown workload label {label!r}")
 
 
-#: (name, size class, app, workload, isolation, strategy, k, solver, store).
+#: (name, size class, app, workload, isolation, strategy, k, store).
 #: Size classes are assigned by pre-PR-3 median wall on the reference
 #: machine: under 1 s is ``small`` (tracked mainly for counters and
 #: encode/compile trends), 1–10 s is ``mid`` (the tier speedup targets
@@ -81,48 +81,48 @@ def _workload(label: str) -> WorkloadConfig:
 #: routing overhead — recording happens once, outside the timer).
 SCENARIOS = [
     ("smallbank-tiny-k1", "small", "smallbank", "tiny", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("wikipedia-tiny-k1", "small", "wikipedia", "tiny", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("tpcc-tiny-k1", "small", "tpcc", "tiny", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("smallbank-small-rc-strict-k1", "small", "smallbank", "small", "rc",
-     "approx-strict", 1, "inprocess", "inmemory"),
+     "approx-strict", 1, "inmemory"),
     ("smallbank-small-k1", "mid", "smallbank", "small", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("wikipedia-small-k1", "mid", "wikipedia", "small", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("tpcc-small-k1", "mid", "tpcc", "small", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("smallbank-small-k4", "mid", "smallbank", "small", "causal",
-     "approx-relaxed", 4, "inprocess", "inmemory"),
+     "approx-relaxed", 4, "inmemory"),
     ("tpcc-small-rc-strict-k1", "mid", "tpcc", "small", "rc",
-     "approx-strict", 1, "inprocess", "inmemory"),
+     "approx-strict", 1, "inmemory"),
     # -- Table 4's exact column: CEGIS with one serializability check per
     # candidate; the ``candidates`` counter tracks the refinement's reach
     ("smallbank-tiny-exact-strict-k1", "small", "smallbank", "tiny",
-     "causal", "exact-strict", 1, "inprocess", "inmemory"),
+     "causal", "exact-strict", 1, "inmemory"),
     ("shardtransfer-tiny-exact-strict-k1", "small", "shardtransfer", "tiny",
-     "causal", "exact-strict", 1, "inprocess", "inmemory"),
+     "causal", "exact-strict", 1, "inmemory"),
     # an exact UNSAT answer: the CEGIS walk exhausts its candidates (CI
     # gates the verdict and the candidate count, not the wall)
     ("tpcc-small-exact-strict-k1", "mid", "tpcc", "small", "causal",
-     "exact-strict", 1, "inprocess", "inmemory"),
+     "exact-strict", 1, "inmemory"),
     # the same history's approx UNSAT: CEGIS with a pco-cycle check per
     # candidate (CI gates the verdict and the candidate count)
     ("tpcc-small-approx-strict-k1", "mid", "tpcc", "small", "causal",
-     "approx-strict", 1, "inprocess", "inmemory"),
+     "approx-strict", 1, "inmemory"),
     # -- sharded scenario workloads (PR 5) ------------------------------
     ("shardtransfer-small-sharded4-k1", "mid", "shardtransfer", "small",
-     "causal", "approx-relaxed", 1, "inprocess", "sharded:4"),
+     "causal", "approx-relaxed", 1, "sharded:4"),
     ("shardtransfer-small-sharded4-rc-k2", "small", "shardtransfer", "small",
-     "rc", "approx-relaxed", 2, "inprocess", "sharded:4"),
+     "rc", "approx-relaxed", 2, "sharded:4"),
     ("smallbank-sharded-small-sharded3-k1", "small", "smallbank_sharded",
-     "small", "causal", "approx-relaxed", 1, "inprocess", "sharded:3"),
+     "small", "causal", "approx-relaxed", 1, "sharded:3"),
     ("smallbank-large-k1", "large", "smallbank", "large", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
     ("wikipedia-large-k1", "large", "wikipedia", "large", "causal",
-     "approx-relaxed", 1, "inprocess", "inmemory"),
+     "approx-relaxed", 1, "inmemory"),
 ]
 
 #: Streaming-service scenarios (PR 7): the same recorded histories pushed
@@ -151,7 +151,6 @@ def run_scenario(
     isolation: str,
     strategy: str,
     k: int,
-    solver: str,
     store: str,
     repeats: int,
     max_seconds: float,
@@ -168,7 +167,6 @@ def run_scenario(
             IsolationLevel.parse(isolation),
             PredictionStrategy.parse(strategy),
             max_seconds=max_seconds,
-            solver=solver,
         )
         batch = analyzer.predict_many(history, k=k)
         stats = dict(batch.stats)
@@ -182,7 +180,6 @@ def run_scenario(
         "isolation": isolation,
         "strategy": strategy,
         "k": k,
-        "solver": solver,
         "store": store_backend_spec(store),
         "transactions": len(history.transactions()),
     }
@@ -287,7 +284,6 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
         "isolation": "causal",
         "strategy": "approx-strict",
         "k": 1,
-        "solver": "inprocess",
         "store": "inmemory",
         "transactions": len(history.transactions()),
     }
@@ -361,12 +357,6 @@ def main(argv=None) -> int:
         help="per-enumeration solver budget",
     )
     parser.add_argument(
-        "--solver", default=None, metavar="SPEC",
-        help="override the solver backend for every selected scenario "
-             "(e.g. dimacs:minisat); scenario names gain a "
-             "'@SPEC' suffix so per-backend profiles coexist in one file",
-    )
-    parser.add_argument(
         "--baseline", default=None,
         help="BENCH_*.json to compare against (regression gate)",
     )
@@ -395,14 +385,11 @@ def main(argv=None) -> int:
         return 2
 
     results = []
-    for (name, size, app, workload, isolation, strategy, k, solver,
+    for (name, size, app, workload, isolation, strategy, k,
          store) in selected:
-        if args.solver:
-            solver = args.solver
-            name = f"{name}@{solver}"
         result = run_scenario(
-            name, size, app, workload, isolation, strategy, k, solver,
-            store, repeats=repeats, max_seconds=args.max_seconds,
+            name, size, app, workload, isolation, strategy, k, store,
+            repeats=repeats, max_seconds=args.max_seconds,
         )
         solve = result.stages.get("solve", 0.0)
         print(

@@ -169,9 +169,8 @@ class Analysis:
 
         ``max_seconds`` is the whole-enumeration solver budget (an explicit
         ``None`` removes it); ``analyzer_kwargs`` pass through to
-        :class:`IsoPredict` (``max_candidates``, ``max_conflicts``, and
-        the backend-seam knobs ``solver`` — e.g.
-        ``"dimacs:minisat"`` — and ``budget``, e.g. ``"30s,20000c"``).
+        :class:`IsoPredict` (``max_candidates``, ``max_conflicts`` and
+        ``budget``, e.g. ``"30s,20000c"``).
         """
         if strategy is not None:
             if isinstance(strategy, str):

@@ -356,7 +356,6 @@ class CampaignExecutor:
             seed=spec.seed,
             status="error",
             source=spec.source,
-            solver=spec.solver,
             backend=spec.backend,
             error=(
                 f"round lost {attempts} time(s): worker crashed or hung "

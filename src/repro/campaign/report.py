@@ -216,7 +216,7 @@ class CampaignReport:
     def _fault_counters(results: list, events: Optional[dict]) -> dict:
         """Roll worker-reported fault meta + executor events into totals.
 
-        ``faults_injected``/``round_retries``/``downgrades`` come from
+        ``faults_injected``/``round_retries`` come from
         the per-round accounting each worker shipped in
         ``RoundResult.faults``; the ``worker_*``/``rounds_*`` keys come
         from the executor's own stall handling. A fault-free run rolls
@@ -226,7 +226,6 @@ class CampaignReport:
             "faults_injected": 0,
             "round_retries": 0,
             "rounds_retried_in_worker": 0,
-            "downgrades": 0,
         }
         for result in results:
             faults = getattr(result, "faults", None) or {}
@@ -235,9 +234,6 @@ class CampaignReport:
             )
             totals["round_retries"] += sum(
                 faults.get("retries", {}).values()
-            )
-            totals["downgrades"] += sum(
-                faults.get("downgrades", {}).values()
             )
             if getattr(result, "attempts", 1) > 1:
                 totals["rounds_retried_in_worker"] += 1

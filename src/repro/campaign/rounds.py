@@ -84,7 +84,6 @@ class RoundResult:
     seed: int
     status: str  # sat | unsat | unknown | ok | error
     source: str = "bench"
-    solver: str = "inprocess"
     backend: str = "inmemory"
     # -- predict mode ---------------------------------------------------
     predicted: int = 0  # distinct unserializable predictions found (<= k)
@@ -168,11 +167,7 @@ def _run_predict(
     session = (
         Analysis(spec.history_source(backend))
         .under(spec.isolation)
-        .using(
-            spec.strategy,
-            max_seconds=spec.max_seconds,
-            solver=spec.solver,
-        )
+        .using(spec.strategy, max_seconds=spec.max_seconds)
     )
     run = session.recorded
     _characteristics(result, run.history)
@@ -243,7 +238,6 @@ def _trace_memo_key(spec: RoundSpec) -> tuple:
         spec.max_seconds,
         spec.max_predictions,
         spec.validate,
-        spec.solver,
         spec.backend,
     )
 
@@ -260,7 +254,6 @@ def _fresh_result(spec: RoundSpec) -> RoundResult:
         seed=spec.seed,
         status="error",
         source=spec.source,
-        solver=spec.solver,
         backend=spec.backend,
     )
 

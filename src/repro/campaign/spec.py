@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Union
 from ..bench_apps import ALL_APPS, WorkloadConfig
 from ..isolation.levels import IsolationLevel
 from ..predict.strategies import PredictionStrategy
-from ..smt.backends import BackendSpec
 from ..store.backends import store_backend_spec
 
 __all__ = [
@@ -97,18 +96,12 @@ class RoundSpec:
     validate: bool = True
     max_seconds: Optional[float] = 120.0
     max_predictions: int = 1
-    solver: str = "inprocess"
     backend: str = "inmemory"
 
     def __post_init__(self):
         _check_source(self.source)
-        # canonicalize so round ids are stable ("DIMACS" and "dimacs"
-        # are the same backend)
-        object.__setattr__(
-            self, "solver", str(BackendSpec.parse(self.solver))
-        )
-        # likewise for the store backend ("memory" / "sharded:2:global"
-        # collapse to "inmemory" / "sharded:2")
+        # canonicalize so round ids are stable ("memory" /
+        # "sharded:2:global" collapse to "inmemory" / "sharded:2")
         object.__setattr__(
             self, "backend", store_backend_spec(self.backend)
         )
@@ -168,10 +161,6 @@ class RoundSpec:
                 f":k={self.max_predictions}:val={int(self.validate)}"
                 f":t={budget}"
             )
-            if self.solver != "inprocess":
-                # non-default backends extend the id; inprocess keeps the
-                # original format so existing JSONL result files resume
-                base += f":solver={self.solver}"
         if self.backend != "inmemory":
             # store backends change where every mode executes, so the
             # segment applies to predict and exploration rounds alike;
@@ -281,16 +270,12 @@ class CampaignSpec:
     max_seconds: Optional[float] = 120.0
     max_predictions: int = 1
     max_rounds: Optional[int] = None
-    solver: str = "inprocess"
     backend: str = "inmemory"
 
     def __post_init__(self):
         # normalize user-friendly forms ("all", comma strings, counts) so
         # frozen equality/round-tripping sees canonical values.
         _check_source(self.source)
-        object.__setattr__(
-            self, "solver", str(BackendSpec.parse(self.solver))
-        )
         object.__setattr__(
             self, "backend", store_backend_spec(self.backend)
         )
@@ -387,7 +372,6 @@ class CampaignSpec:
                                         validate=self.validate,
                                         max_seconds=self.max_seconds,
                                         max_predictions=self.max_predictions,
-                                        solver=self.solver,
                                         backend=self.backend,
                                     )
                                 )

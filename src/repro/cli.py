@@ -4,7 +4,7 @@ Examples::
 
     isopredict analyze --app smallbank --seed 3 --isolation causal
     isopredict analyze --trace saved.json --isolation rc --k 3
-    isopredict analyze --app tpcc --solver dimacs:minisat --budget 30s
+    isopredict analyze --app tpcc --budget 30s
     isopredict analyze --app shardtransfer --backend sharded:4
     isopredict analyze --app smallbank --backend sqlite:runs.sqlite
     isopredict analyze --trace runs.sqlite --isolation causal
@@ -47,7 +47,7 @@ from .isolation import (
 )
 from .jsonl import JsonlError, open_append
 from .predict import PredictionStrategy
-from .smt import BackendSpec, BackendUnavailable, Result
+from .smt import Result
 from .sources import BenchAppSource, FuzzSource, TraceFileSource
 from .store.backends import close_store_backend
 from .viz import history_to_dot, history_to_text
@@ -113,9 +113,6 @@ def _print_prediction(result, args) -> None:
         f"gen={stats.get('gen_seconds', 0):.2f}s "
         f"solve={stats.get('solve_seconds', 0):.2f}s"
     )
-    backend = stats.get("backend")
-    if backend and backend != "inprocess":
-        print(f"  solver: {backend}")
     if getattr(args, "profile", False):
         from .perf import format_profile
 
@@ -138,18 +135,11 @@ def _print_prediction(result, args) -> None:
             print(f"  predicted history written to {args.out}")
 
 
-def _solver_options(args) -> dict:
-    """The ``using()`` kwargs for the --solver/--budget flags."""
-    spec = getattr(args, "solver", "inprocess")
-    try:
-        BackendSpec.parse(spec)  # fail before recording, not mid-analysis
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    options = {"solver": spec}
+def _budget_options(args) -> dict:
+    """The ``using()`` kwargs for the --budget flag."""
     if getattr(args, "budget", None):
-        options["budget"] = args.budget
-    return options
+        return {"budget": args.budget}
+    return {}
 
 
 def _cmd_predict(args) -> int:
@@ -159,7 +149,7 @@ def _cmd_predict(args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            **_solver_options(args),
+            **_budget_options(args),
         )
     )
     result = session.run(k=1, validate=False).prediction
@@ -210,7 +200,7 @@ def _analyze(source, args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            **_solver_options(args),
+            **_budget_options(args),
         )
     )
     run = session.recorded
@@ -362,7 +352,6 @@ def _cmd_campaign(args) -> int:
                 max_seconds=args.max_seconds,
                 max_predictions=args.k,
                 max_rounds=args.max_rounds,
-                solver=args.solver,
                 backend=args.backend,
             )
         if fleet_mode and manifest is None:
@@ -387,12 +376,6 @@ def _cmd_campaign(args) -> int:
         source = args.spec or args.manifest or "flags"
         print(f"error: could not parse {source}: {exc}", file=sys.stderr)
         return 2
-    # probe the backend now: a dimacs spec with no solver installed must
-    # fail here with one clean message (BackendUnavailable -> exit 3 in
-    # main), not as one error row per round after the whole sweep ran
-    from .smt import make_backend
-
-    make_backend(spec.solver).close()
     if fleet_mode:
         report = run_worker(
             manifest,
@@ -739,7 +722,7 @@ def _cmd_watch(args) -> int:
         on_finding=on_finding,
         log=None if args.quiet else print,
         checkpoint=args.checkpoint,
-        **_solver_options(args),
+        **_budget_options(args),
     )
     interrupted = False
     try:
@@ -849,12 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "reopenable SQLite archive)",
         )
 
-    def add_solver(p):
-        p.add_argument(
-            "--solver", default="inprocess", metavar="SPEC",
-            help="solver backend: inprocess (default) or dimacs[:binary] "
-                 "(external DIMACS solver subprocess)",
-        )
+    def add_budget(p):
         p.add_argument(
             "--budget", default=None, metavar="SPEC",
             help="solver search budget: '30s' (wall clock), '20000c' "
@@ -947,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and solver counters",
     )
     add_workload(p_analyze)
-    add_solver(p_analyze)
+    add_budget(p_analyze)
     add_store_backend(p_analyze)
     add_telemetry(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -975,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="print per-stage timings and solver counters",
     )
-    add_solver(p_predict)
+    add_budget(p_predict)
     add_telemetry(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
 
@@ -1105,10 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument(
         "--max-rounds", type=int, default=None,
         help="round budget: stop expanding the sweep after N rounds",
-    )
-    p_campaign.add_argument(
-        "--solver", default="inprocess", metavar="SPEC",
-        help="solver backend per round: inprocess or dimacs[:binary]",
     )
     p_campaign.add_argument(
         "--backend", default="inmemory", metavar="SPEC",
@@ -1414,7 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--quiet", action="store_true",
                          help="suppress per-finding progress lines")
     add_workload(p_watch)
-    add_solver(p_watch)
+    add_budget(p_watch)
     add_telemetry(p_watch)
     p_watch.set_defaults(func=_cmd_watch)
 
@@ -1501,9 +1475,6 @@ def main(argv=None) -> int:
             clock=getattr(args, "telemetry_clock", None),
         ):
             return args.func(args)
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (JsonlError, OSError) as exc:  # a corrupt or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from .inject import (
     InjectedIOError,
     WorkerCrash,
     active_plan,
-    count_downgrade,
     count_retry,
     diff_fault_counters,
     fault_counters,
@@ -46,7 +45,6 @@ __all__ = [
     "RetryPolicy",
     "WorkerCrash",
     "active_plan",
-    "count_downgrade",
     "count_retry",
     "diff_fault_counters",
     "fault_counters",

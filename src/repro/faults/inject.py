@@ -22,8 +22,6 @@ point                     guards
 ``store.sqlite.poll``     one watch poll of a SQLite archive
 ``store.sharded.commit``  one cross-shard transaction commit (mirror fan-out)
 ``stream.jsonl.line``     one JSONL line handed to the trace parser
-``solver.dimacs.exec``    one external DIMACS subprocess invocation
-``solver.solve``          one backend ``solve()`` call (degradation seam)
 ``watch.window``          one analyzed stream window (checkpoint crash tests)
 ``fuzz.iteration``        one fuzz-engine mutate/execute/analyze iteration
 ``fleet.manifest``        one fleet-manifest read (``load_manifest``)
@@ -31,7 +29,7 @@ point                     guards
 ``store.sqlite.compact``  one archive-compaction transaction
 ========================  ====================================================
 
-Every fault fired, retry spent, and degradation taken is counted here so
+Every fault fired and retry spent is counted here so
 harnesses can assert the run *witnessed* its plan — an injected fault
 that never shows up in counters is a silently-swallowed failure, which
 the chaos suite treats as a bug.  When the telemetry layer is active
@@ -62,7 +60,6 @@ __all__ = [
     "InjectedIOError",
     "WorkerCrash",
     "active_plan",
-    "count_downgrade",
     "count_retry",
     "fault_counters",
     "fault_point",
@@ -97,7 +94,6 @@ class _FaultState:
         self.hits = Counter()        # point -> times reached
         self.injected = Counter()    # "point:kind" -> times fired
         self.retries = Counter()     # retry key -> retries spent
-        self.downgrades = Counter()  # downgrade key -> degradations taken
 
 
 _STATE = _FaultState()
@@ -106,8 +102,8 @@ _STATE = _FaultState()
 def install_plan(plan, env: bool = False) -> Optional[FaultPlan]:
     """Activate a plan in this process; ``env=True`` also exports it.
 
-    Exporting makes child processes (campaign pool workers, solver
-    subprocess wrappers) pick the same plan up lazily via
+    Exporting makes child processes (campaign pool workers) pick the
+    same plan up lazily via
     :func:`active_plan`. Passing ``None`` clears both.
     """
     plan = FaultPlan.parse(plan) if isinstance(plan, str) else plan
@@ -136,7 +132,6 @@ def reset_fault_state() -> None:
     _STATE.hits.clear()
     _STATE.injected.clear()
     _STATE.retries.clear()
-    _STATE.downgrades.clear()
 
 
 def fault_point(point: str, **context) -> None:
@@ -172,12 +167,6 @@ def _fire(spec, point: str, hit: int, context: dict) -> None:
         raise InjectedCorruption(detail)
     if spec.kind == "crash":
         raise WorkerCrash(detail)
-    if spec.kind == "missing":
-        # imported lazily: faults must not depend on the smt package at
-        # import time (store/stream layers use faults too)
-        from repro.smt.backends.base import BackendUnavailable
-
-        raise BackendUnavailable(detail)
     if spec.kind == "hang":
         time.sleep(spec.seconds or 30.0)
         return
@@ -237,22 +226,15 @@ def count_retry(key: str, times: int = 1) -> None:
     _observe_fault("fault_retries", key, times)
 
 
-def count_downgrade(key: str, times: int = 1) -> None:
-    """Record a graceful degradation (e.g. dimacs -> in-process)."""
-    _STATE.downgrades[key] += times
-    _observe_fault("fault_downgrades", key, times)
-
-
 def fault_counters() -> dict:
     """A snapshot of this process's fault accounting.
 
-    Returns ``{"injected": {...}, "retries": {...}, "downgrades": {...}}``
+    Returns ``{"injected": {...}, "retries": {...}}``
     with plain-dict copies safe to diff, serialize, and ship in results.
     """
     return {
         "injected": dict(_STATE.injected),
         "retries": dict(_STATE.retries),
-        "downgrades": dict(_STATE.downgrades),
     }
 
 
@@ -262,7 +244,7 @@ def diff_fault_counters(before: dict, after: dict) -> dict:
     Empty groups are dropped, so a fault-free span diffs to ``{}``.
     """
     out = {}
-    for group in ("injected", "retries", "downgrades"):
+    for group in ("injected", "retries"):
         b, a = before.get(group, {}), after.get(group, {})
         delta = {k: v - b.get(k, 0) for k, v in a.items() if v != b.get(k, 0)}
         if delta:

@@ -46,7 +46,6 @@ FAULT_KINDS = (
     "crash",    # WorkerCrash: the unit of work dies with a stack (transient)
     "kill",     # SIGKILL the current process (only meaningful in a worker)
     "hang",     # sleep for `seconds` (drive timeout/heartbeat paths)
-    "missing",  # BackendUnavailable: an external dependency vanished
 )
 
 

@@ -9,9 +9,7 @@ instead of thundering in lockstep.
 Classification is centralized in :func:`is_transient_fault`: injected
 faults and the real-world failures they model (locked SQLite archives,
 interrupted syscalls, timeouts) are retryable; everything else is fatal
-and propagates. ``BackendUnavailable`` is deliberately *not* retryable —
-a vanished binary will not come back, so the solver layer degrades to the
-in-process core instead of burning its retry budget.
+and propagates.
 """
 from __future__ import annotations
 

@@ -79,10 +79,6 @@ COUNTER_KEYS = (
     "predictions",
 )
 
-#: Backend-specific counters also captured into profiles: the dimacs
-#: bridge contributes its subprocess and lazy-theory-refinement counts.
-BACKEND_COUNTER_KEYS = ("external_solves", "theory_refinements")
-
 #: Streaming-service counters (:mod:`repro.serve`): deterministic stream
 #: facts — how many runs/windows were analyzed, how many distinct findings
 #: and overlap duplicates the deduper saw, and the soundness ledger
@@ -114,28 +110,22 @@ def profile_from_stats(stats: dict) -> dict:
     """Split a flat analysis ``stats`` dict into stages + counters.
 
     Unknown keys are ignored; missing stages report 0.0 so profiles from
-    different code versions stay comparable. When the stats carry a
-    ``backend`` name (any analysis routed through the backend seam does),
-    it is recorded alongside so per-backend profiles of one scenario can
-    be told apart in ``BENCH_*.json``.
+    different code versions stay comparable.
     """
     stages = {
         stage: float(stats.get(f"{stage}_seconds", 0.0)) for stage in STAGES
     }
     counters = {
-        key: int(stats[key]) for key in COUNTER_KEYS if key in stats
+        key: int(stats[key])
+        for key in COUNTER_KEYS + STREAM_COUNTER_KEYS
+        if key in stats
     }
-    for key in BACKEND_COUNTER_KEYS + STREAM_COUNTER_KEYS:
-        if key in stats:
-            counters[key] = int(stats[key])
     profile = {"stages": stages, "counters": counters}
     rates = {
         key: float(stats[key]) for key in RATE_KEYS if key in stats
     }
     if rates:
         profile["rates"] = rates
-    if stats.get("backend"):
-        profile["backend"] = str(stats["backend"])
     if stats.get("status"):
         profile["verdict"] = str(stats["status"])
     return profile
@@ -193,7 +183,6 @@ class ScenarioResult:
     stages: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)  # streaming scenarios only
-    backend: str = ""  # solver backend the scenario ran on ("" = default)
     verdict: str = ""  # the analysis verdict (sat/unsat/unknown), if any
 
     @property
@@ -220,8 +209,6 @@ class ScenarioResult:
         }
         if self.rates:
             doc["rates"] = {k: round(v, 6) for k, v in self.rates.items()}
-        if self.backend:
-            doc["backend"] = self.backend
         if self.verdict:
             doc["verdict"] = self.verdict
         return doc
@@ -264,7 +251,6 @@ def run_measured(
             stages=representative["stages"],
             counters=representative["counters"],
             rates=representative.get("rates", {}),
-            backend=representative.get("backend", ""),
             verdict=representative.get("verdict", ""),
         ))
     return results

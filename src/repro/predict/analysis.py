@@ -18,7 +18,7 @@ from ..isolation.axioms import pco_cycle
 from ..obs import span as obs_span
 from ..isolation.checkers import is_serializable
 from ..isolation.levels import IsolationLevel
-from ..smt import BackendSpec, Result, Solver
+from ..smt import Result, Solver
 from .decode import decode_boundaries, decode_history
 from .encoder import Encoding
 from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
@@ -158,7 +158,7 @@ class IsoPredict:
     """Predicts feasible unserializable executions from an observed one.
 
     Parameters mirror the paper's configuration space (isolation level and
-    strategy) plus the solver backend and its budgets. ``max_candidates``
+    strategy) plus the solver budgets. ``max_candidates``
     bounds the candidates one ``ensure`` call of an exact strategy may
     reject; an approximate walk is bounded by the solver budgets alone,
     so its verdict never depends on how many candidates it refines away.
@@ -171,7 +171,6 @@ class IsoPredict:
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
         max_candidates: int = 64,
-        solver: object = "inprocess",
         budget: "Budget | str | None" = None,
     ):
         if isolation is IsolationLevel.SERIALIZABLE:
@@ -187,18 +186,6 @@ class IsoPredict:
         self.max_conflicts = max_conflicts
         self.max_seconds = max_seconds
         self.max_candidates = max_candidates
-        # backend selection: a spec string/BackendSpec (validated eagerly
-        # so typos fail before any encoding work) or a factory callable
-        if isinstance(solver, (str, BackendSpec)):
-            solver = BackendSpec.parse(solver)
-        self.solver = solver
-
-    @property
-    def solver_name(self) -> str:
-        """Human/JSON-facing name of the selected backend."""
-        if isinstance(self.solver, BackendSpec):
-            return str(self.solver)
-        return getattr(self.solver, "__name__", "custom")
 
     # ------------------------------------------------------------------
     def predict(self, observed: History) -> PredictionResult:
@@ -264,7 +251,7 @@ class IsoPredict:
         """
         with obs_span("stage.encode") as enc_span:
             enc = Encoding(observed, boundary=boundary)
-            solver = Solver(backend=self.solver)
+            solver = Solver()
             constraints = []
             constraints += enc.feasibility_constraints()
             constraints += isolation_constraints(enc, self.isolation)
@@ -489,7 +476,6 @@ class PredictionEnumeration:
         )
         stats = self.stats
         stats["predictions"] = len(predictions)
-        stats["backend"] = self.analyzer.solver_name
         return PredictionBatch(
             status=status,
             isolation=self.analyzer.isolation,

@@ -4,7 +4,7 @@
 search": a wall-clock bound, a conflict bound, or both. It parses from
 the CLI's ``--budget`` flag (``"30s"``, ``"20000c"``, ``"30s,20000c"``, a
 bare number meaning seconds) and feeds :class:`repro.predict.IsoPredict`,
-which threads it to whichever solver backend the analysis runs on.
+which threads it to every solver call of the analysis.
 """
 from __future__ import annotations
 
@@ -20,9 +20,7 @@ class Budget:
     """Solver search limits: wall-clock seconds and/or conflict count.
 
     Both limits apply *per solver call*: an incremental enumeration
-    grants every re-check its own allowance, so a budget means the same
-    thing on the long-lived in-process backend as on the fresh-start
-    external DIMACS backend.
+    grants every re-check its own allowance.
     """
 
     max_seconds: Optional[float] = None

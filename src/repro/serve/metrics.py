@@ -78,7 +78,6 @@ class StreamMetrics:
     checkpoint_resumes: int = 0
     faults_injected: int = 0
     fault_retries: int = 0
-    downgrades: int = 0
     _started: float = field(default_factory=obs_monotonic, repr=False)
     _finished: bool = field(default=False, repr=False)
     _source_last: dict = field(default_factory=dict, repr=False)
@@ -173,18 +172,14 @@ class StreamMetrics:
         """Fold a fault-counter delta (see ``diff_fault_counters``)."""
         injected = sum(diff.get("injected", {}).values())
         retries = sum(diff.get("retries", {}).values())
-        downgrades = sum(diff.get("downgrades", {}).values())
         self.faults_injected += injected
         self.fault_retries += retries
-        self.downgrades += downgrades
         reg = self._registry()
         if reg is not None:
             if injected:
                 reg.counter("stream_faults_injected").inc(injected)
             if retries:
                 reg.counter("stream_fault_retries").inc(retries)
-            if downgrades:
-                reg.counter("stream_downgrades").inc(downgrades)
 
     def start(self) -> None:
         """Start the session clock; the run calls this as it begins, so a
@@ -251,7 +246,6 @@ class StreamMetrics:
                 "checkpoint_resumes": self.checkpoint_resumes,
                 "faults_injected": self.faults_injected,
                 "fault_retries": self.fault_retries,
-                "downgrades": self.downgrades,
                 "findings_per_sec": self.findings_per_sec,
                 "window_seconds_max": self.window_seconds_max,
                 "window_seconds_median": self.window_seconds_median,

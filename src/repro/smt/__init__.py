@@ -23,24 +23,10 @@ from .errors import ModelUnavailable, Result, SmtError, SortError
 from .sat import SatSolver, luby
 from .difference import DifferenceTheory
 from .solver import Model, Solver
-from .backends import (
-    BackendSpec,
-    BackendUnavailable,
-    DimacsProcessBackend,
-    InProcessBackend,
-    SolverBackend,
-    make_backend,
-)
 
 __all__ = [
     "And",
-    "BackendSpec",
-    "BackendUnavailable",
     "Bool",
-    "DimacsProcessBackend",
-    "InProcessBackend",
-    "SolverBackend",
-    "make_backend",
     "DifferenceTheory",
     "EnumSort",
     "EnumVar",

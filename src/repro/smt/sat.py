@@ -718,7 +718,7 @@ class SatSolver:
         conflicts_here = 0
         # conflict budgets are per-call, like wall budgets: an incremental
         # caller re-checking the same solver grants each check its own
-        # allowance, matching the fresh-start backends' semantics
+        # allowance
         conflicts_at_entry = self.stats["conflicts"]
 
         while True:

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..faults import count_downgrade, fault_point
 from ..obs import span as obs_span
 from .ast import Expr, EnumVar
-from .backends import BackendLike, make_backend
-from .backends.base import BackendUnavailable
 from .cnf import CnfCompiler
 from .difference import DifferenceTheory
 from .errors import ModelUnavailable, Result
+from .sat import SatSolver
 
 __all__ = ["Solver", "Model"]
 
@@ -46,9 +44,10 @@ class Model:
 
     def __init__(self, solver: "Solver"):
         self._compiler = solver._compiler
-        self._assign = solver._backend.assignment()  # one flat int copy
+        self._assign = solver._sat._assign[:]  # one flat int copy
         self._known = len(self._assign)  # vars allocated at snapshot time
-        self._ints = solver._backend.int_values()
+        theory = solver._theory
+        self._ints = {name: theory.value(name) for name in theory._var_ids}
 
     def _var_value(self, var: int) -> Optional[bool]:
         """Snapshot value of a SAT variable; None if unknown here."""
@@ -133,27 +132,18 @@ class Model:
 class Solver:
     """An incremental SMT solver for the Bool + Enum + one-sided order fragment.
 
-    ``backend`` selects what decides the compiled clauses — the in-process
-    CDCL core (default) or an external DIMACS solver subprocess; see
-    :mod:`repro.smt.backends`. Expression compilation, model extraction,
-    and the incremental ``add``/``check`` contract are identical across
-    backends.
-
-    When a clause-store backend reports :class:`BackendUnavailable`
-    mid-run (solver binary vanished), ``check``
-    degrades gracefully: the accumulated clauses (and any learned theory
-    lemmas) are replayed into a fresh in-process backend, the downgrade
-    is counted, and the query re-runs — the verdict is unaffected
-    because the clause set is the complete solver state.
+    One in-process CDCL(T) core (:class:`~repro.smt.sat.SatSolver` coupled
+    to a :class:`~repro.smt.difference.DifferenceTheory`) decides every
+    query. Clauses added between ``check`` calls extend the live core, so
+    learned clauses and theory state carry over from one query to the next.
     """
 
-    def __init__(self, backend: BackendLike = None) -> None:
+    def __init__(self) -> None:
         self._theory = DifferenceTheory()
-        self._backend = make_backend(backend, theory=self._theory)
-        self._compiler = CnfCompiler(self._backend, self._theory)
+        self._sat = SatSolver(theory=self._theory)
+        self._compiler = CnfCompiler(self._sat, self._theory)
         self._model: Optional[Model] = None
         self._last_result: Optional[Result] = None
-        self._downgrades = 0
         self.check_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -169,22 +159,10 @@ class Solver:
         max_seconds: Optional[float] = None,
     ) -> Result:
         """Decide the asserted constraints; captures a model when SAT."""
-        with obs_span(
-            "stage.solve", backend=getattr(self._backend, "name", "?")
-        ) as solve_span:
-            try:
-                fault_point(
-                    "solver.solve",
-                    backend=getattr(self._backend, "name", "?"),
-                )
-                result = self._backend.solve(
-                    max_conflicts=max_conflicts, max_seconds=max_seconds
-                )
-            except BackendUnavailable:
-                self._degrade_to_inprocess()
-                result = self._backend.solve(
-                    max_conflicts=max_conflicts, max_seconds=max_seconds
-                )
+        with obs_span("stage.solve") as solve_span:
+            result = self._sat.solve(
+                max_conflicts=max_conflicts, max_seconds=max_seconds
+            )
             solve_span.set(result=result.value)
         self.check_seconds += solve_span.duration
         self._last_result = result
@@ -194,58 +172,12 @@ class Solver:
             self._model = None
         return result
 
-    def _degrade_to_inprocess(self) -> None:
-        """Swap a failed clause-store backend for the in-process core.
-
-        Clause-store backends (the DIMACS bridge) keep the full clause
-        set because they re-submit it on every solve; that makes the
-        in-process core a drop-in replacement: allocate the same variable
-        count, replay clauses plus learned theory lemmas, and rebind the
-        compiler. Only possible for clause stores — anything else
-        re-raises, since no complete state exists to replay.
-        """
-        from .backends.inprocess import InProcessBackend
-
-        failed = self._backend
-        clauses = getattr(failed, "_clauses", None)
-        nvars = getattr(failed, "_nvars", None)
-        if clauses is None or nvars is None:
-            raise
-        lemmas = getattr(failed, "_lemmas", None) or []
-        try:
-            failed.close()
-        except Exception:
-            pass  # the backend already failed; releasing is best-effort
-        self._theory.pop_to(0)
-        fallback = InProcessBackend(theory=self._theory)
-        while fallback.num_vars < nvars:
-            fallback.new_var()
-        for clause in clauses:
-            fallback.add_clause_trusted(list(clause))
-        for lemma in lemmas:
-            fallback.add_clause_trusted(list(lemma))
-        if not getattr(failed, "_ok", True):
-            fallback.add_clause_trusted([])  # store was already unsat
-        self._backend = fallback
-        self._compiler._sat = fallback
-        self._downgrades += 1
-        count_downgrade(f"solver.inprocess|{getattr(failed, 'name', '?')}")
-
     def model(self) -> Model:
         if self._model is None:
             raise ModelUnavailable(
                 f"no model available (last result: {self._last_result})"
             )
         return self._model
-
-    @property
-    def backend(self):
-        """The live :class:`~repro.smt.backends.SolverBackend` instance."""
-        return self._backend
-
-    def close(self) -> None:
-        """Release backend resources (subprocesses, temp files)."""
-        self._backend.close()
 
     # ------------------------------------------------------------------
     # Introspection used by benchmarks and tests
@@ -257,16 +189,14 @@ class Solver:
 
     @property
     def num_clauses(self) -> int:
-        return self._backend.num_clauses
+        return self._sat.num_clauses
 
     @property
     def num_vars(self) -> int:
-        return self._backend.num_vars
+        return self._sat.num_vars
 
     @property
     def stats(self) -> dict:
-        merged = dict(self._backend.stats)
+        merged = dict(self._sat.stats)
         merged.update({f"dl_{k}": v for k, v in self._theory.stats.items()})
-        if self._downgrades:
-            merged["downgrades"] = self._downgrades
         return merged

@@ -24,7 +24,9 @@ under the ambient :class:`~repro.faults.RetryPolicy`; an attempt that
 fails rolls back, closes the connection, and the retry opens a fresh
 one. WAL journaling and a generous busy-timeout let campaign workers
 and a concurrent ``watch`` reader share one archive file: a reader sees
-every committed row while the writer's connection stays open.
+every committed row while the writer's connection stays open. Readers
+open the file read-only, so reading never changes an archive or creates
+a missing one.
 """
 from __future__ import annotations
 
@@ -114,14 +116,19 @@ def _check_schema_version(path: Union[str, Path], version: str) -> None:
         )
 
 
-def _read_source_rows(path: Path) -> list[tuple]:
-    """Every row of a source archive, oldest first, read without writing.
+def _read(path: Union[str, Path], query: str, params: tuple = ()) -> list:
+    """The rows of one read ``query`` on the archive at ``path``.
 
     The connection is read-only (``mode=ro``) and runs no DDL or pragma,
-    so the file's bytes and journal mode stay as they were; a WAL source
+    so the file's bytes and journal mode stay as they were; a WAL archive
     still shows its uncheckpointed rows (SQLite may leave the ``-wal`` and
-    ``-shm`` files it needs for that beside it).
+    ``-shm`` files it needs for that beside it). A missing file raises
+    :class:`FileNotFoundError` (nothing is created), an archive with no
+    ``executions`` table reads as empty, and a newer schema is refused.
     """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no execution archive at {path}")
     uri = f"{path.resolve().as_uri()}?mode=ro"
     with closing(sqlite3.connect(uri, uri=True, timeout=30.0)) as conn:
         tables = {
@@ -138,10 +145,7 @@ def _read_source_rows(path: Path) -> list[tuple]:
                 _check_schema_version(path, row[0])
         if "executions" not in tables:
             return []
-        return conn.execute(
-            "SELECT phase, seed, sessions, transactions, doc"
-            " FROM executions ORDER BY id"
-        ).fetchall()
+        return conn.execute(query, params).fetchall()
 
 
 def persist_execution(
@@ -177,26 +181,21 @@ def iter_executions(
     from the last id it saw and a fresh open-read-close poll sees exactly
     the rows that arrived since.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no execution archive at {path}")
-    conn = _connect(path)
-    try:
-        if phase is None:
-            rows = conn.execute(
-                "SELECT id, doc FROM executions WHERE id > ? ORDER BY id",
-                (after_id,),
-            )
-        else:
-            rows = conn.execute(
-                "SELECT id, doc FROM executions"
-                " WHERE phase = ? AND id > ? ORDER BY id",
-                (phase, after_id),
-            )
-        for execution_id, doc in rows.fetchall():
-            yield int(execution_id), trace_from_json(json.loads(doc))
-    finally:
-        conn.close()
+    if phase is None:
+        rows = _read(
+            path,
+            "SELECT id, doc FROM executions WHERE id > ? ORDER BY id",
+            (after_id,),
+        )
+    else:
+        rows = _read(
+            path,
+            "SELECT id, doc FROM executions"
+            " WHERE phase = ? AND id > ? ORDER BY id",
+            (phase, after_id),
+        )
+    for execution_id, doc in rows:
+        yield int(execution_id), trace_from_json(json.loads(doc))
 
 
 def latest_execution_id(
@@ -206,20 +205,15 @@ def latest_execution_id(
 
     A tailing reader that wants only *future* rows seeds its cursor here.
     """
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         return 0
-    conn = _connect(path)
-    try:
-        if phase is None:
-            row = conn.execute("SELECT MAX(id) FROM executions").fetchone()
-        else:
-            row = conn.execute(
-                "SELECT MAX(id) FROM executions WHERE phase = ?", (phase,)
-            ).fetchone()
-        return int(row[0]) if row and row[0] is not None else 0
-    finally:
-        conn.close()
+    if phase is None:
+        rows = _read(path, "SELECT MAX(id) FROM executions")
+    else:
+        rows = _read(
+            path, "SELECT MAX(id) FROM executions WHERE phase = ?", (phase,)
+        )
+    return int(rows[0][0]) if rows and rows[0][0] is not None else 0
 
 
 def prune_executions(
@@ -263,32 +257,24 @@ def _prune(
 
 def load_execution(path: Union[str, Path], execution_id: int) -> Trace:
     """Load one persisted execution by its row id."""
-    conn = _connect(path)
-    try:
-        row = conn.execute(
-            "SELECT doc FROM executions WHERE id = ?", (execution_id,)
-        ).fetchone()
-    finally:
-        conn.close()
-    if row is None:
+    rows = _read(
+        path, "SELECT doc FROM executions WHERE id = ?", (execution_id,)
+    )
+    if not rows:
         raise KeyError(f"no execution {execution_id} in {path}")
-    return trace_from_json(json.loads(row[0]))
+    return trace_from_json(json.loads(rows[0][0]))
 
 
 def count_executions(
     path: Union[str, Path], phase: Optional[str] = None
 ) -> int:
-    conn = _connect(path)
-    try:
-        if phase is None:
-            row = conn.execute("SELECT COUNT(*) FROM executions").fetchone()
-        else:
-            row = conn.execute(
-                "SELECT COUNT(*) FROM executions WHERE phase = ?", (phase,)
-            ).fetchone()
-        return int(row[0])
-    finally:
-        conn.close()
+    if phase is None:
+        rows = _read(path, "SELECT COUNT(*) FROM executions")
+    else:
+        rows = _read(
+            path, "SELECT COUNT(*) FROM executions WHERE phase = ?", (phase,)
+        )
+    return int(rows[0][0]) if rows else 0
 
 
 def execution_content_hash(
@@ -400,7 +386,11 @@ def compact_archive(
                     else:
                         seen[digest] = int(row_id)
                 for src in source_paths:
-                    for content in _read_source_rows(src):
+                    for content in _read(
+                        src,
+                        "SELECT phase, seed, sessions, transactions, doc"
+                        " FROM executions ORDER BY id",
+                    ):
                         rows_in += 1
                         digest = execution_content_hash(*content)
                         if digest in seen:

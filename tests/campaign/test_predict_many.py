@@ -161,7 +161,7 @@ def test_predict_reports_single_prediction_enumeration_totals(sat_history):
     single = analyzer.predict(sat_history)
     batch = analyzer.predict_many(sat_history, k=1)
     for key in ("literals", "clauses", "vars", "candidates", "predictions",
-                "conflicts", "decisions", "backend"):
+                "conflicts", "decisions"):
         assert single.stats[key] == batch.stats[key], key
     assert single.stats["predictions"] == 1
 

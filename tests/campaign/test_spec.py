@@ -229,42 +229,14 @@ class TestSources:
         assert CampaignSpec.from_mapping(spec.to_mapping()) == spec
 
 
-class TestSolverField:
-    def test_default_is_inprocess_with_legacy_round_ids(self):
+class TestRemovedSolverField:
+    def test_round_ids_keep_their_format(self):
         round_ = CampaignSpec().rounds()[0]
-        assert round_.solver == "inprocess"
-        assert "solver=" not in round_.round_id  # legacy ids still resume
+        assert "solver=" not in round_.round_id  # existing JSONL resumes
 
-    def test_solver_propagates_and_canonicalizes(self):
-        spec = CampaignSpec(solver="DIMACS:minisat", seeds=1)
-        assert spec.solver == "dimacs:minisat"
-        rounds = spec.rounds()
-        assert all(r.solver == "dimacs:minisat" for r in rounds)
-        assert all("solver=dimacs:minisat" in r.round_id for r in rounds)
-
-    def test_solver_changes_round_identity(self):
-        base = CampaignSpec(seeds=1).rounds()[0]
-        dimacs = CampaignSpec(solver="dimacs", seeds=1).rounds()[0]
-        assert base.round_id != dimacs.round_id
-
-    def test_removed_portfolio_solver_is_rejected(self):
-        with pytest.raises(ValueError, match="inprocess") as info:
-            CampaignSpec(solver="portfolio:2")
-        assert "dimacs" in str(info.value)
-
-    def test_bad_solver_fails_eagerly(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            CampaignSpec(solver="z3")
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            RoundSpec(
-                app="smallbank", isolation="causal",
-                strategy="approx-strict", workload="tiny", seed=0,
-                solver="quantum",
-            )
-
-    def test_solver_survives_mapping_roundtrip(self):
-        spec = CampaignSpec(solver="dimacs:minisat", seeds=1)
-        assert CampaignSpec.from_mapping(spec.to_mapping()) == spec
+    def test_solver_key_is_refused(self):
+        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+            CampaignSpec.from_mapping({"solver": "inprocess"})
 
 
 class TestTraceSeedSweepWarning:

@@ -23,7 +23,7 @@ class TestFaultSpec:
     def test_parse_full(self):
         spec = FaultSpec.parse("campaign.round:crash@3*2")
         assert (spec.after, spec.times) == (3, 2)
-        spec = FaultSpec.parse("solver.dimacs.exec:hang~1.5")
+        spec = FaultSpec.parse("watch.window:hang~1.5")
         assert spec.seconds == 1.5
 
     @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from repro.faults import (
     is_transient_fault,
 )
 from repro.faults.retry import MAX_RETRIES_ENV, RETRY_BACKOFF_ENV
-from repro.smt.backends import BackendUnavailable
 
 
 class TestClassification:
@@ -37,8 +36,6 @@ class TestClassification:
             ValueError("bad input"),
             InjectedCorruption("torn doc"),
             sqlite3.OperationalError("no such table: executions"),
-            # a vanished binary will not come back: degrade, don't retry
-            BackendUnavailable("solver gone"),
             KeyboardInterrupt(),
         ],
     )

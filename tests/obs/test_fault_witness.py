@@ -119,16 +119,6 @@ class TestTelemetryWitness:
                       if e.get("event") == "metrics"]
         assert metrics["faults_injected"]["values"] == {"seam:io": 2}
 
-    def test_downgrades_mirror_too(self, tmp_path):
-        from repro.faults import count_downgrade
-
-        with telemetry_session(str(tmp_path / "t.jsonl"), command="c"):
-            count_downgrade("solver.inprocess|dimacs:stub")
-            reg = get_registry()
-            assert reg.counter("fault_downgrades").value(
-                "solver.inprocess|dimacs:stub"
-            ) == 1
-
     def test_faults_count_without_telemetry_too(self):
         install_plan("seam:io")
         guarded_fault_point("seam")

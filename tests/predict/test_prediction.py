@@ -307,3 +307,56 @@ class TestReport:
         text = result.report()
         assert "unsat" in text
         assert "cycle" not in text
+
+
+def canon(history):
+    """Structural image of a history (History compares by identity)."""
+    return tuple(
+        (t.tid, t.session, t.commit_pos, tuple(t.events))
+        for t in history.all_transactions()
+    )
+
+
+DETERMINISM_GALLERY = {
+    "deposit-observed": gallery.deposit_observed,
+    "deposit-unserializable": gallery.deposit_unserializable,
+    "fig7a-wikipedia": gallery.fig7a_wikipedia_observed,
+    "fig8a-smallbank": gallery.fig8a_smallbank_observed,
+}
+
+
+class TestDeterministicModels:
+    """The solver is reproducible down to the model.
+
+    Campaign resume, fleet merging and the BENCH counters all assume two
+    fresh analyses of one history decode the same prediction.
+    """
+
+    @pytest.mark.parametrize(
+        "name", sorted(DETERMINISM_GALLERY), ids=sorted(DETERMINISM_GALLERY)
+    )
+    def test_fresh_analyses_decode_identical_predictions(self, name):
+        def run():
+            return IsoPredict(
+                CAUSAL,
+                PredictionStrategy.APPROX_STRICT,
+                max_candidates=8,
+            ).predict(DETERMINISM_GALLERY[name]())
+
+        first, second = run(), run()
+        assert first.status is second.status
+        if first.status is Result.SAT:
+            assert first.boundaries == second.boundaries
+            assert canon(first.predicted) == canon(second.predicted)
+
+    def test_repeated_runs_stable(self):
+        history = gallery.deposit_unserializable()
+        outcomes = set()
+        for _ in range(3):
+            result = IsoPredict(
+                CAUSAL, PredictionStrategy.APPROX_STRICT
+            ).predict(history)
+            outcomes.add(
+                (result.status, tuple(sorted(result.boundaries.items())))
+            )
+        assert len(outcomes) == 1

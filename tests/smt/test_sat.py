@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +211,25 @@ class TestBudgets:
             s.add_clause(c)
         result = s.solve(max_conflicts=1)
         assert result in (Result.UNKNOWN, Result.UNSAT)
+
+    def test_wall_budget_reports_unknown(self):
+        nvars, clauses = pigeonhole_clauses(8)  # far beyond 50 ms of search
+        s = make_solver(nvars)
+        for c in clauses:
+            s.add_clause(c)
+        start = time.monotonic()
+        assert s.solve(max_seconds=0.05) is Result.UNKNOWN
+        assert time.monotonic() - start < 10.0  # stopped, not awaited
+
+    def test_zero_wall_budget_reports_unknown(self):
+        """A 0-second budget is spent before the search starts; it is not
+        the absence of a budget."""
+        nvars, clauses = pigeonhole_clauses(6)  # UNSAT, but not at level 0
+        s = make_solver(nvars)
+        for c in clauses:
+            s.add_clause(c)
+        assert s.solve(max_seconds=0) is Result.UNKNOWN
+        assert s.solve() is Result.UNSAT  # the budget did not stick
 
 
 class TestFeatureFlags:

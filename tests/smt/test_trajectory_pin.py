@@ -22,12 +22,13 @@ change and records the previous digest in ``CHANGES.md``.
 """
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.isolation import IsolationLevel
 from repro.predict import IsoPredict, PredictionStrategy
-from repro.smt.backends import InProcessBackend
+from repro.smt import SatSolver
 
 PIN_PATH = Path(__file__).parent / "trajectory_pin.json"
 
@@ -38,27 +39,32 @@ STRATEGIES = ("approx-strict", "approx-relaxed", "exact-strict")
 K = 3
 
 
-def recording_backend(clauses: list):
-    """A backend factory whose clause entry points log every clause."""
+@contextmanager
+def recording_clauses(clauses: list):
+    """Log every clause any :class:`SatSolver` takes while the block runs.
 
-    def factory(theory):
-        backend = InProcessBackend(theory=theory)
-        add_clause = backend.add_clause
-        add_clause_trusted = backend.add_clause_trusted
+    ``add_clause`` and ``add_clause_trusted`` are the core's two clause
+    entry points; neither calls the other, and the CNF compiler calls
+    only these two.
+    """
+    add_clause = SatSolver.add_clause
+    add_clause_trusted = SatSolver.add_clause_trusted
 
-        def logged(lits):
-            clauses.append(list(lits))
-            return add_clause(clauses[-1])
+    def logged(self, lits):
+        clauses.append(list(lits))
+        return add_clause(self, clauses[-1])
 
-        def logged_trusted(lits):
-            clauses.append(list(lits))
-            return add_clause_trusted(lits)
+    def logged_trusted(self, lits):
+        clauses.append(list(lits))
+        return add_clause_trusted(self, lits)
 
-        backend.add_clause = logged
-        backend.add_clause_trusted = logged_trusted
-        return backend
-
-    return factory
+    SatSolver.add_clause = logged
+    SatSolver.add_clause_trusted = logged_trusted
+    try:
+        yield
+    finally:
+        SatSolver.add_clause = add_clause
+        SatSolver.add_clause_trusted = add_clause_trusted
 
 
 def trajectory(app_name: str, seed: int, level: str, strategy: str) -> dict:
@@ -67,12 +73,11 @@ def trajectory(app_name: str, seed: int, level: str, strategy: str) -> dict:
     history = record_observed(app(WorkloadConfig.tiny()), seed).history
     clauses: list = []
     analyzer = IsoPredict(
-        IsolationLevel.parse(level),
-        PredictionStrategy.parse(strategy),
-        solver=recording_backend(clauses),
+        IsolationLevel.parse(level), PredictionStrategy.parse(strategy)
     )
-    enum = analyzer.enumerator(history)
-    enum.ensure(K)
+    with recording_clauses(clauses):
+        enum = analyzer.enumerator(history)
+        enum.ensure(K)
     batch = enum.batch()
     enum.release()
     counters = {

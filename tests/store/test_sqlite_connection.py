@@ -5,8 +5,9 @@ ends; a pool-style bare ``run_round`` opens and closes its own. While the
 run's connection is open, a separate reader sees every committed row (the
 ``watch`` tail invariant). The CLI commands and an ``Analysis`` that
 built its backend from a spec close the archive when they are done.
-Compaction reads its source archives through
-read-only connections, so their bytes and journal mode do not change.
+Compaction and the archive readers open the file through read-only
+connections, so its bytes and journal mode do not change, and reading a
+missing archive creates no file.
 """
 import hashlib
 import sqlite3
@@ -20,6 +21,7 @@ from repro.store.backends import (
     count_executions,
     iter_executions,
     latest_execution_id,
+    load_execution,
 )
 from repro.store.backends.sqlite import persist_execution
 
@@ -191,6 +193,72 @@ class TestCompactionSourcesAreReadOnly:
         conn.close()
         with pytest.raises(ValueError, match="schema version 99"):
             compact_archive(tmp_path / "merged.sqlite", [source])
+
+
+class TestReadersAreReadOnly:
+    def test_reading_a_rollback_journal_archive_changes_nothing(
+        self, tmp_path
+    ):
+        archive = tmp_path / "legacy.sqlite"
+        persist_execution(
+            archive, deposit_observed(), phase="record", seed=0, sessions=2
+        )
+        conn = sqlite3.connect(str(archive))
+        conn.execute("PRAGMA journal_mode = DELETE")
+        conn.close()
+        digest = sha256(archive)
+        assert journal_mode(archive) == "delete"
+        assert count_executions(archive) == 1
+        assert latest_execution_id(archive) == 1
+        [(execution_id, trace)] = list(iter_executions(archive))
+        assert load_execution(archive, execution_id).history is not None
+        assert sha256(archive) == digest
+        assert journal_mode(archive) == "delete"
+
+    def test_archive_without_executions_table_reads_as_empty(
+        self, tmp_path
+    ):
+        archive = tmp_path / "other.sqlite"
+        conn = sqlite3.connect(str(archive))
+        with conn:
+            conn.execute("CREATE TABLE notes (text TEXT)")
+        conn.close()
+        digest = sha256(archive)
+        assert count_executions(archive) == 0
+        assert latest_execution_id(archive) == 0
+        assert list(iter_executions(archive)) == []
+        with pytest.raises(KeyError):
+            load_execution(archive, 1)
+        assert sha256(archive) == digest
+        assert tables(archive) == {"notes"}
+
+    def test_reading_a_missing_archive_creates_no_file(self, tmp_path):
+        missing = tmp_path / "nope.sqlite"
+        with pytest.raises(FileNotFoundError):
+            count_executions(missing)
+        with pytest.raises(FileNotFoundError):
+            load_execution(missing, 1)
+        with pytest.raises(FileNotFoundError):
+            list(iter_executions(missing))
+        assert latest_execution_id(missing) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_newer_schema_is_refused_by_readers(self, tmp_path):
+        archive = tmp_path / "future.sqlite"
+        persist_execution(
+            archive, deposit_observed(), phase="record", seed=0, sessions=2
+        )
+        conn = sqlite3.connect(str(archive))
+        with conn:
+            conn.execute(
+                "UPDATE format SET value = '99'"
+                " WHERE key = 'schema_version'"
+            )
+        conn.close()
+        for read in (count_executions, latest_execution_id,
+                     lambda path: list(iter_executions(path))):
+            with pytest.raises(ValueError, match="schema version 99"):
+                read(archive)
 
 
 class TestCommandsCloseTheirArchive:

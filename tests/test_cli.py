@@ -188,16 +188,10 @@ class TestValidateCommand:
 
 
 class TestSolverFlags:
-    def test_removed_portfolio_solver_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["analyze", "--app", "smallbank", "--solver", "portfolio"])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "inprocess" in err and "dimacs" in err
-
     @pytest.mark.parametrize(
-        "flags", [["--portfolio", "2"], ["--deterministic"]],
-        ids=["portfolio", "deterministic"],
+        "flags",
+        [["--portfolio", "2"], ["--deterministic"], ["--solver", "inprocess"]],
+        ids=["portfolio", "deterministic", "solver"],
     )
     def test_removed_portfolio_flags_are_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as info:
@@ -205,15 +199,15 @@ class TestSolverFlags:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_campaign_rejects_removed_portfolio_solver(self, tmp_path, capsys):
+    def test_campaign_rejects_removed_solver_flag(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
-        code = main(
-            ["campaign", "--apps", "smallbank", "--workloads", "tiny",
-             "--seeds", "1", "--solver", "portfolio:2", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "inprocess" in err and "dimacs" in err
+        with pytest.raises(SystemExit) as info:
+            main(
+                ["campaign", "--apps", "smallbank", "--workloads", "tiny",
+                 "--seeds", "1", "--solver", "inprocess", "--out", str(out)]
+            )
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()  # rejected before any round ran
 
     def test_budget_flag_parses_conflict_budgets(self, tmp_path, capsys):
@@ -229,21 +223,6 @@ class TestSolverFlags:
         out = capsys.readouterr().out
         assert code == 2
         assert "prediction: unknown" in out
-
-    def test_missing_external_solver_reports_cleanly(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.smt.backends import dimacs_proc
-
-        monkeypatch.setattr(dimacs_proc.shutil, "which", lambda name: None)
-        trace = tmp_path / "obs.json"
-        main(["record", "--app", "smallbank", "--seed", "1",
-              "--out", str(trace)])
-        capsys.readouterr()
-        code = main(["predict", str(trace), "--solver", "dimacs"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "no external DIMACS solver" in err
 
 
 class TestStoreBackendFlag:
