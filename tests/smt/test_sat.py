@@ -131,6 +131,27 @@ class TestPigeonhole:
                     s.add_clause([-var(p1, h), -var(p2, h)])
         assert s.solve() is Result.SAT
 
+    def test_model_satisfies_every_clause(self):
+        """n pigeons in n holes: the reported model is a placement."""
+        holes = 5
+
+        def var(p: int, h: int) -> int:
+            return p * holes + h + 1
+
+        clauses = [[var(p, h) for h in range(holes)] for p in range(holes)]
+        for h in range(holes):
+            for p1 in range(holes):
+                for p2 in range(p1 + 1, holes):
+                    clauses.append([-var(p1, h), -var(p2, h)])
+        s = make_solver(holes * holes)
+        for c in clauses:
+            s.add_clause(c)
+        assert s.solve() is Result.SAT
+        for clause in clauses:
+            assert any(
+                s.model_value(abs(lit)) is (lit > 0) for lit in clause
+            ), clause
+
 
 def brute_force_sat(nvars: int, clauses: list[list[int]]) -> bool:
     for bits in itertools.product([False, True], repeat=nvars):
@@ -229,6 +250,14 @@ class TestBudgets:
         for c in clauses:
             s.add_clause(c)
         assert s.solve(max_seconds=0) is Result.UNKNOWN
+        assert s.solve() is Result.UNSAT  # the budget did not stick
+
+    def test_conflict_budget_then_full_solve_recovers(self):
+        nvars, clauses = pigeonhole_clauses(5)  # UNSAT, not at level 0
+        s = make_solver(nvars)
+        for c in clauses:
+            s.add_clause(c)
+        assert s.solve(max_conflicts=1) is Result.UNKNOWN
         assert s.solve() is Result.UNSAT  # the budget did not stick
 
 
