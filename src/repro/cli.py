@@ -135,13 +135,6 @@ def _print_prediction(result, args) -> None:
             print(f"  predicted history written to {args.out}")
 
 
-def _budget_options(args) -> dict:
-    """The ``using()`` kwargs for the --budget flag."""
-    if getattr(args, "budget", None):
-        return {"budget": args.budget}
-    return {}
-
-
 def _cmd_predict(args) -> int:
     session = (
         Analysis(TraceFileSource(args.trace))
@@ -149,7 +142,7 @@ def _cmd_predict(args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            **_budget_options(args),
+            budget=args.budget,
         )
     )
     result = session.run(k=1, validate=False).prediction
@@ -200,7 +193,7 @@ def _analyze(source, args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            **_budget_options(args),
+            budget=args.budget,
         )
     )
     run = session.recorded
@@ -722,7 +715,7 @@ def _cmd_watch(args) -> int:
         on_finding=on_finding,
         log=None if args.quiet else print,
         checkpoint=args.checkpoint,
-        **_budget_options(args),
+        budget=args.budget,
     )
     interrupted = False
     try:

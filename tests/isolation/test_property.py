@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import repro.isolation
 from repro.history import HistoryBuilder
 from repro.isolation import (
-    IsolationLevel,
     is_causal,
     is_read_committed,
     is_serializable,
@@ -17,9 +16,7 @@ from repro.isolation import (
     pco_unserializable,
 )
 from repro.isolation.checkers import _witnesses
-from repro.predict import IsoPredict, PredictionStrategy
 from tests.predict.test_encoding_oracle import by_fingerprint, drain
-from tests.smt.test_trajectory_pin import recording_clauses
 
 KEYS = ["x", "y"]
 
@@ -92,19 +89,25 @@ def clock_reads(path: Path):
 
 
 @st.composite
-def random_history(draw):
+def random_history(draw, max_ops: int = 21):
     """Small random histories with consistent wr choices.
 
-    Transactions are generated per session; each read picks a writer among
-    transactions that write the key (or t0). Generated histories are always
-    structurally valid but make no isolation guarantee — that is the point.
+    Up to four sessions, seven transactions, three operations per
+    transaction and ``max_ops`` operations in all. Transactions are
+    generated per session; each read picks a writer among transactions
+    that write the key (or t0). Generated histories are always
+    structurally valid but make no isolation guarantee — that is the
+    point.
     """
     n_sessions = draw(st.integers(min_value=1, max_value=4))
     n_txns = draw(st.integers(min_value=1, max_value=7))
     plans = []
     for i in range(n_txns):
+        room = max_ops - sum(len(ops) for _, _, ops in plans)
+        if room == 0:
+            break
         session = draw(st.integers(min_value=0, max_value=n_sessions - 1))
-        n_ops = draw(st.integers(min_value=1, max_value=3))
+        n_ops = draw(st.integers(min_value=1, max_value=min(3, room)))
         ops = []
         for _ in range(n_ops):
             kind = draw(st.sampled_from(["r", "w"]))
@@ -159,20 +162,24 @@ class TestOracleAgreement:
             assert is_read_committed(history)
 
 
-def compiled_clauses(history, level, strategy) -> list:
-    """Every clause ``strategy``'s analysis compiles before its walk."""
-    analyzer = IsoPredict(
-        IsolationLevel.parse(level), PredictionStrategy.parse(strategy)
-    )
-    clauses: list = []
-    with recording_clauses(clauses):
-        analyzer._build(history, analyzer.strategy.boundary)
-    return clauses
+#: Operations per history the exact ⊇ approx test drains. The prediction
+#: space, and with it the cost of draining it, multiplies with every read
+#: that has more than one writer to choose from: one 14-operation history
+#: (t1 writes x, t2 writes y, four sessions each read x, y, x) holds about
+#: 3,100 rc predictions.
+DRAINED_OPS = 10
+
+
+def assignment_keys(enum) -> list:
+    return [
+        (tuple(sorted(choices.items())), tuple(sorted(boundaries.items())))
+        for choices, boundaries in enum.assignments
+    ]
 
 
 class TestApproxPredictions:
     @given(
-        random_history(),
+        random_history(max_ops=DRAINED_OPS),
         st.sampled_from(["causal", "rc"]),
         st.sampled_from(["strict", "relaxed"]),
     )
@@ -181,21 +188,15 @@ class TestApproxPredictions:
         self, history, level, boundary
     ):
         """Every approximate prediction is pco-cyclic and brute-force
-        unserializable, none repeats, and each lies in the exact space:
-        exact-X compiles approx-X's clauses, so each approx model is an
-        exact-X candidate, and exact's own check finds no serial order
-        for it. (``test_encoding_oracle`` drains both walks on smaller
-        histories.)"""
+        unserializable, none repeats, and exact CEGIS finds each one."""
         approx = drain(history, level, f"approx-{boundary}")
         for prediction in approx.predictions:
             assert prediction.cycle
             assert pco_unserializable(prediction.predicted)
             assert not is_serializable_bruteforce(prediction.predicted)
-            assert not is_serializable(prediction.predicted)
         assert len(by_fingerprint(approx)) == len(approx.predictions)
-        assert compiled_clauses(
-            history, level, f"exact-{boundary}"
-        ) == compiled_clauses(history, level, f"approx-{boundary}")
+        exact = drain(history, level, f"exact-{boundary}")
+        assert set(assignment_keys(approx)) <= set(assignment_keys(exact))
 
 
 class TestFrontierSearch:
