@@ -21,6 +21,7 @@ def deposit(amount):
         balance = client.get("acct")
         client.put("acct", (balance or 0) + amount)
         client.commit()
+        yield
 
     return program
 
@@ -33,6 +34,7 @@ def withdraw(amount):
         else:
             client.put("acct", balance - amount)
             client.commit()
+        yield
 
     return program
 
@@ -40,7 +42,7 @@ def withdraw(amount):
 def chain(*programs):
     def program(client, rng):
         for p in programs:
-            p(client, rng)
+            yield from p(client, rng)
 
     return program
 

@@ -29,6 +29,7 @@ def deposit(amount):
         balance = client.get("acct")  # implicitly starts a transaction
         client.put("acct", (balance or 0) + amount)
         client.commit()
+        yield  # end of transaction: the scheduler may switch sessions here
 
     return program
 

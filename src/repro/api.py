@@ -53,6 +53,8 @@ __all__ = ["Analysis", "AnalysisResult", "ReplayUnavailable"]
 
 #: Distinguishes "not passed" from an explicit None (= unbounded budget).
 _UNSET = object()
+#: The :class:`IsoPredict` keywords ``Analysis.using`` passes through.
+_ANALYZER_KNOBS = ("max_candidates", "max_conflicts", "budget")
 
 
 class ReplayUnavailable(RuntimeError):
@@ -170,8 +172,15 @@ class Analysis:
         ``max_seconds`` is the whole-enumeration solver budget (an explicit
         ``None`` removes it); ``analyzer_kwargs`` pass through to
         :class:`IsoPredict` (``max_candidates``, ``max_conflicts`` and
-        ``budget``, e.g. ``"30s,20000c"``).
+        ``budget``, e.g. ``"30s,20000c"``); any other keyword raises
+        :class:`TypeError` here rather than at the first ``predict``.
         """
+        for key in analyzer_kwargs:
+            if key not in _ANALYZER_KNOBS:
+                raise TypeError(
+                    f"using() got an unexpected keyword argument {key!r}; "
+                    f"solver knobs are {', '.join(_ANALYZER_KNOBS)}"
+                )
         if strategy is not None:
             if isinstance(strategy, str):
                 strategy = PredictionStrategy.parse(strategy)

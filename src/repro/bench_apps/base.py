@@ -92,7 +92,11 @@ class AppSpec:
         return SqlEngine(client, self.schemas)
 
     def programs(self) -> dict[str, Callable]:
-        """One session program per session, deterministic modulo scheduling."""
+        """One session program per session, deterministic modulo scheduling.
+
+        Each program is a generator that yields after every transaction,
+        the points where the serial scheduler may switch sessions.
+        """
         out = {}
         for index in range(self.config.sessions):
             session = f"s{index + 1}"
@@ -101,8 +105,7 @@ class AppSpec:
                 engine = self.engine(client)
                 for _ in range(self.config.txns_per_session):
                     self.transaction(engine, rng, index)
-                if client.in_transaction:  # defensive: apps must commit
-                    client.rollback()
+                    yield
 
             out[session] = program
         return out

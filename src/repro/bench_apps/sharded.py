@@ -160,9 +160,11 @@ class ShardedSmallbank(Smallbank):
     def transaction(
         self, engine: SqlEngine, rng: random.Random, session_index: int
     ) -> None:
-        # Sessions run one at a time and only switch at store operations,
-        # all of which come after the account picks in every program —
-        # setting the home partition here is race-free by construction.
+        # Sessions run one at a time. The serial schedulers switch only
+        # between transactions (a program yields after each one) and the
+        # interleaved one only at store operations, all of which come after
+        # the account picks in every program — so setting the home
+        # partition here is race-free by construction.
         self._home = session_index % self.PARTITIONS
         super().transaction(engine, rng, session_index)
 

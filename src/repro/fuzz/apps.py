@@ -79,6 +79,7 @@ class PlanApp(AppSpec):
                                 break
                     if not aborted:
                         client.commit()
+                    yield
 
             out[session] = program
         return out

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkabl
 from ..history.model import History
 from .kvstore import DataStore
 from .policies import ReadPolicy
-from .scheduler import InterleavedScheduler, SerialScheduler
+from .scheduler import InterleavedScheduler, Program, SerialScheduler
 
 __all__ = [
     "BackendRun",
@@ -59,8 +59,9 @@ class BackendRun:
 class StoreBackend(Protocol):
     """Protocol every store backend implements.
 
-    ``execute`` runs ``programs`` (session name → program callable) against
-    a fresh store seeded with ``initial``. ``interleaved`` selects
+    ``execute`` runs ``programs`` (session name → generator function that
+    yields once after each transaction, see :mod:`repro.store.scheduler`)
+    against a fresh store seeded with ``initial``. ``interleaved`` selects
     statement-level interleaving (the realistic read-committed executor);
     ``turn_order`` dictates the serial schedule for validation replay.
     The two are mutually exclusive by construction: replay is always
@@ -75,7 +76,7 @@ class StoreBackend(Protocol):
 
     def execute(
         self,
-        programs: dict[str, Callable],
+        programs: dict[str, Program],
         policy_factory: PolicyFactory,
         *,
         initial: Optional[dict] = None,
@@ -89,7 +90,7 @@ class StoreBackend(Protocol):
 
 def run_programs(
     store: DataStore,
-    programs: dict[str, Callable],
+    programs: dict[str, Program],
     policy_factory: PolicyFactory,
     *,
     seed: int = 0,
@@ -98,8 +99,9 @@ def run_programs(
 ) -> History:
     """Drive ``programs`` to completion on ``store``; the shared executor.
 
-    Every backend that executes in process (in-memory, sharded, sqlite)
-    schedules sessions identically — backends differ in the store handle
+    Each program is a generator function that yields once after each
+    transaction. Every backend that executes in process (in-memory,
+    sharded, sqlite) schedules sessions identically — backends differ in the store handle
     they build and in what they do with the finished run, so the
     scheduler-driving logic lives here once.
     """
@@ -133,7 +135,7 @@ class InMemoryBackend:
 
     def execute(
         self,
-        programs: dict[str, Callable],
+        programs: dict[str, Program],
         policy_factory: PolicyFactory,
         *,
         initial: Optional[dict] = None,

@@ -46,7 +46,7 @@ from ...obs import span as obs_span
 #: single-shard commits are the common case; only the cross-shard mirror
 #: fan-out earns a span of its own
 _NULL_SPAN = contextlib.nullcontext()
-from ..backend import BackendRun, PolicyFactory, run_programs
+from ..backend import BackendRun, PolicyFactory, Program, run_programs
 from ..kvstore import DataStore
 
 __all__ = ["ShardRouter", "ShardStore", "ShardedStore", "ShardedBackend"]
@@ -359,7 +359,7 @@ class ShardedBackend:
 
     def execute(
         self,
-        programs: dict[str, Callable],
+        programs: dict[str, Program],
         policy_factory: PolicyFactory,
         *,
         initial: Optional[dict] = None,

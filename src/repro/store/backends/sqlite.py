@@ -42,7 +42,7 @@ from ...faults import RetryPolicy, fault_point
 from ...history.model import History
 from ...obs import span as obs_span
 from ...history.trace import Trace, history_to_json, trace_from_json
-from ..backend import BackendRun, PolicyFactory, run_programs
+from ..backend import BackendRun, PolicyFactory, Program, run_programs
 from ..kvstore import DataStore
 
 __all__ = [
@@ -579,7 +579,7 @@ class SqliteBackend:
 
     def execute(
         self,
-        programs: dict[str, Callable],
+        programs: dict[str, Program],
         policy_factory: PolicyFactory,
         *,
         initial: Optional[dict] = None,

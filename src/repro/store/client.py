@@ -22,11 +22,11 @@ __all__ = ["Client", "SessionHalted"]
 
 
 class SessionHalted(Exception):
-    """Raised inside a session program when the scheduler stops it early.
+    """Raised inside a session thread when the scheduler stops it early.
 
-    Validation replays only the prefix of the application up to the
-    prediction boundary (§5); the scheduler halts the remaining sessions by
-    making their next synchronization point raise this exception.
+    When one session's program raises, the interleaved scheduler halts the
+    other sessions' threads by making their next operation raise this
+    exception.
     """
 
 
@@ -34,9 +34,6 @@ class _NoSync:
     """Synchronization stub for single-threaded (direct) use."""
 
     def op_point(self, session: str) -> None:
-        pass
-
-    def txn_boundary(self, session: str) -> None:
         pass
 
 
@@ -180,7 +177,6 @@ class Client:
         )
         self._tid = None
         self._policy.on_commit(tid, self.session, txn.index)
-        self._sync.txn_boundary(self.session)
         return tid
 
     def rollback(self) -> None:
@@ -192,4 +188,3 @@ class Client:
         self._store.abort_transaction(self.session)
         self._policy.on_abort(self._tid, self.session)
         self._tid = None
-        self._sync.txn_boundary(self.session)

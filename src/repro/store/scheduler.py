@@ -1,27 +1,43 @@
 """Deterministic schedulers driving multi-session applications.
 
-Session programs are plain Python callables ``program(client, rng)`` that
-issue ``get``/``put``/``commit``/``rollback`` calls. Each program runs in
-its own thread, but threads execute strictly one at a time under a
-grant/yield handshake, so a given (seed, program set) always produces the
-same interleaving — the determinism §7.1 asks for.
+A session program is a generator function ``program(client, rng)`` that
+issues ``get``/``put``/``commit``/``rollback`` calls and yields once after
+each transaction ends (after its commit or rollback)::
+
+    def program(client, rng):
+        for amount in (50, 60):
+            balance = client.get("acct")
+            client.put("acct", balance + amount)
+            client.commit()
+            yield
+
+Sessions execute strictly one at a time, so a given (seed, program set)
+always produces the same schedule — the determinism §7.1 asks for.
 
 Two granularities:
 
 * :class:`SerialScheduler` — context-switches at *transaction* boundaries,
   matching MonkeyDB's serial transaction execution. Used for recording
   observed executions, random weak-isolation exploration, and validation
-  replay (with an explicit turn order).
+  replay (with an explicit turn order). It advances a program with
+  ``next()`` and halts it with ``close()``; no thread is involved. Every
+  turn that yields must have ended exactly one transaction, and a program's
+  final turn (the one that returns) must end none, else the run raises
+  :class:`RuntimeError` naming the session.
 * :class:`InterleavedScheduler` — context-switches before every store
   *operation* with latest-committed reads: the stand-in for running the
   benchmarks on MySQL under read committed (Table 7), since the
-  repository runs no external database.
+  repository runs no external database. A switch can fall anywhere inside
+  a program, so each session runs in its own thread, and threads take
+  turns under a grant/pause handshake; the thread exhausts the generator
+  and its yields mark nothing.
 """
 from __future__ import annotations
 
+import inspect
 import random
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..history.model import History
 from .client import Client, SessionHalted
@@ -30,7 +46,134 @@ from .policies import ReadPolicy
 
 __all__ = ["SerialScheduler", "InterleavedScheduler"]
 
-Program = Callable[[Client, random.Random], None]
+Program = Callable[[Client, random.Random], Iterator[None]]
+
+
+def _open_sessions(
+    store: DataStore,
+    programs: dict[str, Program],
+    policy_factory: Callable[[str], ReadPolicy],
+    seed: int,
+    sync=None,
+) -> dict[str, tuple[Client, Iterator[None]]]:
+    """Each session's client and its program's (unstarted) generator."""
+    sessions = {}
+    for session, program in programs.items():
+        if not inspect.isgeneratorfunction(program):
+            raise TypeError(
+                f"session {session!r} program is not a generator function; "
+                "a program yields once after each transaction"
+            )
+        client = Client(store, session, policy_factory(session), sync=sync)
+        rng = random.Random(f"{seed}:{session}")
+        sessions[session] = (client, program(client, rng))
+    return sessions
+
+
+def _ended(client: Client) -> int:
+    """How many transactions ``client`` has committed or rolled back."""
+    return client.stats["commits"] + client.stats["aborts"]
+
+
+def _ended_inside_transaction(session: str) -> RuntimeError:
+    return RuntimeError(
+        f"session {session!r} program ended inside a transaction; "
+        "programs must commit or rollback"
+    )
+
+
+class SerialScheduler:
+    """Transaction-at-a-time execution with a seeded (or dictated) order.
+
+    ``turn_order`` optionally fixes the sequence of sessions granted a
+    transaction turn (validation replay); when exhausted, remaining sessions
+    are *halted*, implementing §5's boundary-prefix termination.
+    """
+
+    def __init__(
+        self,
+        store: DataStore,
+        programs: dict[str, Program],
+        policy_factory: Callable[[str], ReadPolicy],
+        seed: int = 0,
+        turn_order: Optional[Sequence[str]] = None,
+    ):
+        self.store = store
+        self.seed = seed
+        sessions = _open_sessions(store, programs, policy_factory, seed)
+        self.clients = {s: client for s, (client, _) in sessions.items()}
+        self._programs = {s: gen for s, (_, gen) in sessions.items()}
+        self._running = set(sessions)
+        self._turn_order = list(turn_order) if turn_order is not None else None
+
+    def run(self) -> History:
+        """Drive the sessions; returns the recorded history.
+
+        Without a turn order every session runs to completion. With one,
+        a dictated turn means *one commit*: an application-level abort
+        (rollback) ends a turn without committing, so the turn is repeated
+        until the session commits or finishes (§6: aborted transactions
+        rewind and re-execute). Whatever is still running when the order
+        is exhausted, or when a program raises, is closed: its generator
+        stops at its last yield and its ``finally`` blocks run.
+        """
+        try:
+            if self._turn_order is None:
+                rng = random.Random(f"turns:{self.seed}")
+                while self._running:
+                    self._turn(rng.choice(sorted(self._running)))
+            else:
+                for session in self._turn_order:
+                    self._dictated_turn(session)
+        finally:
+            for program in self._programs.values():
+                program.close()
+        return self.store.history()
+
+    def _dictated_turn(self, session: str) -> None:
+        if session not in self._running:
+            return
+        commits_before = self.store.next_txn_index(session)
+        attempts = 0
+        while (
+            session in self._running
+            and self.store.next_txn_index(session) == commits_before
+        ):
+            attempts += 1
+            if attempts > 1000:
+                raise RuntimeError(
+                    f"session {session!r} aborts without progress"
+                )
+            self._turn(session)
+
+    def _turn(self, session: str) -> None:
+        """Run ``session`` to its next yield, or to its end."""
+        client = self.clients[session]
+        ended_before = _ended(client)
+        try:
+            next(self._programs[session])
+        except StopIteration:
+            self._running.discard(session)
+            if client.in_transaction:
+                raise _ended_inside_transaction(session) from None
+            if _ended(client) != ended_before:
+                raise RuntimeError(
+                    f"session {session!r} ended a transaction after its "
+                    "last yield; a program yields once after each "
+                    "transaction"
+                ) from None
+            return
+        if client.in_transaction:
+            raise RuntimeError(
+                f"session {session!r} yielded inside a transaction; a "
+                "program yields after its commit or rollback"
+            )
+        ended = _ended(client) - ended_before
+        if ended != 1:
+            raise RuntimeError(
+                f"session {session!r} yielded after ending {ended} "
+                "transactions; a program yields once after each transaction"
+            )
 
 
 class _SessionThread:
@@ -41,7 +184,6 @@ class _SessionThread:
         self.go = threading.Event()
         self.done = threading.Event()
         self.finished = False
-        self.halted = False
         self.halt_requested = False
         self.error: Optional[BaseException] = None
         self.thread = threading.Thread(
@@ -55,7 +197,7 @@ class _SessionThread:
                 raise SessionHalted(self.name)
             target()
         except SessionHalted:
-            self.halted = True
+            pass
         except BaseException as exc:  # surfaced by the scheduler
             self.error = exc
         finally:
@@ -63,7 +205,7 @@ class _SessionThread:
             self.done.set()
 
     def grant(self) -> None:
-        """Let the session run until its next yield point."""
+        """Let the session run until its next pause."""
         self.done.clear()
         self.go.set()
         self.done.wait()
@@ -73,10 +215,9 @@ class _SessionThread:
 
 
 class _Sync:
-    """The client-side of the handshake; injected into each Client."""
+    """The client side of the handshake: pause before every operation."""
 
-    def __init__(self, per_operation: bool):
-        self._per_operation = per_operation
+    def __init__(self):
         self._threads: dict[str, _SessionThread] = {}
         self._halt: set[str] = set()
 
@@ -87,7 +228,7 @@ class _Sync:
         self._halt.add(session)
         self._threads[session].halt_requested = True
 
-    def _pause(self, session: str) -> None:
+    def op_point(self, session: str) -> None:
         st = self._threads[session]
         st.go.clear()
         st.done.set()
@@ -95,17 +236,16 @@ class _Sync:
         if session in self._halt:
             raise SessionHalted(session)
 
-    def op_point(self, session: str) -> None:
-        if self._per_operation:
-            self._pause(session)
 
-    def txn_boundary(self, session: str) -> None:
-        if not self._per_operation:
-            self._pause(session)
+class InterleavedScheduler:
+    """Statement-level interleaving (the realistic rc executor).
 
-
-class _BaseScheduler:
-    per_operation = False
+    Context-switches between SQL statements with probability
+    ``switch_probability``, staying with the running session otherwise —
+    a knob for the effective concurrency overlap of a real database: long
+    transactions (TPC-C new-order) overlap often, short ones rarely, which
+    reproduces Table 7's MySQL column (only TPC-C fails assertions).
+    """
 
     def __init__(
         self,
@@ -113,43 +253,45 @@ class _BaseScheduler:
         programs: dict[str, Program],
         policy_factory: Callable[[str], ReadPolicy],
         seed: int = 0,
+        switch_probability: float = 0.05,
     ):
         self.store = store
         self.seed = seed
-        self._sync = _Sync(per_operation=self.per_operation)
-        self.clients: dict[str, Client] = {}
+        self.switch_probability = switch_probability
+        self._current: Optional[str] = None
+        self._sync = _Sync()
+        sessions = _open_sessions(
+            store, programs, policy_factory, seed, sync=self._sync
+        )
+        self.clients = {s: client for s, (client, _) in sessions.items()}
         self._threads: dict[str, _SessionThread] = {}
-        for session, program in programs.items():
-            policy = policy_factory(session)
-            client = Client(store, session, policy, sync=self._sync)
-            self.clients[session] = client
-            rng = random.Random(f"{seed}:{session}")
+        for session, (client, program) in sessions.items():
             thread = _SessionThread(
-                session, lambda c=client, r=rng, p=program: self._body(c, r, p)
+                session, lambda c=client, p=program: self._body(c, p)
             )
             self._sync.register(session, thread)
             self._threads[session] = thread
 
     @staticmethod
-    def _body(client: Client, rng: random.Random, program: Program) -> None:
-        program(client, rng)
+    def _body(client: Client, program: Iterator[None]) -> None:
+        for _ in program:
+            pass
         if client.in_transaction:
-            raise RuntimeError(
-                f"session {client.session!r} program ended inside a "
-                "transaction; programs must commit or rollback"
-            )
-
-    # -- turn selection -------------------------------------------------
-    def _runnable(self) -> list[str]:
-        return sorted(
-            s for s, t in self._threads.items() if not t.finished
-        )
+            raise _ended_inside_transaction(client.session)
 
     def _next_session(self, rng: random.Random) -> Optional[str]:
-        runnable = self._runnable()
+        runnable = sorted(
+            s for s, t in self._threads.items() if not t.finished
+        )
         if not runnable:
             return None
-        return rng.choice(runnable)
+        if (
+            self._current in runnable
+            and rng.random() >= self.switch_probability
+        ):
+            return self._current
+        self._current = rng.choice(runnable)
+        return self._current
 
     def run(self) -> History:
         """Drive every session to completion; returns the recorded history."""
@@ -172,110 +314,3 @@ class _BaseScheduler:
             if not thread.finished:
                 self._sync.request_halt(session)
                 thread.grant()
-
-
-class SerialScheduler(_BaseScheduler):
-    """Transaction-at-a-time execution with a seeded (or dictated) order.
-
-    ``turn_order`` optionally fixes the sequence of sessions granted a
-    transaction turn (validation replay); when exhausted, remaining sessions
-    are *halted*, implementing §5's boundary-prefix termination.
-    """
-
-    per_operation = False
-
-    def __init__(
-        self,
-        store: DataStore,
-        programs: dict[str, Program],
-        policy_factory: Callable[[str], ReadPolicy],
-        seed: int = 0,
-        turn_order: Optional[Sequence[str]] = None,
-    ):
-        super().__init__(store, programs, policy_factory, seed)
-        self._turn_order = list(turn_order) if turn_order is not None else None
-        self._turn_index = 0
-
-    def _next_session(self, rng: random.Random) -> Optional[str]:
-        if self._turn_order is None:
-            return super()._next_session(rng)
-        while self._turn_index < len(self._turn_order):
-            session = self._turn_order[self._turn_index]
-            self._turn_index += 1
-            if session in self._threads and not self._threads[session].finished:
-                return session
-        # dictated turns exhausted: halt whatever is still running
-        self._halt_all()
-        return None
-
-    def run(self) -> History:
-        """Like the base run, but a dictated turn means *one commit*.
-
-        An application-level abort (rollback) ends a thread turn without
-        committing; validation's turn order is expressed in committed
-        transactions, so the turn is re-granted until the session commits
-        or finishes (§6: aborted transactions rewind and re-execute).
-        """
-        if self._turn_order is None:
-            return super().run()
-        rng = random.Random(f"turns:{self.seed}")
-        for thread in self._threads.values():
-            thread.start()
-        while True:
-            session = self._next_session(rng)
-            if session is None:
-                break
-            commits_before = self.store.next_txn_index(session)
-            attempts = 0
-            while (
-                not self._threads[session].finished
-                and self.store.next_txn_index(session) == commits_before
-            ):
-                attempts += 1
-                if attempts > 1000:
-                    raise RuntimeError(
-                        f"session {session!r} aborts without progress"
-                    )
-                self._threads[session].grant()
-                error = self._threads[session].error
-                if error is not None:
-                    self._halt_all()
-                    raise error
-        return self.store.history()
-
-
-class InterleavedScheduler(_BaseScheduler):
-    """Statement-level interleaving (the realistic rc executor).
-
-    Context-switches between SQL statements with probability
-    ``switch_probability``, staying with the running session otherwise —
-    a knob for the effective concurrency overlap of a real database: long
-    transactions (TPC-C new-order) overlap often, short ones rarely, which
-    reproduces Table 7's MySQL column (only TPC-C fails assertions).
-    """
-
-    per_operation = True
-
-    def __init__(
-        self,
-        store: DataStore,
-        programs: dict[str, Program],
-        policy_factory: Callable[[str], ReadPolicy],
-        seed: int = 0,
-        switch_probability: float = 0.05,
-    ):
-        super().__init__(store, programs, policy_factory, seed)
-        self.switch_probability = switch_probability
-        self._current: Optional[str] = None
-
-    def _next_session(self, rng: random.Random) -> Optional[str]:
-        runnable = self._runnable()
-        if not runnable:
-            return None
-        if (
-            self._current in runnable
-            and rng.random() >= self.switch_probability
-        ):
-            return self._current
-        self._current = rng.choice(runnable)
-        return self._current

@@ -24,9 +24,8 @@ from ..history.relations import hb_pairs, topological_order
 from ..isolation.checkers import is_serializable, is_valid_under
 from ..isolation.levels import IsolationLevel
 from ..obs import span as obs_span
-from ..store.backend import DEFAULT_BACKEND, StoreBackend
+from ..store.backend import DEFAULT_BACKEND, Program, StoreBackend
 from ..store.policies import DirectedReplayPolicy
-from ..store.scheduler import Program
 
 __all__ = ["ValidationReport", "validate_prediction"]
 

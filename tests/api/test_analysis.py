@@ -43,6 +43,15 @@ class TestStaging:
         session = _session().using(max_seconds=None)
         assert session.max_seconds is None
 
+    @pytest.mark.parametrize("key", ["solver", "max_candidate"])
+    def test_using_rejects_unknown_knobs_at_the_call(self, key):
+        session = _session()
+        with pytest.raises(TypeError, match=repr(key)):
+            session.using("exact-strict", **{key: 1})
+        assert session.strategy == PredictionStrategy.APPROX_RELAXED
+        session.using(max_candidates=8, max_conflicts=100, budget="30s")
+        assert session._analyzer().max_candidates == 8
+
 
 class TestRecordingCache:
     def test_source_records_exactly_once(self):

@@ -46,6 +46,7 @@ class TestInMemoryBackend:
         def program(client, rng):
             client.put("x", 1)
             client.commit()
+            yield
 
         run = InMemoryBackend().execute(
             {"s1": program},

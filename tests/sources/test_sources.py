@@ -59,6 +59,7 @@ class TestProgramsSource:
                 balance = client.get("acct")
                 client.put("acct", (balance or 0) + amount)
                 client.commit()
+                yield
 
             return program
 

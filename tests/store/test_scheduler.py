@@ -17,6 +17,7 @@ def deposit_program(amount):
         balance = client.get("acct")
         client.put("acct", (balance or 0) + amount)
         client.commit()
+        yield
 
     return program
 
@@ -71,6 +72,7 @@ class TestSerialScheduler:
         def boom(client, rng):
             client.get("acct")
             raise RuntimeError("app bug")
+            yield
 
         store = DataStore(initial={"acct": 0})
         sched = SerialScheduler(
@@ -82,6 +84,7 @@ class TestSerialScheduler:
     def test_program_ending_in_txn_rejected(self):
         def sloppy(client, rng):
             client.get("acct")  # never commits
+            yield from ()
 
         store = DataStore(initial={"acct": 0})
         sched = SerialScheduler(
@@ -107,9 +110,11 @@ class TestSerialScheduler:
             # first transaction aborts, second commits
             client.get("acct")
             client.rollback()
+            yield
             client.get("acct")
             client.put("acct", 1)
             client.commit()
+            yield
 
         store = DataStore(initial={"acct": 0})
         sched = SerialScheduler(
@@ -121,6 +126,148 @@ class TestSerialScheduler:
         )
         h = sched.run()
         assert len(h) == 1  # the committed transaction made it
+
+
+def run_programs_serially(programs, turn_order=None):
+    store = DataStore(initial={"acct": 0})
+    sched = SerialScheduler(
+        store,
+        programs,
+        lambda s: LatestWriterPolicy(),
+        seed=0,
+        turn_order=turn_order,
+    )
+    return sched.run()
+
+
+class TestGeneratorProtocol:
+    """A program yields exactly once after each transaction it ends."""
+
+    def test_yield_inside_a_transaction_raises(self):
+        def early(client, rng):
+            client.get("acct")
+            yield
+            client.commit()
+
+        with pytest.raises(RuntimeError, match="'s1' yielded inside"):
+            run_programs_serially({"s1": early})
+
+    def test_yield_without_commit_or_rollback_raises(self):
+        def idle(client, rng):
+            client.commit()  # nothing open: a no-op, no transaction ends
+            yield
+
+        with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
+            run_programs_serially({"s1": idle})
+
+    def test_second_yield_without_a_transaction_raises(self):
+        def twice(client, rng):
+            client.put("acct", 1)
+            client.commit()
+            yield
+            yield
+
+        with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
+            run_programs_serially({"s1": twice})
+
+    def test_two_transactions_in_one_turn_raise(self):
+        def greedy(client, rng):
+            client.get("acct")
+            client.rollback()
+            client.put("acct", 1)
+            client.commit()
+            yield
+
+        with pytest.raises(RuntimeError, match="'s1' yielded after ending 2"):
+            run_programs_serially({"s1": greedy})
+
+    def test_transaction_after_the_last_yield_raises(self):
+        def trailing(client, rng):
+            client.put("acct", 1)
+            client.commit()
+            yield
+            client.put("acct", 2)
+            client.commit()
+
+        with pytest.raises(RuntimeError, match="'s1' ended a transaction"):
+            run_programs_serially({"s1": trailing})
+
+    @pytest.mark.parametrize(
+        "scheduler", [SerialScheduler, InterleavedScheduler]
+    )
+    def test_non_generator_program_rejected_at_construction(self, scheduler):
+        def plain(client, rng):
+            client.put("acct", 1)
+            client.commit()
+
+        store = DataStore(initial={"acct": 0})
+        with pytest.raises(TypeError, match="session 's2'"):
+            scheduler(
+                store,
+                {"s1": deposit_program(50), "s2": plain},
+                lambda s: LatestWriterPolicy(),
+            )
+        assert len(store.history()) == 0
+
+    def test_halt_closes_started_programs_and_skips_unstarted(self):
+        events = []
+
+        def tracked(name):
+            def program(client, rng):
+                events.append(f"{name} start")
+                try:
+                    for _ in range(2):
+                        client.put("acct", name)
+                        client.commit()
+                        yield
+                finally:
+                    events.append(f"{name} closed")
+
+            return program
+
+        h = run_programs_serially(
+            {"s1": tracked("s1"), "s2": tracked("s2"), "s3": tracked("s3")},
+            turn_order=["s2", "s1"],
+        )
+        assert [t.session for t in h.transactions()] == ["s2", "s1"]
+        assert events[:2] == ["s2 start", "s1 start"]
+        assert sorted(events[2:]) == ["s1 closed", "s2 closed"]  # no s3
+
+    def test_program_error_closes_the_others_and_propagates(self):
+        closed = []
+
+        def steady(client, rng):
+            try:
+                for _ in range(3):
+                    client.put("acct", 1)
+                    client.commit()
+                    yield
+            finally:
+                closed.append(client.session)
+
+        def boom(client, rng):
+            client.put("acct", 2)
+            client.commit()
+            yield
+            raise RuntimeError("app bug")
+
+        with pytest.raises(RuntimeError, match="app bug"):
+            run_programs_serially(
+                {"s1": steady, "s2": boom}, turn_order=["s1", "s2", "s2"]
+            )
+        assert closed == ["s1"]
+
+    def test_serial_run_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("the serial scheduler started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        h = run_serial(seed=1)
+        assert len(h) == 2
+        h = run_serial(turn_order=["s2"])
+        assert len(h) == 1
 
 
 class TestInterleavedScheduler:

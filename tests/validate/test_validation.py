@@ -14,6 +14,7 @@ def deposit_program(amount):
         balance = client.get("acct")
         client.put("acct", (balance or 0) + amount)
         client.commit()
+        yield
 
     return program
 
@@ -26,6 +27,7 @@ def withdraw_program(amount):
         else:
             client.put("acct", balance - amount)
             client.commit()
+        yield
 
     return program
 
@@ -33,7 +35,7 @@ def withdraw_program(amount):
 def chain(*programs):
     def program(client, rng):
         for p in programs:
-            p(client, rng)
+            yield from p(client, rng)
 
     return program
 
