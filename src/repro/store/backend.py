@@ -101,9 +101,9 @@ def run_programs(
 
     Each program is a generator function that yields once after each
     transaction. Every backend that executes in process (in-memory,
-    sharded, sqlite) schedules sessions identically — backends differ in the store handle
-    they build and in what they do with the finished run, so the
-    scheduler-driving logic lives here once.
+    sharded, sqlite) schedules sessions identically — backends differ in
+    the store handle they build and in what they do with the finished
+    run, so the scheduler-driving logic lives here once.
     """
     if interleaved and turn_order is not None:
         raise ValueError(

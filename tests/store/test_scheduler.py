@@ -128,16 +128,14 @@ class TestSerialScheduler:
         assert len(h) == 1  # the committed transaction made it
 
 
-def run_programs_serially(programs, turn_order=None):
-    store = DataStore(initial={"acct": 0})
-    sched = SerialScheduler(
-        store,
+def serial_scheduler(programs, turn_order=None):
+    return SerialScheduler(
+        DataStore(initial={"acct": 0}),
         programs,
         lambda s: LatestWriterPolicy(),
         seed=0,
         turn_order=turn_order,
     )
-    return sched.run()
 
 
 class TestGeneratorProtocol:
@@ -150,7 +148,7 @@ class TestGeneratorProtocol:
             client.commit()
 
         with pytest.raises(RuntimeError, match="'s1' yielded inside"):
-            run_programs_serially({"s1": early})
+            serial_scheduler({"s1": early}).run()
 
     def test_yield_without_commit_or_rollback_raises(self):
         def idle(client, rng):
@@ -158,7 +156,7 @@ class TestGeneratorProtocol:
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
-            run_programs_serially({"s1": idle})
+            serial_scheduler({"s1": idle}).run()
 
     def test_second_yield_without_a_transaction_raises(self):
         def twice(client, rng):
@@ -168,7 +166,7 @@ class TestGeneratorProtocol:
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
-            run_programs_serially({"s1": twice})
+            serial_scheduler({"s1": twice}).run()
 
     def test_two_transactions_in_one_turn_raise(self):
         def greedy(client, rng):
@@ -179,7 +177,7 @@ class TestGeneratorProtocol:
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 2"):
-            run_programs_serially({"s1": greedy})
+            serial_scheduler({"s1": greedy}).run()
 
     def test_transaction_after_the_last_yield_raises(self):
         def trailing(client, rng):
@@ -190,7 +188,7 @@ class TestGeneratorProtocol:
             client.commit()
 
         with pytest.raises(RuntimeError, match="'s1' ended a transaction"):
-            run_programs_serially({"s1": trailing})
+            serial_scheduler({"s1": trailing}).run()
 
     @pytest.mark.parametrize(
         "scheduler", [SerialScheduler, InterleavedScheduler]
@@ -225,10 +223,11 @@ class TestGeneratorProtocol:
 
             return program
 
-        h = run_programs_serially(
+        sched = serial_scheduler(
             {"s1": tracked("s1"), "s2": tracked("s2"), "s3": tracked("s3")},
             turn_order=["s2", "s1"],
         )
+        h = sched.run()  # sched is still referenced: run() did the closing
         assert [t.session for t in h.transactions()] == ["s2", "s1"]
         assert events[:2] == ["s2 start", "s1 start"]
         assert sorted(events[2:]) == ["s1 closed", "s2 closed"]  # no s3
@@ -251,10 +250,11 @@ class TestGeneratorProtocol:
             yield
             raise RuntimeError("app bug")
 
+        sched = serial_scheduler(
+            {"s1": steady, "s2": boom}, turn_order=["s1", "s2", "s2"]
+        )
         with pytest.raises(RuntimeError, match="app bug"):
-            run_programs_serially(
-                {"s1": steady, "s2": boom}, turn_order=["s1", "s2", "s2"]
-            )
+            sched.run()
         assert closed == ["s1"]
 
     def test_serial_run_starts_no_thread(self, monkeypatch):
