@@ -2,7 +2,8 @@
 
 For any app and seed, analyzing a ``ShardedBackend(shards=1)`` or
 ``SqliteBackend`` run must yield the same prediction verdicts — and the
-same *set* of distinct predicted histories — as ``InMemoryBackend``.
+same *set* of distinct predicted histories — as the in-memory default
+(``backend=None``).
 Backends change where execution happens and what gets persisted, never
 what the analysis sees. The CI backend-smoke job checks the same
 invariant end to end through the CLI.
@@ -13,7 +14,7 @@ from repro.api import Analysis
 from repro.bench_apps import ALL_APPS, WorkloadConfig
 from repro.history import history_to_json
 from repro.sources import BenchAppSource, SqliteTraceSource
-from repro.store import InMemoryBackend, ShardedBackend, SqliteBackend
+from repro.store import ShardedBackend, SqliteBackend
 
 SEEDS = (0, 1)
 
@@ -41,7 +42,7 @@ class TestCrossBackendEquivalence:
     def test_sharded_one_shard_matches_inmemory(self, app_cls, seed):
         assert _verdict_set(
             app_cls, seed, ShardedBackend(shards=1)
-        ) == _verdict_set(app_cls, seed, InMemoryBackend())
+        ) == _verdict_set(app_cls, seed, None)
 
     @pytest.mark.parametrize("app_cls", ALL_APPS, ids=_APP_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -50,7 +51,7 @@ class TestCrossBackendEquivalence:
         # read policy *any* shard count records the same history
         assert _verdict_set(
             app_cls, seed, ShardedBackend(shards=3)
-        ) == _verdict_set(app_cls, seed, InMemoryBackend())
+        ) == _verdict_set(app_cls, seed, None)
 
     @pytest.mark.parametrize("app_cls", ALL_APPS, ids=_APP_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -58,7 +59,7 @@ class TestCrossBackendEquivalence:
         archive = tmp_path / "equiv.sqlite"
         assert _verdict_set(
             app_cls, seed, SqliteBackend(archive)
-        ) == _verdict_set(app_cls, seed, InMemoryBackend())
+        ) == _verdict_set(app_cls, seed, None)
 
     def test_reopened_archive_matches_live_analysis(self, tmp_path):
         """The durable path: analyze, reopen the archive, analyze again."""
@@ -89,7 +90,7 @@ class TestValidationEquivalence:
         """Replay validation agrees wherever the app executes."""
         reports = {}
         for label, backend in (
-            ("inmemory", InMemoryBackend()),
+            ("inmemory", None),
             ("sharded", ShardedBackend(shards=2)),
             ("sqlite", SqliteBackend(tmp_path / "val.sqlite")),
         ):
