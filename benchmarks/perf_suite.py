@@ -155,9 +155,7 @@ def run_scenario(
     repeats: int,
     max_seconds: float,
 ) -> ScenarioResult:
-    backend = (
-        None if store == "inmemory" else make_store_backend(store)
-    )
+    backend = make_store_backend(store)
     history = record_observed(
         _APPS[app](_workload(workload)), RECORD_SEED, backend=backend
     ).history

@@ -57,7 +57,6 @@ from .store import (
     Client,
     DataStore,
     DirectedReplayPolicy,
-    InMemoryBackend,
     InterleavedScheduler,
     LatestWriterPolicy,
     RandomIsolationPolicy,
@@ -79,7 +78,6 @@ __all__ = [
     "DataStore",
     "FuzzSource",
     "HistorySource",
-    "InMemoryBackend",
     "ProgramsSource",
     "RecordedRun",
     "ReplayUnavailable",

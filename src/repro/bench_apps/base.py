@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from ..history.model import History
 from ..isolation.levels import IsolationLevel
-from ..store.backend import DEFAULT_BACKEND, StoreBackend
+from ..store.backend import StoreBackend, execute
 from ..store.client import Client
 from ..store.kvstore import DataStore
 from ..store.policies import LatestWriterPolicy, RandomIsolationPolicy
@@ -139,10 +139,10 @@ def _run(
     interleaved=False,
     backend: Optional[StoreBackend] = None,
 ) -> RunOutcome:
-    backend = backend or DEFAULT_BACKEND
-    run = backend.execute(
+    run = execute(
         app.programs(),
         policy_factory,
+        backend=backend,
         initial=app.initial_state(),
         seed=seed,
         interleaved=interleaved,
@@ -152,7 +152,7 @@ def _run(
         history=run.history,
         store=run.store,
         failures=app.check_assertions(run.store),
-        meta=dict(getattr(run, "meta", None) or {}),
+        meta=run.meta,
     )
 
 

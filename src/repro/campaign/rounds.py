@@ -147,7 +147,7 @@ def round_backend(spec: str) -> Iterator[Optional[StoreBackend]]:
     ``None`` for the in-memory default. The backend is closed on exit, so
     an archive connection it opened never waits for garbage collection.
     """
-    backend = None if spec == "inmemory" else make_store_backend(spec)
+    backend = make_store_backend(spec)
     try:
         yield backend
     finally:

@@ -65,13 +65,10 @@ def _workload(args) -> WorkloadConfig:
 
 def _store_backend(args):
     """The parsed --backend selection (None for the in-memory default)."""
-    spec = getattr(args, "backend", "inmemory")
-    from .store.backends import make_store_backend, store_backend_spec
+    from .store.backends import make_store_backend
 
     try:
-        if store_backend_spec(spec) == "inmemory":
-            return None
-        return make_store_backend(spec)
+        return make_store_backend(getattr(args, "backend", None))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -243,18 +243,18 @@ class ProgramsSource:
         )
 
     def record(self) -> RecordedRun:
-        from .store.backend import DEFAULT_BACKEND
+        from .store.backend import execute
         from .store.policies import LatestWriterPolicy
 
-        backend = self.backend or DEFAULT_BACKEND
-        run = backend.execute(
+        run = execute(
             self.make_programs(),
             lambda session: LatestWriterPolicy(),
+            backend=self.backend,
             initial=dict(self.initial),
             seed=self.seed,
         )
         meta = {"source": "programs", "name": self.name, "seed": self.seed}
-        meta.update(getattr(run, "meta", None) or {})
+        meta.update(run.meta)
         return RecordedRun(
             history=run.history,
             meta=meta,

@@ -12,13 +12,7 @@ A fourth mode — the statement-interleaved read-committed executor — stands
 in for MySQL in the Table 7 comparison (the repository runs no external
 database).
 """
-from .backend import (
-    DEFAULT_BACKEND,
-    BackendRun,
-    InMemoryBackend,
-    StoreBackend,
-    run_programs,
-)
+from .backend import BackendRun, StoreBackend, execute
 from .backends import (
     KNOWN_STORE_BACKENDS,
     ShardedBackend,
@@ -43,17 +37,15 @@ from .scheduler import InterleavedScheduler, SerialScheduler
 __all__ = [
     "BackendRun",
     "Client",
-    "DEFAULT_BACKEND",
     "DataStore",
-    "InMemoryBackend",
     "KNOWN_STORE_BACKENDS",
     "ShardRouter",
     "ShardedBackend",
     "ShardedStore",
     "SqliteBackend",
     "StoreBackend",
+    "execute",
     "make_store_backend",
-    "run_programs",
     "store_backend_spec",
     "DirectedReplayPolicy",
     "InterleavedScheduler",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..backend import DEFAULT_BACKEND, InMemoryBackend, StoreBackend
+from ..backend import StoreBackend
 from .sharded import ShardedBackend, ShardedStore, ShardRouter, ShardStore
 from .sqlite import (
     CompactionStats,
@@ -76,17 +76,17 @@ _INMEMORY_ALIASES = ("inmemory", "memory", "mem", "")
 StoreBackendLike = Union[str, StoreBackend, None]
 
 
-def make_store_backend(spec: StoreBackendLike) -> StoreBackend:
+def make_store_backend(spec: StoreBackendLike) -> Optional[StoreBackend]:
     """Construct (or pass through) a store backend from a selection spec.
 
-    ``None`` and the in-memory aliases return the shared stateless
-    :data:`~repro.store.backend.DEFAULT_BACKEND`; every other spec builds
-    a fresh backend instance. Raises :class:`ValueError` on a spec that
+    ``None`` and the in-memory aliases return ``None``, the in-process
+    default of :func:`~repro.store.backend.execute`; every other spec
+    builds a fresh backend instance. Raises :class:`ValueError` on a spec that
     names no known backend, so callers (the CLI in particular) fail with
     one clean message before any execution starts.
     """
     if spec is None:
-        return DEFAULT_BACKEND
+        return None
     # strings first: the runtime-checkable Protocol test is the costly one
     if not isinstance(spec, str):
         if isinstance(spec, StoreBackend):
@@ -101,7 +101,7 @@ def make_store_backend(spec: StoreBackendLike) -> StoreBackend:
     if kind in _INMEMORY_ALIASES:
         if rest:
             raise ValueError(f"the in-memory backend takes no options: {spec!r}")
-        return DEFAULT_BACKEND
+        return None
     if kind == "sharded":
         return _parse_sharded(rest, spec)
     if kind == "sqlite":
@@ -179,6 +179,4 @@ def store_backend_spec(spec: StoreBackendLike) -> str:
     ``"sharded:2"``) must collapse to one form.
     """
     backend = make_store_backend(spec)
-    if isinstance(backend, InMemoryBackend):
-        return "inmemory"
-    return backend.spec
+    return "inmemory" if backend is None else backend.spec

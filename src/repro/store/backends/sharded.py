@@ -14,7 +14,7 @@ histories can be inspected — and analyzed — in isolation via
 and keeps the *global* bookkeeping (commit log, session positions, tid
 allocation) on the inherited code path, mirroring every commit into the
 touched shards afterwards. The recorded global history is therefore
-byte-identical to an :class:`~repro.store.backend.InMemoryBackend` run for
+byte-identical to an in-memory :class:`~repro.store.kvstore.DataStore` run for
 any shard count — sharding changes where data lives, never what the
 analysis sees. The routed per-key overrides read their answers from the
 shard stores, so the mirror is exercised (not decorative) on every read.
@@ -36,18 +36,17 @@ from __future__ import annotations
 
 import contextlib
 import zlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ...faults import guarded_fault_point
 from ...history.events import Event, ReadEvent
 from ...history.model import History, Transaction
 from ...obs import span as obs_span
+from ..kvstore import DataStore
 
 #: single-shard commits are the common case; only the cross-shard mirror
 #: fan-out earns a span of its own
 _NULL_SPAN = contextlib.nullcontext()
-from ..backend import BackendRun, PolicyFactory, Program, run_programs
-from ..kvstore import DataStore
 
 __all__ = ["ShardRouter", "ShardStore", "ShardedStore", "ShardedBackend"]
 
@@ -357,23 +356,6 @@ class ShardedBackend:
             cross_shard_reads=self.cross_shard_reads,
         )
 
-    def execute(
-        self,
-        programs: dict[str, Program],
-        policy_factory: PolicyFactory,
-        *,
-        initial: Optional[dict] = None,
-        seed: int = 0,
-        interleaved: bool = False,
-        turn_order: Optional[Sequence[str]] = None,
-    ) -> BackendRun:
-        store = self.new_store(initial)
-        history = run_programs(
-            store,
-            programs,
-            policy_factory,
-            seed=seed,
-            interleaved=interleaved,
-            turn_order=turn_order,
-        )
-        return BackendRun(history=history, store=store, meta=store.meta())
+    def finish(self, store: ShardedStore, history, **_) -> dict:
+        """The run's shard topology and cross-shard attribution."""
+        return store.meta()

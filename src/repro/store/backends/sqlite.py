@@ -36,13 +36,12 @@ import sqlite3
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ...faults import RetryPolicy, fault_point
 from ...history.model import History
 from ...obs import span as obs_span
 from ...history.trace import Trace, history_to_json, trace_from_json
-from ..backend import BackendRun, PolicyFactory, Program, run_programs
 from ..kvstore import DataStore
 
 __all__ = [
@@ -436,33 +435,6 @@ def compact_archive(
     )
 
 
-def _phase_of(
-    policy_factory: PolicyFactory,
-    interleaved: bool,
-    turn_order: Optional[Sequence[str]],
-) -> str:
-    """Classify the execution kind stamped onto the archive row.
-
-    ``record`` is reserved for serial latest-writer runs — the
-    serializable observed recordings the analysis consumes. Serial runs
-    under any *other* read policy (random weak-isolation exploration,
-    custom policies) are ``explore``: reopening an archive defaults to
-    the ``record`` rows, and a weakly-isolated history must never pose
-    as an observed recording there. The factory is probed once with a
-    sentinel session; every in-tree factory is side-effect-free.
-    """
-    from ..policies import LatestWriterPolicy
-
-    if turn_order is not None:
-        return "replay"
-    if interleaved:
-        return "explore"
-    probe = policy_factory("__phase_probe__")
-    if isinstance(probe, LatestWriterPolicy):
-        return "record"
-    return "explore"
-
-
 class SqliteBackend:
     """In-process execution with a durable SQLite execution archive.
 
@@ -577,40 +549,25 @@ class SqliteBackend:
     def new_store(self, initial: Optional[dict] = None) -> DataStore:
         return DataStore(initial=initial)
 
-    def execute(
-        self,
-        programs: dict[str, Program],
-        policy_factory: PolicyFactory,
-        *,
-        initial: Optional[dict] = None,
-        seed: int = 0,
-        interleaved: bool = False,
-        turn_order: Optional[Sequence[str]] = None,
-    ) -> BackendRun:
-        store = self.new_store(initial)
-        history = run_programs(
-            store,
-            programs,
-            policy_factory,
-            seed=seed,
-            interleaved=interleaved,
-            turn_order=turn_order,
-        )
-        phase = _phase_of(policy_factory, interleaved, turn_order)
-        meta = {
-            "store_backend": "sqlite",
-            "path": str(self.path),
-            "phase": phase,
-        }
+    def finish(
+        self, store, history: History, *, phase: str, seed: int,
+        sessions: int,
+    ) -> dict:
+        """Persist the run, then apply the retention bound."""
         execution_id = self.persist(
             history,
             phase=phase,
             seed=seed,
-            sessions=len(programs),
+            sessions=sessions,
             meta={"seed": seed, "phase": phase},
         )
-        meta["execution_id"] = execution_id
+        meta = {
+            "store_backend": "sqlite",
+            "path": str(self.path),
+            "phase": phase,
+            "execution_id": execution_id,
+        }
         pruned = self.prune()
         if pruned:
             meta["pruned"] = pruned
-        return BackendRun(history=history, store=store, meta=meta)
+        return meta

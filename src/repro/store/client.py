@@ -185,6 +185,5 @@ class Client:
         if self._tid is None:
             return
         self.stats["aborts"] += 1
-        self._store.abort_transaction(self.session)
         self._policy.on_abort(self._tid, self.session)
         self._tid = None

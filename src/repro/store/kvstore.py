@@ -112,10 +112,6 @@ class DataStore:
         self._history_cache = None
         return txn
 
-    def abort_transaction(self, session: str) -> None:
-        """Aborted transactions leave no trace in the history (§2.1)."""
-        self._history_cache = None  # no-op today; kept for symmetry
-
     # ------------------------------------------------------------------
     # History construction
     # ------------------------------------------------------------------

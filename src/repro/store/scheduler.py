@@ -14,23 +14,28 @@ each transaction ends (after its commit or rollback)::
 Sessions execute strictly one at a time, so a given (seed, program set)
 always produces the same schedule — the determinism §7.1 asks for.
 
+Both schedulers advance a program one step at a time with the same
+protocol check: every step that yields must have ended exactly one
+transaction and must end outside one, and a program's final step (the one
+that returns) must end none and leave no transaction open; otherwise the
+run raises :class:`RuntimeError` naming the session. A program that is not
+a generator function is a :class:`TypeError` when either scheduler is
+built.
+
 Two granularities:
 
 * :class:`SerialScheduler` — context-switches at *transaction* boundaries,
   matching MonkeyDB's serial transaction execution. Used for recording
   observed executions, random weak-isolation exploration, and validation
   replay (with an explicit turn order). It advances a program with
-  ``next()`` and halts it with ``close()``; no thread is involved. Every
-  turn that yields must have ended exactly one transaction, and a program's
-  final turn (the one that returns) must end none, else the run raises
-  :class:`RuntimeError` naming the session.
+  ``next()`` and halts it with ``close()``; no thread is involved.
 * :class:`InterleavedScheduler` — context-switches before every store
   *operation* with latest-committed reads: the stand-in for running the
   benchmarks on MySQL under read committed (Table 7), since the
   repository runs no external database. A switch can fall anywhere inside
   a program, so each session runs in its own thread, and threads take
-  turns under a grant/pause handshake; the thread exhausts the generator
-  and its yields mark nothing.
+  turns under a grant/pause handshake. A yield is not a switch point
+  there, but each one is still checked.
 """
 from __future__ import annotations
 
@@ -47,6 +52,12 @@ from .policies import ReadPolicy
 __all__ = ["SerialScheduler", "InterleavedScheduler"]
 
 Program = Callable[[Client, random.Random], Iterator[None]]
+
+#: Chance that :class:`InterleavedScheduler` switches sessions before an
+#: operation — the effective concurrency overlap of a real database: long
+#: transactions (TPC-C new-order) overlap often, short ones rarely, which
+#: reproduces Table 7's MySQL column (only TPC-C fails assertions).
+SWITCH_PROBABILITY = 0.05
 
 
 def _open_sessions(
@@ -75,11 +86,42 @@ def _ended(client: Client) -> int:
     return client.stats["commits"] + client.stats["aborts"]
 
 
-def _ended_inside_transaction(session: str) -> RuntimeError:
-    return RuntimeError(
-        f"session {session!r} program ended inside a transaction; "
-        "programs must commit or rollback"
-    )
+def _step(client: Client, program: Iterator[None]) -> bool:
+    """Run ``program`` to its next yield (True) or to its end (False).
+
+    Checks the protocol both schedulers rely on: a yield must follow
+    exactly one ended transaction and fall outside any transaction, and
+    the program's end must end none and leave no transaction open.
+    """
+    session = client.session
+    ended_before = _ended(client)
+    try:
+        next(program)
+    except StopIteration:
+        if client.in_transaction:
+            raise RuntimeError(
+                f"session {session!r} program ended inside a transaction; "
+                "programs must commit or rollback"
+            ) from None
+        if _ended(client) != ended_before:
+            raise RuntimeError(
+                f"session {session!r} ended a transaction after its "
+                "last yield; a program yields once after each "
+                "transaction"
+            ) from None
+        return False
+    if client.in_transaction:
+        raise RuntimeError(
+            f"session {session!r} yielded inside a transaction; a "
+            "program yields after its commit or rollback"
+        )
+    ended = _ended(client) - ended_before
+    if ended != 1:
+        raise RuntimeError(
+            f"session {session!r} yielded after ending {ended} "
+            "transactions; a program yields once after each transaction"
+        )
+    return True
 
 
 class SerialScheduler:
@@ -148,54 +190,34 @@ class SerialScheduler:
 
     def _turn(self, session: str) -> None:
         """Run ``session`` to its next yield, or to its end."""
-        client = self.clients[session]
-        ended_before = _ended(client)
-        try:
-            next(self._programs[session])
-        except StopIteration:
+        if not _step(self.clients[session], self._programs[session]):
             self._running.discard(session)
-            if client.in_transaction:
-                raise _ended_inside_transaction(session) from None
-            if _ended(client) != ended_before:
-                raise RuntimeError(
-                    f"session {session!r} ended a transaction after its "
-                    "last yield; a program yields once after each "
-                    "transaction"
-                ) from None
-            return
-        if client.in_transaction:
-            raise RuntimeError(
-                f"session {session!r} yielded inside a transaction; a "
-                "program yields after its commit or rollback"
-            )
-        ended = _ended(client) - ended_before
-        if ended != 1:
-            raise RuntimeError(
-                f"session {session!r} yielded after ending {ended} "
-                "transactions; a program yields once after each transaction"
-            )
 
 
 class _SessionThread:
     """One session's thread plus its handshake state."""
 
-    def __init__(self, name: str, target: Callable[[], None]):
-        self.name = name
+    def __init__(self, client: Client, program: Iterator[None]):
+        self.name = client.session
         self.go = threading.Event()
         self.done = threading.Event()
         self.finished = False
         self.halt_requested = False
         self.error: Optional[BaseException] = None
         self.thread = threading.Thread(
-            target=self._run, args=(target,), name=f"session-{name}", daemon=True
+            target=self._run,
+            args=(client, program),
+            name=f"session-{self.name}",
+            daemon=True,
         )
 
-    def _run(self, target: Callable[[], None]) -> None:
+    def _run(self, client: Client, program: Iterator[None]) -> None:
         self.go.wait()
         try:
             if self.halt_requested:
                 raise SessionHalted(self.name)
-            target()
+            while _step(client, program):
+                pass
         except SessionHalted:
             pass
         except BaseException as exc:  # surfaced by the scheduler
@@ -241,10 +263,10 @@ class InterleavedScheduler:
     """Statement-level interleaving (the realistic rc executor).
 
     Context-switches between SQL statements with probability
-    ``switch_probability``, staying with the running session otherwise —
-    a knob for the effective concurrency overlap of a real database: long
-    transactions (TPC-C new-order) overlap often, short ones rarely, which
-    reproduces Table 7's MySQL column (only TPC-C fails assertions).
+    :data:`SWITCH_PROBABILITY`, staying with the running session
+    otherwise. Each session's thread drives its program with the same
+    protocol-checking step as :class:`SerialScheduler`, so a program that
+    breaks the protocol raises here too.
     """
 
     def __init__(
@@ -253,11 +275,9 @@ class InterleavedScheduler:
         programs: dict[str, Program],
         policy_factory: Callable[[str], ReadPolicy],
         seed: int = 0,
-        switch_probability: float = 0.05,
     ):
         self.store = store
         self.seed = seed
-        self.switch_probability = switch_probability
         self._current: Optional[str] = None
         self._sync = _Sync()
         sessions = _open_sessions(
@@ -266,18 +286,9 @@ class InterleavedScheduler:
         self.clients = {s: client for s, (client, _) in sessions.items()}
         self._threads: dict[str, _SessionThread] = {}
         for session, (client, program) in sessions.items():
-            thread = _SessionThread(
-                session, lambda c=client, p=program: self._body(c, p)
-            )
+            thread = _SessionThread(client, program)
             self._sync.register(session, thread)
             self._threads[session] = thread
-
-    @staticmethod
-    def _body(client: Client, program: Iterator[None]) -> None:
-        for _ in program:
-            pass
-        if client.in_transaction:
-            raise _ended_inside_transaction(client.session)
 
     def _next_session(self, rng: random.Random) -> Optional[str]:
         runnable = sorted(
@@ -287,7 +298,7 @@ class InterleavedScheduler:
             return None
         if (
             self._current in runnable
-            and rng.random() >= self.switch_probability
+            and rng.random() >= SWITCH_PROBABILITY
         ):
             return self._current
         self._current = rng.choice(runnable)

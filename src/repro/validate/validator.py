@@ -24,7 +24,8 @@ from ..history.relations import hb_pairs, topological_order
 from ..isolation.checkers import is_serializable, is_valid_under
 from ..isolation.levels import IsolationLevel
 from ..obs import span as obs_span
-from ..store.backend import DEFAULT_BACKEND, Program, StoreBackend
+from ..store.backend import StoreBackend, execute
+from ..store.scheduler import Program
 from ..store.policies import DirectedReplayPolicy
 
 __all__ = ["ValidationReport", "validate_prediction"]
@@ -73,12 +74,12 @@ def validate_prediction(
     fallback of re-reading the observed writer upon divergence.
     ``backend`` selects where the replay executes (default: in-memory).
     """
-    backend = backend or DEFAULT_BACKEND
     with obs_span("validate.replay") as replay_span:
         policy = DirectedReplayPolicy(predicted, isolation, observed=observed)
-        run = backend.execute(
+        run = execute(
             programs,
             lambda session: policy,
+            backend=backend,
             initial=dict(initial or predicted.initial_values),
             seed=seed,
             turn_order=_turn_order(predicted),

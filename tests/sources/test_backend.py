@@ -1,67 +1,77 @@
-"""StoreBackend protocol: the in-memory backend and custom drop-ins."""
+"""The one program executor: the in-memory default and custom drop-ins."""
 import pytest
 
 from repro.bench_apps import Smallbank, WorkloadConfig, record_observed
 from repro.history import history_to_json
 from repro.isolation import is_serializable
 from repro.store import (
-    DEFAULT_BACKEND,
     BackendRun,
-    InMemoryBackend,
+    DataStore,
     LatestWriterPolicy,
     StoreBackend,
+    execute,
+    make_store_backend,
 )
 
 
 class CountingBackend:
-    """A drop-in backend that counts executions (protocol conformance)."""
+    """A drop-in backend that counts finished runs (protocol conformance)."""
 
     name = "counting"
 
     def __init__(self):
-        self.inner = InMemoryBackend()
-        self.executions = 0
+        self.phases = []
+
+    @property
+    def executions(self):
+        return len(self.phases)
 
     def new_store(self, initial=None):
-        return self.inner.new_store(initial)
+        return DataStore(initial=initial)
 
-    def execute(self, programs, policy_factory, **kwargs):
-        self.executions += 1
-        return self.inner.execute(programs, policy_factory, **kwargs)
+    def finish(self, store, history, *, phase, seed, sessions):
+        self.phases.append(phase)
+        return {"store_backend": self.name, "execution": self.executions}
 
 
-class TestInMemoryBackend:
-    def test_satisfies_protocol(self):
-        assert isinstance(InMemoryBackend(), StoreBackend)
+def deposit(client, rng):
+    client.put("x", 1)
+    client.commit()
+    yield
+
+
+class TestExecute:
+    def test_custom_backend_satisfies_protocol(self):
         assert isinstance(CountingBackend(), StoreBackend)
 
-    def test_default_backend_is_in_memory(self):
-        assert isinstance(DEFAULT_BACKEND, InMemoryBackend)
+    @pytest.mark.parametrize("spec", [None, "inmemory", "memory"])
+    def test_in_memory_default_is_none(self, spec):
+        assert make_store_backend(spec) is None
 
-    def test_new_store_preloads_initial(self):
-        store = InMemoryBackend().new_store({"x": 1})
-        assert store.initial_values == {"x": 1}
-
-    def test_execute_records_history(self):
-        def program(client, rng):
-            client.put("x", 1)
-            client.commit()
-            yield
-
-        run = InMemoryBackend().execute(
-            {"s1": program},
-            lambda s: LatestWriterPolicy(),
-            initial={"x": 0},
+    def test_execute_records_history_in_memory(self):
+        run = execute(
+            {"s1": deposit}, lambda s: LatestWriterPolicy(), initial={"x": 0}
         )
         assert isinstance(run, BackendRun)
         assert len(run.history) == 1
         assert run.store.initial_values == {"x": 0}
+        assert run.meta == {}
+
+    def test_backend_finishes_the_run_and_supplies_its_meta(self):
+        backend = CountingBackend()
+        run = execute(
+            {"s1": deposit, "s2": deposit},
+            lambda s: LatestWriterPolicy(),
+            backend=backend,
+            initial={"x": 0},
+        )
+        assert len(run.history) == 2
+        assert backend.phases == ["record"]
+        assert run.meta == {"store_backend": "counting", "execution": 1}
 
     def test_turn_order_and_interleaved_conflict(self):
         with pytest.raises(ValueError, match="turn_order"):
-            InMemoryBackend().execute(
-                {}, lambda s: None, interleaved=True, turn_order=["s1"]
-            )
+            execute({}, lambda s: None, interleaved=True, turn_order=["s1"])
 
 
 class TestBackendInjection:
@@ -90,7 +100,7 @@ class TestBackendInjection:
             Smallbank, WorkloadConfig.tiny(), seed=0, backend=backend
         )
         run = source.record()
-        assert backend.executions == 1
+        assert backend.phases == ["record"]
         # validation replays on the same backend
         from repro.predict import IsoPredict, PredictionStrategy
         from repro.isolation import IsolationLevel
@@ -104,4 +114,4 @@ class TestBackendInjection:
                 IsolationLevel.READ_COMMITTED,
                 observed=run.history,
             )
-            assert backend.executions == 2
+            assert backend.phases == ["record", "replay"]

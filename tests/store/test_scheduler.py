@@ -138,27 +138,41 @@ def serial_scheduler(programs, turn_order=None):
     )
 
 
+BOTH_SCHEDULERS = pytest.mark.parametrize(
+    "scheduler", [SerialScheduler, InterleavedScheduler]
+)
+
+
+def run_on(scheduler, programs):
+    store = DataStore(initial={"acct": 0})
+    return scheduler(store, programs, lambda s: LatestWriterPolicy()).run()
+
+
 class TestGeneratorProtocol:
     """A program yields exactly once after each transaction it ends."""
 
-    def test_yield_inside_a_transaction_raises(self):
+    @BOTH_SCHEDULERS
+    def test_yield_inside_a_transaction_raises(self, scheduler):
         def early(client, rng):
             client.get("acct")
             yield
             client.commit()
+            yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded inside"):
-            serial_scheduler({"s1": early}).run()
+            run_on(scheduler, {"s1": early})
 
-    def test_yield_without_commit_or_rollback_raises(self):
+    @BOTH_SCHEDULERS
+    def test_yield_without_commit_or_rollback_raises(self, scheduler):
         def idle(client, rng):
             client.commit()  # nothing open: a no-op, no transaction ends
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
-            serial_scheduler({"s1": idle}).run()
+            run_on(scheduler, {"s1": idle})
 
-    def test_second_yield_without_a_transaction_raises(self):
+    @BOTH_SCHEDULERS
+    def test_second_yield_without_a_transaction_raises(self, scheduler):
         def twice(client, rng):
             client.put("acct", 1)
             client.commit()
@@ -166,9 +180,10 @@ class TestGeneratorProtocol:
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 0"):
-            serial_scheduler({"s1": twice}).run()
+            run_on(scheduler, {"s1": twice})
 
-    def test_two_transactions_in_one_turn_raise(self):
+    @BOTH_SCHEDULERS
+    def test_two_transactions_in_one_turn_raise(self, scheduler):
         def greedy(client, rng):
             client.get("acct")
             client.rollback()
@@ -177,9 +192,10 @@ class TestGeneratorProtocol:
             yield
 
         with pytest.raises(RuntimeError, match="'s1' yielded after ending 2"):
-            serial_scheduler({"s1": greedy}).run()
+            run_on(scheduler, {"s1": greedy})
 
-    def test_transaction_after_the_last_yield_raises(self):
+    @BOTH_SCHEDULERS
+    def test_transaction_after_the_last_yield_raises(self, scheduler):
         def trailing(client, rng):
             client.put("acct", 1)
             client.commit()
@@ -188,11 +204,9 @@ class TestGeneratorProtocol:
             client.commit()
 
         with pytest.raises(RuntimeError, match="'s1' ended a transaction"):
-            serial_scheduler({"s1": trailing}).run()
+            run_on(scheduler, {"s1": trailing})
 
-    @pytest.mark.parametrize(
-        "scheduler", [SerialScheduler, InterleavedScheduler]
-    )
+    @BOTH_SCHEDULERS
     def test_non_generator_program_rejected_at_construction(self, scheduler):
         def plain(client, rng):
             client.put("acct", 1)
