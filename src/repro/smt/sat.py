@@ -111,7 +111,11 @@ class SatSolver:
         self._cbase: list[int] = []
         self._csize: list[int] = []
         self._clbd: list[int] = []
-        self._learned_from = 0  # clause indices >= this are learned
+        # clauses below _learned_from are all problem clauses (the stable
+        # arena prefix); CEGIS adds may interleave problem clauses with
+        # learned ones past it, so problem clauses are counted on their own
+        self._learned_from = 0
+        self._num_problem = 0
         self._watches: list[list[int]] = [[], []]  # indexed by internal lit
         self._assign: list[int] = [_UNASSIGNED]  # per var: 0/1 value
         self._level: list[int] = [0]
@@ -173,7 +177,8 @@ class SatSolver:
 
     @property
     def num_clauses(self) -> int:
-        return self._learned_from
+        """Problem (non-unit) clauses added; learned clauses not included."""
+        return self._num_problem
 
     @staticmethod
     def _to_internal(lit: int) -> int:
@@ -241,7 +246,9 @@ class SatSolver:
         self._arena.extend(clause)
         self._watches[clause[0]].append(ci)
         self._watches[clause[1]].append(ci)
-        self._learned_from = ci + 1
+        self._num_problem += 1
+        if self._learned_from == ci:
+            self._learned_from = ci + 1
         return True
 
     def add_clause_trusted(self, lits: list[int]) -> bool:
@@ -295,7 +302,9 @@ class SatSolver:
         self._arena.extend(clause)
         self._watches[clause[0]].append(ci)
         self._watches[clause[1]].append(ci)
-        self._learned_from = ci + 1
+        self._num_problem += 1
+        if self._learned_from == ci:
+            self._learned_from = ci + 1
         return True
 
     # ------------------------------------------------------------------
@@ -589,12 +598,13 @@ class SatSolver:
         quality measure): *glue* clauses (LBD <= 2), binary clauses and
         clauses currently locked as propagation reasons always survive;
         the rest are ranked by (LBD, size) and the worst half beyond the
-        quota is dropped, then the learned tail of the arena is compacted
-        in place.
+        quota is dropped, then the arena past the problem-clause prefix is
+        compacted in place. Problem clauses added after a learned clause
+        (LBD 0) are kept and never ranked.
         """
         keep_from = self._learned_from
         n_clauses = len(self._cbase)
-        n_learned = n_clauses - keep_from
+        n_learned = n_clauses - self._num_problem
         if n_learned <= self._max_learnts:
             return
         reason = self._reason
@@ -606,7 +616,7 @@ class SatSolver:
             if reason[ilit >> 1] != -1
         }
         by_score = sorted(
-            range(keep_from, n_clauses),
+            (ci for ci in range(keep_from, n_clauses) if clbd[ci]),
             key=lambda ci: (clbd[ci], csize[ci]),
         )
         quota = int(self._max_learnts // 2)

@@ -446,3 +446,40 @@ class TestDefaultTrajectory:
         assert solver.model_value(1) is True
         assert solver.model_value(2) is False
         assert solver.model_value(3) is False
+
+
+class TestClausesAddedAfterLearning:
+    """A clause added between solves (a CEGIS refinement or blocking
+    clause) leaves the clauses learned before it learned: they are not
+    counted as problem clauses and learned-clause reduction ranks them."""
+
+    def _learned_then_blocked(self):
+        nvars, clauses = _random_3sat(7, 60, 250)
+        solver = make_solver(nvars)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve() is Result.SAT
+        learned = sum(1 for lbd in solver._clbd if lbd)
+        assert learned > 0
+        # block the model on its first ten variables
+        solver.add_clause([
+            -v if solver.model_value(v) else v for v in range(1, 11)
+        ])
+        return solver, len(clauses) + 1, learned
+
+    def test_num_clauses_counts_problem_clauses_only(self):
+        solver, problem, learned = self._learned_then_blocked()
+        assert solver.num_clauses == problem
+        assert len(solver._cbase) == problem + learned
+
+    def test_reduction_ranks_clauses_learned_before_the_add(self):
+        solver, problem, learned = self._learned_then_blocked()
+        solver._max_learnts = 0
+        solver._reduce_learned()
+        dropped = solver.stats["learned_dropped"]
+        assert dropped > 0
+        assert solver.num_clauses == problem
+        assert sum(1 for lbd in solver._clbd if lbd == 0) == problem
+        assert len(solver._cbase) == problem + learned - dropped
+        # the compacted database still decides the blocked formula
+        assert solver.solve() is Result.SAT
