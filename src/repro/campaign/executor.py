@@ -52,7 +52,7 @@ from ..obs import (
     span as obs_span,
 )
 from .report import CampaignReport
-from .rounds import RoundResult, round_backend, run_round
+from .rounds import RoundResult, _fresh_result, round_backend, run_round
 from .spec import CampaignSpec
 
 __all__ = [
@@ -346,22 +346,11 @@ class CampaignExecutor:
 
     def _quarantine(self, spec, attempts: int) -> RoundResult:
         """An errored row for a round whose workers kept dying/hanging."""
-        result = RoundResult(
-            round_id=spec.round_id,
-            mode=spec.mode,
-            app=spec.app,
-            workload=spec.workload,
-            isolation=spec.isolation,
-            strategy=spec.strategy,
-            seed=spec.seed,
-            status="error",
-            source=spec.source,
-            backend=spec.backend,
-            error=(
-                f"round lost {attempts} time(s): worker crashed or hung "
-                f"(no result within heartbeat "
-                f"{self.heartbeat_seconds:g}s); quarantined"
-            ),
+        result = _fresh_result(spec)
+        result.error = (
+            f"round lost {attempts} time(s): worker crashed or hung "
+            f"(no result within heartbeat "
+            f"{self.heartbeat_seconds:g}s); quarantined"
         )
         result.error_kind = "stalled"
         result.attempts = attempts

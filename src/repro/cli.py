@@ -48,7 +48,12 @@ from .isolation import (
 from .jsonl import JsonlError, open_append
 from .predict import PredictionStrategy
 from .smt import Result
-from .sources import BenchAppSource, FuzzSource, TraceFileSource
+from .sources import (
+    _SQLITE_SUFFIXES,
+    BenchAppSource,
+    FuzzSource,
+    TraceFileSource,
+)
 from .store.backends import close_store_backend
 from .viz import history_to_dot, history_to_text
 
@@ -623,7 +628,7 @@ def _watch_source(args):
             idle_timeout=args.idle_timeout,
             max_runs=args.runs,
         )
-        if path.suffix.lower() in (".sqlite", ".sqlite3", ".db"):
+        if path.suffix.lower() in _SQLITE_SUFFIXES:
             return SqliteWatchSource(path, from_start=not args.new_only,
                                      **tail)
         return TailingJsonlSource(path, from_start=not args.new_only, **tail)
