@@ -39,6 +39,7 @@ from typing import Optional, Union
 from .history.model import History
 from .isolation.levels import IsolationLevel
 from .predict.analysis import (
+    MAX_CANDIDATES,
     IsoPredict,
     PredictionBatch,
     PredictionEnumeration,
@@ -51,10 +52,8 @@ from .validate.validator import ValidationReport
 
 __all__ = ["Analysis", "AnalysisResult", "ReplayUnavailable"]
 
-#: Distinguishes "not passed" from an explicit None (= unbounded budget).
+#: Distinguishes "not passed" from an explicit None (= unbounded limit).
 _UNSET = object()
-#: The :class:`IsoPredict` keywords ``Analysis.using`` passes through.
-_ANALYZER_KNOBS = ("max_candidates", "max_conflicts", "budget")
 
 
 class ReplayUnavailable(RuntimeError):
@@ -99,7 +98,8 @@ class Analysis:
 
     ``under``/``using`` accept parsed enums or their CLI string spellings.
     Changing a stage never re-records the source; it only selects which
-    cached solver the next ``predict`` extends.
+    cached solver the next ``predict`` extends. The solver limits set by
+    ``using`` bound each ``predict`` call and never pick the solver.
     """
 
     def __init__(
@@ -118,7 +118,9 @@ class Analysis:
         if backend is not None:
             from .store.backends import make_store_backend
 
+            # check the built backend: "inmemory" builds None
             backend = make_store_backend(backend)
+        if backend is not None:
             if not hasattr(self.source, "backend"):
                 raise ValueError(
                     f"source {self.source.name!r} does not execute "
@@ -140,8 +142,9 @@ class Analysis:
         self.isolation = IsolationLevel.CAUSAL
         self.strategy = PredictionStrategy.APPROX_RELAXED
         self.max_seconds: Optional[float] = 120.0
+        self.max_conflicts: Optional[int] = None
+        self.max_candidates = MAX_CANDIDATES
         self.max_cached_configs = max_cached_configs
-        self._analyzer_kwargs: dict = {}
         self._recorded: Optional[RecordedRun] = None
         # LRU of per-configuration incremental solvers: sweeping many
         # (isolation, strategy) combinations no longer accumulates one
@@ -165,29 +168,29 @@ class Analysis:
         strategy: Union[PredictionStrategy, str, None] = None,
         *,
         max_seconds=_UNSET,
-        **analyzer_kwargs,
+        max_conflicts=_UNSET,
+        max_candidates=_UNSET,
     ) -> "Analysis":
-        """Select the encoding strategy and solver knobs.
+        """Select the encoding strategy and the limits of each ``predict``.
 
-        ``max_seconds`` is the whole-enumeration solver budget (an explicit
-        ``None`` removes it); ``analyzer_kwargs`` pass through to
-        :class:`IsoPredict` (``max_candidates``, ``max_conflicts`` and
-        ``budget``, e.g. ``"30s,20000c"``); any other keyword raises
-        :class:`TypeError` here rather than at the first ``predict``.
+        ``max_seconds`` bounds the wall time of one ``predict`` call
+        (default 120), ``max_conflicts`` each solver check (default
+        unbounded), and ``max_candidates`` the candidates one call of an
+        exact strategy may reject (default 64); an explicit ``None``
+        lifts the wall or conflict limit. A limit omitted keeps its
+        current value. Limits do not select a solver: the next
+        ``predict`` extends the configuration's cached one.
         """
-        for key in analyzer_kwargs:
-            if key not in _ANALYZER_KNOBS:
-                raise TypeError(
-                    f"using() got an unexpected keyword argument {key!r}; "
-                    f"solver knobs are {', '.join(_ANALYZER_KNOBS)}"
-                )
         if strategy is not None:
             if isinstance(strategy, str):
                 strategy = PredictionStrategy.parse(strategy)
             self.strategy = strategy
         if max_seconds is not _UNSET:
             self.max_seconds = max_seconds
-        self._analyzer_kwargs.update(analyzer_kwargs)
+        if max_conflicts is not _UNSET:
+            self.max_conflicts = max_conflicts
+        if max_candidates is not _UNSET:
+            self.max_candidates = max_candidates
         return self
 
     # -- record ---------------------------------------------------------
@@ -203,23 +206,13 @@ class Analysis:
         return self.recorded.history
 
     # -- predict --------------------------------------------------------
-    def _analyzer(self) -> IsoPredict:
-        return IsoPredict(
-            self.isolation,
-            self.strategy,
-            max_seconds=self.max_seconds,
-            **self._analyzer_kwargs,
-        )
-
     def _enumeration(self) -> PredictionEnumeration:
-        key = (
-            self.isolation,
-            self.strategy,
-            tuple(sorted(self._analyzer_kwargs.items())),
-        )
+        key = (self.isolation, self.strategy)
         enum = self._enumerations.get(key)
         if enum is None:
-            enum = self._analyzer().enumerator(self.history)
+            enum = IsoPredict(self.isolation, self.strategy).enumerator(
+                self.history
+            )
             self._enumerations[key] = enum
             while len(self._enumerations) > self.max_cached_configs:
                 self._enumerations.popitem(last=False)  # evict LRU
@@ -258,7 +251,12 @@ class Analysis:
         first ``k`` predictions of a configuration are stable across calls.
         """
         enum = self._enumeration()
-        enum.ensure(k, deadline=self._analyzer()._deadline())
+        enum.ensure(
+            k,
+            max_seconds=self.max_seconds,
+            max_conflicts=self.max_conflicts,
+            max_candidates=self.max_candidates,
+        )
         self._last = enum.batch(k)
         return self._last
 
@@ -348,7 +346,8 @@ class Analysis:
 
         ``stream_kwargs`` pass through to ``StreamingAnalysis``
         (``max_runs``, ``max_windows``, ``max_findings``, ``on_finding``,
-        …); the session's analyzer kwargs and ``max_seconds`` carry over.
+        …); the session's solver limits carry over, each bounding one
+        window's ``predict``.
         """
         from .serve import StreamingAnalysis
 
@@ -360,8 +359,9 @@ class Analysis:
             strategy=str(self.strategy),
             k=k,
             max_seconds=self.max_seconds,
+            max_conflicts=self.max_conflicts,
+            max_candidates=self.max_candidates,
             checkpoint=checkpoint,
-            **self._analyzer_kwargs,
             **stream_kwargs,
         )
 

@@ -4,7 +4,7 @@ Examples::
 
     isopredict analyze --app smallbank --seed 3 --isolation causal
     isopredict analyze --trace saved.json --isolation rc --k 3
-    isopredict analyze --app tpcc --budget 30s
+    isopredict analyze --app tpcc --max-seconds 30 --max-conflicts 20000
     isopredict analyze --app shardtransfer --backend sharded:4
     isopredict analyze --app smallbank --backend sqlite:runs.sqlite
     isopredict analyze --trace runs.sqlite --isolation causal
@@ -60,6 +60,21 @@ from .viz import history_to_dot, history_to_text
 __all__ = ["main"]
 
 _APPS = {app.name: app for app in ALL_APPS}
+
+#: The two solver limits, spelled once for every command that solves:
+#: keyword -> (flag, type, metavar, help).
+_SOLVER_LIMITS = {
+    "max_seconds": (
+        "--max-seconds", float, "SECONDS",
+        "wall-clock limit of each prediction call: one history's, round's "
+        "or window's whole k-enumeration, encoding included",
+    ),
+    "max_conflicts": (
+        "--max-conflicts", int, "N",
+        "conflict limit of each solver check; deterministic, unlike a "
+        "wall-clock limit",
+    ),
+}
 
 
 def _workload(args) -> WorkloadConfig:
@@ -144,7 +159,7 @@ def _cmd_predict(args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            budget=args.budget,
+            max_conflicts=args.max_conflicts,
         )
     )
     result = session.run(k=1, validate=False).prediction
@@ -195,7 +210,7 @@ def _analyze(source, args) -> int:
         .using(
             PredictionStrategy.parse(args.strategy),
             max_seconds=args.max_seconds,
-            budget=args.budget,
+            max_conflicts=args.max_conflicts,
         )
     )
     run = session.recorded
@@ -711,13 +726,13 @@ def _cmd_watch(args) -> int:
         strategy=args.strategy,
         k=args.k,
         max_seconds=args.max_seconds,
+        max_conflicts=args.max_conflicts,
         max_runs=args.runs,
         max_windows=args.windows,
         max_findings=args.max_findings,
         on_finding=on_finding,
         log=None if args.quiet else print,
         checkpoint=args.checkpoint,
-        budget=args.budget,
     )
     interrupted = False
     try:
@@ -827,13 +842,16 @@ def build_parser() -> argparse.ArgumentParser:
                  "reopenable SQLite archive)",
         )
 
-    def add_budget(p):
-        p.add_argument(
-            "--budget", default=None, metavar="SPEC",
-            help="solver search budget: '30s' (wall clock), '20000c' "
-                 "(conflicts), or '30s,20000c'; the seconds component "
-                 "overrides --max-seconds",
-        )
+    def add_solver_limits(p, **defaults):
+        """``--max-seconds``/``--max-conflicts``: one per keyword given,
+        with that keyword's value as the command's default."""
+        for dest, default in defaults.items():
+            flag, kind, metavar, what = _SOLVER_LIMITS[dest]
+            shown = "unbounded" if default is None else f"{default:g}"
+            p.add_argument(
+                flag, type=kind, default=default, metavar=metavar,
+                help=f"{what} (default: {shown})",
+            )
 
     def add_robustness(p):
         p.add_argument(
@@ -901,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=1,
         help="distinct predictions to enumerate",
     )
-    p_analyze.add_argument("--max-seconds", type=float, default=120.0)
+    add_solver_limits(p_analyze, max_seconds=120.0, max_conflicts=None)
     p_analyze.add_argument(
         "--no-validate", action="store_true",
         help="skip replay validation of predictions",
@@ -920,7 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and solver counters",
     )
     add_workload(p_analyze)
-    add_budget(p_analyze)
     add_store_backend(p_analyze)
     add_telemetry(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -937,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("trace")
     p_predict.add_argument("--isolation", default="causal")
     p_predict.add_argument("--strategy", default="approx-relaxed")
-    p_predict.add_argument("--max-seconds", type=float, default=None)
+    add_solver_limits(p_predict, max_seconds=None, max_conflicts=None)
     p_predict.add_argument("--out", default=None)
     p_predict.add_argument(
         "--minimize",
@@ -948,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="print per-stage timings and solver counters",
     )
-    add_budget(p_predict)
     add_telemetry(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
 
@@ -979,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--isolation", default="causal")
     p_bench.add_argument("--strategy", default="approx-relaxed")
     p_bench.add_argument("--seeds", type=int, default=10)
-    p_bench.add_argument("--max-seconds", type=float, default=120.0)
+    add_solver_limits(p_bench, max_seconds=120.0)
     add_workload(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -1067,10 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-validate", action="store_true",
         help="skip replay validation of predictions",
     )
-    p_campaign.add_argument(
-        "--max-seconds", type=float, default=120.0,
-        help="per-round solver budget",
-    )
+    add_solver_limits(p_campaign, max_seconds=120.0)
     p_campaign.add_argument(
         "--k", type=int, default=1, dest="k",
         help="distinct predictions to enumerate per history",
@@ -1253,11 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=2,
         help="distinct predictions to enumerate per scenario",
     )
-    p_fuzz.add_argument(
-        "--max-conflicts", type=int, default=20_000, dest="max_conflicts",
-        help="per-scenario solver budget in conflicts (deterministic, "
-             "unlike wall-clock budgets)",
-    )
+    add_solver_limits(p_fuzz, max_conflicts=20_000)
     p_fuzz.add_argument(
         "--out", default="fuzz-out",
         help="output directory (corpus.jsonl + finds/*.json)",
@@ -1319,8 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=2,
         help="distinct predictions to enumerate per window",
     )
-    p_watch.add_argument("--max-seconds", type=float, default=None,
-                         help="per-window solver budget")
+    add_solver_limits(p_watch, max_seconds=None, max_conflicts=None)
     p_watch.add_argument(
         "--runs", type=int, default=None,
         help="stop after this many runs (unbounded by default)",
@@ -1383,7 +1391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--quiet", action="store_true",
                          help="suppress per-finding progress lines")
     add_workload(p_watch)
-    add_budget(p_watch)
     add_telemetry(p_watch)
     p_watch.set_defaults(func=_cmd_watch)
 

@@ -181,10 +181,11 @@ def _reverifies(entry: CorpusEntry) -> bool:
     session = Analysis(
         FuzzSource(plan=entry.plan, seed=entry.record_seed)
     ).under(entry.isolation)
-    kwargs = {"max_seconds": None}
-    if "max_conflicts" in entry.meta:
-        kwargs["max_conflicts"] = entry.meta["max_conflicts"]
-    session.using("approx-relaxed", **kwargs)
+    session.using(
+        "approx-relaxed",
+        max_seconds=None,
+        max_conflicts=entry.meta.get("max_conflicts"),
+    )
     batch = session.predict(entry.k)
     if batch.status.value != entry.status:
         return False

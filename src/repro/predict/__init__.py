@@ -6,7 +6,7 @@ isolation level, and decode a satisfying model back into a predicted
 history. See ``docs/architecture.md`` for how the exact strategy's
 quantified encoding is realized via CEGIS on our quantifier-free substrate.
 """
-from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
+from .strategies import BoundaryMode, EncodingMode, PredictionStrategy
 from .encoder import Encoding
 from .analysis import (
     IsoPredict,
@@ -18,7 +18,6 @@ from .analysis import (
 
 __all__ = [
     "BoundaryMode",
-    "Budget",
     "Encoding",
     "EncodingMode",
     "IsoPredict",

@@ -21,7 +21,7 @@ from ..isolation.levels import IsolationLevel
 from ..smt import Result, Solver
 from .decode import decode_boundaries, decode_history
 from .encoder import Encoding
-from .strategies import Budget, BoundaryMode, EncodingMode, PredictionStrategy
+from .strategies import BoundaryMode, EncodingMode, PredictionStrategy
 from .unserializability import (
     assignment_of,
     blocking_clause,
@@ -37,6 +37,12 @@ __all__ = [
     "PredictionResult",
     "predict_unserializable",
 ]
+
+#: The candidates one ``ensure`` call of an exact strategy may reject,
+#: unless a caller sets ``max_candidates``.
+MAX_CANDIDATES = 64
+#: ``ensure``'s default for a limit: the one its analyzer was built with.
+_ANALYZER_LIMIT = object()
 
 
 @dataclass
@@ -109,7 +115,7 @@ class PredictionBatch:
     however many predictions were found. ``status`` is the solver verdict
     that *stopped* the enumeration: ``SAT`` when the requested ``k`` was
     reached, ``UNSAT`` when the candidate space was exhausted first, and
-    ``UNKNOWN`` when a budget (time/conflicts/candidates) ran out.
+    ``UNKNOWN`` when a limit (time/conflicts/candidates) ran out.
     """
 
     status: Result
@@ -158,9 +164,11 @@ class IsoPredict:
     """Predicts feasible unserializable executions from an observed one.
 
     Parameters mirror the paper's configuration space (isolation level and
-    strategy) plus the solver budgets. ``max_candidates``
+    strategy) plus the two solver limits: ``max_seconds`` of wall time for
+    one ``ensure`` call (so one :meth:`predict_many`) and ``max_conflicts``
+    for each solver check (``None``: unbounded). ``max_candidates``
     bounds the candidates one ``ensure`` call of an exact strategy may
-    reject; an approximate walk is bounded by the solver budgets alone,
+    reject; an approximate walk is bounded by the solver limits alone,
     so its verdict never depends on how many candidates it refines away.
     """
 
@@ -170,19 +178,12 @@ class IsoPredict:
         strategy: PredictionStrategy = PredictionStrategy.APPROX_STRICT,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        max_candidates: int = 64,
-        budget: "Budget | str | None" = None,
+        max_candidates: int = MAX_CANDIDATES,
     ):
         if isolation is IsolationLevel.SERIALIZABLE:
             raise ValueError("prediction targets weak isolation levels")
         self.isolation = isolation
         self.strategy = strategy
-        if budget is not None:
-            parsed = Budget.parse(budget)
-            if parsed.max_seconds is not None:
-                max_seconds = parsed.max_seconds
-            if parsed.max_conflicts is not None:
-                max_conflicts = parsed.max_conflicts
         self.max_conflicts = max_conflicts
         self.max_seconds = max_seconds
         self.max_candidates = max_candidates
@@ -210,7 +211,7 @@ class IsoPredict:
         on the writer of some read inside the boundaries — that is, when
         they decode to different histories.
 
-        ``max_seconds`` is treated as a budget for the whole enumeration.
+        ``max_seconds`` bounds the whole enumeration.
         ``k`` defaults to ``max_candidates``. Every strategy walks the
         feasibility+isolation models by CEGIS, blocking each prediction the
         same way (see :class:`PredictionEnumeration`).
@@ -223,19 +224,12 @@ class IsoPredict:
         if k < 1:
             raise ValueError("k must be >= 1")
         enum = self.enumerator(observed)
-        enum.ensure(k, deadline=self._deadline())
+        enum.ensure(k)
         return enum.batch(k)
 
     def enumerator(self, observed: History) -> "PredictionEnumeration":
         """A persistent, incrementally extensible prediction enumeration."""
         return PredictionEnumeration(self, observed)
-
-    def _deadline(self) -> Optional[float]:
-        return (
-            time.monotonic() + self.max_seconds
-            if self.max_seconds is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     def _build(
@@ -286,10 +280,11 @@ class PredictionEnumeration:
     candidate, and an approximate strategy's unserializable but
     pco-acyclic one, are blocked alone.
 
-    A ``deadline`` (``time.monotonic`` instant) bounds one ``ensure`` call,
-    and so does an exact strategy's candidate budget; hitting either
-    reports :data:`Result.UNKNOWN` but leaves the solver state intact, so
-    a later call with a fresh budget resumes where it stopped.
+    ``max_seconds`` bounds one ``ensure`` call, and so does an exact
+    strategy's ``max_candidates``; ``max_conflicts`` bounds each solver
+    check. Hitting any of them reports :data:`Result.UNKNOWN` but leaves
+    the solver state intact, so a later call with fresh limits resumes
+    where it stopped.
     """
 
     def __init__(self, analyzer: IsoPredict, observed: History):
@@ -329,11 +324,20 @@ class PredictionEnumeration:
         return stats
 
     # -- the walk -------------------------------------------------------
-    def ensure(self, k: int, deadline: Optional[float] = None) -> None:
+    def ensure(
+        self,
+        k: int,
+        *,
+        max_seconds=_ANALYZER_LIMIT,
+        max_conflicts=_ANALYZER_LIMIT,
+        max_candidates=_ANALYZER_LIMIT,
+    ) -> None:
         """Extend the enumeration until ``k`` predictions exist (if any do).
 
         Stops early when the candidate space exhausts (``UNSAT``), or when
-        the deadline/candidate budget runs out (``UNKNOWN``, resumable).
+        a limit of this call runs out (``UNKNOWN``, resumable). A limit
+        not passed is the analyzer's; ``None`` lifts the wall or conflict
+        limit. This is the one place ``max_seconds`` becomes a deadline.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -344,25 +348,37 @@ class PredictionEnumeration:
                 "enumeration was released; its solver is gone — build a "
                 "fresh enumerator to search further"
             )
+        analyzer = self.analyzer
+        if max_seconds is _ANALYZER_LIMIT:
+            max_seconds = analyzer.max_seconds
+        if max_conflicts is _ANALYZER_LIMIT:
+            max_conflicts = analyzer.max_conflicts
+        if max_candidates is _ANALYZER_LIMIT:
+            max_candidates = analyzer.max_candidates
+        deadline = (
+            None if max_seconds is None else time.monotonic() + max_seconds
+        )
         if self._solver is None:  # first call ever
-            self._enc, self._solver, self._timings = self.analyzer._build(
-                self.observed, self.analyzer.strategy.boundary
+            self._enc, self._solver, self._timings = analyzer._build(
+                self.observed, analyzer.strategy.boundary
             )
         rejected = 0  # CEGIS candidates rejected by THIS call
         while len(self.predictions) < k and not self._exhausted:
-            budget = _remaining(deadline)
-            if budget == 0:
-                self._status = Result.UNKNOWN
-                return
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._status = Result.UNKNOWN
+                    return
             status = self._solver.check(
-                max_conflicts=self.analyzer.max_conflicts, max_seconds=budget
+                max_conflicts=max_conflicts, max_seconds=remaining
             )
             if status is Result.UNSAT:
                 self._status = Result.UNSAT
                 self._exhausted = True
                 return
             if status is not Result.SAT:
-                self._status = status  # a budget ran out; resumable
+                self._status = status  # a limit ran out; resumable
                 return
             self._candidates += 1
             with obs_span(
@@ -374,9 +390,9 @@ class PredictionEnumeration:
             cycle = self._check(model, predicted)
             if cycle is None:
                 rejected += 1
-                if self._exact and rejected >= self.analyzer.max_candidates:
+                if self._exact and rejected >= max_candidates:
                     # the candidate is already excluded: a later ensure()
-                    # resumes with a fresh candidate budget
+                    # resumes with a fresh candidate limit
                     self._status = Result.UNKNOWN
                     return
                 continue
@@ -483,13 +499,6 @@ class PredictionEnumeration:
             predictions=predictions,
             stats=stats,
         )
-
-
-def _remaining(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left until ``deadline`` (None: unbounded)."""
-    if deadline is None:
-        return None
-    return max(0.0, deadline - time.monotonic())
 
 
 def predict_unserializable(

@@ -1,67 +1,10 @@
-"""Prediction strategies (paper Table 2) and solver budgets.
-
-:class:`Budget` is the shared spelling for "how long may the solver
-search": a wall-clock bound, a conflict bound, or both. It parses from
-the CLI's ``--budget`` flag (``"30s"``, ``"20000c"``, ``"30s,20000c"``, a
-bare number meaning seconds) and feeds :class:`repro.predict.IsoPredict`,
-which threads it to every solver call of the analysis.
-"""
+"""Prediction strategies (paper Table 2)."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["Budget", "EncodingMode", "BoundaryMode", "PredictionStrategy"]
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Solver search limits: wall-clock seconds and/or conflict count.
-
-    Both limits apply *per solver call*: an incremental enumeration
-    grants every re-check its own allowance.
-    """
-
-    max_seconds: Optional[float] = None
-    max_conflicts: Optional[int] = None
-
-    @classmethod
-    def parse(cls, text: "str | float | Budget | None") -> "Budget":
-        """``"30s"`` / ``"20000c"`` / ``"30s,20000c"`` / ``30`` (seconds)."""
-        if text is None:
-            return cls()
-        if isinstance(text, Budget):
-            return text
-        if isinstance(text, (int, float)):
-            return cls(max_seconds=float(text))
-        seconds: Optional[float] = None
-        conflicts: Optional[int] = None
-        for part in str(text).split(","):
-            part = part.strip().lower()
-            if not part:
-                continue
-            try:
-                if part.endswith("s"):
-                    seconds = float(part[:-1])
-                elif part.endswith("c"):
-                    conflicts = int(part[:-1])
-                else:
-                    seconds = float(part)
-            except ValueError:
-                raise ValueError(
-                    f"bad budget component {part!r}; expected e.g. "
-                    "'30s', '20000c', or '30s,20000c'"
-                ) from None
-        return cls(max_seconds=seconds, max_conflicts=conflicts)
-
-    def __str__(self) -> str:
-        parts = []
-        if self.max_seconds is not None:
-            parts.append(f"{self.max_seconds:g}s")
-        if self.max_conflicts is not None:
-            parts.append(f"{self.max_conflicts}c")
-        return ",".join(parts) if parts else "unbounded"
+__all__ = ["EncodingMode", "BoundaryMode", "PredictionStrategy"]
 
 
 class EncodingMode(enum.Enum):

@@ -5,7 +5,7 @@ A *window family* is the streaming counterpart of one
 :class:`~repro.predict.analysis.IsoPredict` analyzer — parsed and
 validated once, reused for every window — plus at most one live
 :class:`~repro.predict.analysis.PredictionEnumeration` at a time. Asking
-the same window for more predictions (a ``k`` sweep, a resumed budget)
+the same window for more predictions (a ``k`` sweep, a resumed limit)
 extends the live incremental solver instead of re-encoding; moving to
 the next window releases the previous enumeration, folding its stage
 timings and solver counters into the family's running totals so service
@@ -13,11 +13,11 @@ metrics see the whole stream, not just the last window.
 """
 from __future__ import annotations
 
-import time
 from typing import Optional, Union
 
 from ..isolation.levels import IsolationLevel
 from ..predict.analysis import (
+    MAX_CANDIDATES,
     IsoPredict,
     PredictionEnumeration,
     PredictionResult,
@@ -37,8 +37,10 @@ class WindowFamily:
         strategy: Union[PredictionStrategy, str] = (
             PredictionStrategy.APPROX_RELAXED
         ),
+        *,
         max_seconds: Optional[float] = None,
-        **analyzer_kwargs,
+        max_conflicts: Optional[int] = None,
+        max_candidates: int = MAX_CANDIDATES,
     ):
         if isinstance(isolation, str):
             isolation = IsolationLevel.parse(isolation)
@@ -46,9 +48,12 @@ class WindowFamily:
             strategy = PredictionStrategy.parse(strategy)
         self.isolation = isolation
         self.strategy = strategy
-        self.max_seconds = max_seconds
         self.analyzer = IsoPredict(
-            isolation, strategy, max_seconds=max_seconds, **analyzer_kwargs
+            isolation,
+            strategy,
+            max_seconds=max_seconds,
+            max_conflicts=max_conflicts,
+            max_candidates=max_candidates,
         )
         self._key: Optional[tuple] = None
         self._enum: Optional[PredictionEnumeration] = None
@@ -85,12 +90,7 @@ class WindowFamily:
             self._enum = self.analyzer.enumerator(window.history)
             self._key = key
             self.windows += 1
-        deadline = (
-            time.monotonic() + self.max_seconds
-            if self.max_seconds is not None
-            else None
-        )
-        self._enum.ensure(k, deadline=deadline)
+        self._enum.ensure(k)
         return list(self._enum.predictions), dict(self._enum.stats)
 
     def release(self) -> None:

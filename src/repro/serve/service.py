@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 from ..faults import diff_fault_counters, fault_counters, fault_point
 from ..obs import monotonic as obs_monotonic
 from ..obs import span as obs_span
-from ..predict.analysis import PredictionResult
+from ..predict.analysis import MAX_CANDIDATES, PredictionResult
 from ..sources import HistorySource, as_source, iter_runs
 from .checkpoint import WatchCheckpoint
 from .dedup import AnomalyDeduper, finding_key
@@ -96,6 +96,8 @@ class StreamingAnalysis:
     :class:`WindowFamily` lane, and findings deduplicate *within* a lane
     (the finding key starts with the isolation level, so the same cycle
     under two levels is two findings — level matters to the verdict).
+    ``max_seconds`` bounds each window's prediction call, and
+    ``max_conflicts`` each solver check.
 
     ``checkpoint`` (a path or :class:`WatchCheckpoint`) makes the session
     crash-safe: the committed source cursor and the admitted dedup keys
@@ -115,6 +117,8 @@ class StreamingAnalysis:
         strategy: str = "approx-relaxed",
         k: int = 1,
         max_seconds: Optional[float] = None,
+        max_conflicts: Optional[int] = None,
+        max_candidates: int = MAX_CANDIDATES,
         max_runs: Optional[int] = None,
         max_windows: Optional[int] = None,
         max_findings: Optional[int] = None,
@@ -122,7 +126,6 @@ class StreamingAnalysis:
         on_window: Optional[Callable[[Window, list], None]] = None,
         log: Optional[Callable[[str], None]] = None,
         checkpoint: Optional[Union[str, Path, WatchCheckpoint]] = None,
-        **analyzer_kwargs,
     ):
         self.source: HistorySource = as_source(source)
         if isinstance(window, WindowConfig):
@@ -143,7 +146,8 @@ class StreamingAnalysis:
                 level,
                 strategy,
                 max_seconds=max_seconds,
-                **analyzer_kwargs,
+                max_conflicts=max_conflicts,
+                max_candidates=max_candidates,
             )
             for level in levels
         ]

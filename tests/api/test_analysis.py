@@ -49,8 +49,8 @@ class TestStaging:
         with pytest.raises(TypeError, match=repr(key)):
             session.using("exact-strict", **{key: 1})
         assert session.strategy == PredictionStrategy.APPROX_RELAXED
-        session.using(max_candidates=8, max_conflicts=100, budget="30s")
-        assert session._analyzer().max_candidates == 8
+        session.using(max_candidates=8, max_conflicts=100)
+        assert (session.max_candidates, session.max_conflicts) == (8, 100)
 
 
 class TestRecordingCache:
@@ -91,6 +91,39 @@ class TestEncodingReuse:
         assert len(session._enumerations) == 1
         # the first prediction is stable across the sweep
         assert three.predictions[0] is one.predictions[0]
+
+    @pytest.mark.parametrize(
+        "limit", [{"max_conflicts": 10_000}, {"max_seconds": 60.0}],
+        ids=["max_conflicts", "max_seconds"],
+    )
+    def test_changing_a_limit_extends_the_same_solver(self, tmp_path, limit):
+        from repro.obs import load_events, telemetry_session
+
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="test"):
+            session = _session()
+            session.predict()
+            key = (session.isolation, session.strategy)
+            enum = session._enumerations[key]
+            assert len(session.using(**limit).predict(k=2)) == 2
+        assert len(session._enumerations) == 1
+        assert session._enumerations[key] is enum
+        encodes = [
+            e for e in load_events(str(sink))
+            if e.get("event") == "span" and e["name"] == "stage.encode"
+        ]
+        assert len(encodes) == 1
+
+    def test_limits_bound_the_next_predict_only(self):
+        session = _session()
+        assert session.predict().status is Result.SAT
+        stopped = session.using(max_seconds=0).predict(k=2)
+        assert stopped.status is Result.UNKNOWN
+        assert len(stopped) == 1
+        resumed = session.using(max_seconds=None).predict(k=2)
+        assert resumed.status is Result.SAT
+        assert len(resumed) == 2
+        assert len(session._enumerations) == 1
 
     def test_configurations_get_separate_solvers(self):
         session = _session()
@@ -278,3 +311,14 @@ class TestSessionBackend:
 
         with pytest.raises(ValueError, match="does not execute"):
             Analysis(deposit_observed(), backend="sharded:2")
+
+    def test_inmemory_spec_on_a_trace_is_the_default_backend(self, tmp_path):
+        trace = tmp_path / "t.json"
+        session = Analysis(BenchAppSource(Smallbank, WorkloadConfig.tiny(), 2))
+        save_history(session.history, trace)
+        for spec in (None, "inmemory"):
+            built = Analysis(str(trace), backend=spec)
+            assert built.backend is None
+            assert len(built.history) == len(session.history)
+        with pytest.raises(ValueError, match="does not execute"):
+            Analysis(str(trace), backend="sharded:2")

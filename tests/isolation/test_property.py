@@ -46,10 +46,8 @@ CLOCK_FUNCTIONS = {
 #: is a deadline, a poll or a harness wall, which must keep running when
 #: the telemetry clock is frozen. Every measured region is a span.
 CLOCK_READERS = {
-    ("repro/predict/analysis.py", "IsoPredict._deadline"),
-    ("repro/predict/analysis.py", "_remaining"),
+    ("repro/predict/analysis.py", "PredictionEnumeration.ensure"),
     ("repro/smt/sat.py", "SatSolver.solve"),
-    ("repro/serve/incremental.py", "WindowFamily.analyze"),
     ("repro/serve/stream.py", "_Tailer.runs"),
     ("repro/fuzz/engine.py", "Fuzzer.run"),
     ("repro/perf.py", "run_measured"),

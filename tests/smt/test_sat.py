@@ -328,7 +328,7 @@ class TestPerSolveConflictBudget:
         Incremental callers (blocking-clause enumeration) re-check one
         solver many times; a lifetime cap would let the first check eat
         the whole budget and starve every later one — and would make the
-        same --budget spec mean different things on the in-process
+        same --max-conflicts value mean different things on the in-process
         backend (one long-lived solver) vs the fresh-start backends.
         """
         nvars, clauses = self._pigeonhole(6, 5)

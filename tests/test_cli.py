@@ -190,8 +190,9 @@ class TestValidateCommand:
 class TestSolverFlags:
     @pytest.mark.parametrize(
         "flags",
-        [["--portfolio", "2"], ["--deterministic"], ["--solver", "inprocess"]],
-        ids=["portfolio", "deterministic", "solver"],
+        [["--portfolio", "2"], ["--deterministic"], ["--solver", "inprocess"],
+         ["--budget", "30s"]],
+        ids=["portfolio", "deterministic", "solver", "budget"],
     )
     def test_removed_portfolio_flags_are_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as info:
@@ -210,15 +211,15 @@ class TestSolverFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()  # rejected before any round ran
 
-    def test_budget_flag_parses_conflict_budgets(self, tmp_path, capsys):
+    def test_max_conflicts_flag_bounds_predict(self, tmp_path, capsys):
         trace = tmp_path / "obs.json"
         main(["record", "--app", "smallbank", "--seed", "1",
               "--out", str(trace)])
         capsys.readouterr()
-        # a 1-conflict budget must stop the solver with unknown (rc=2)
+        # a 1-conflict limit must stop the solver with unknown (rc=2)
         code = main(
             ["predict", str(trace), "--isolation", "causal",
-             "--strategy", "approx-strict", "--budget", "1c"]
+             "--strategy", "approx-strict", "--max-conflicts", "1"]
         )
         out = capsys.readouterr().out
         assert code == 2
@@ -328,6 +329,22 @@ class TestWatch:
         assert summary["windows"] >= 3
         assert code in (0, 1)
         assert (code == 0) == (summary["findings"] > 0)
+
+    @pytest.mark.parametrize(
+        "limit", [["--max-seconds", "0"], ["--max-conflicts", "1"]],
+        ids=["max_seconds", "max_conflicts"],
+    )
+    def test_watch_solver_limits_bound_each_window(self, limit, capsys):
+        argv = ["watch", "--fuzz", "0", "--runs", "2", "--quiet"]
+        assert main(argv) == 0
+        unbounded = self._summary(capsys)
+        assert unbounded["findings"] > 0
+        assert main(argv + limit) == 1
+        bounded = self._summary(capsys)
+        assert bounded["windows"] == unbounded["windows"]
+        assert bounded["findings"] == 0
+        # one solver check per window, stopped at its first conflict
+        assert bounded["conflicts"] <= bounded["windows"]
 
     def test_watch_trace_backlog(self, tmp_path, capsys):
         from repro.gallery import deposit_observed
