@@ -17,7 +17,7 @@ Environment knobs:
   default 20)
 * ``REPRO_BENCH_JOBS``    — campaign worker processes (default 1)
 * ``REPRO_BENCH_LARGE``   — include the large workload (default off)
-* ``REPRO_BENCH_MAX_SECONDS`` — per-solve budget (default 120)
+* ``REPRO_BENCH_MAX_SECONDS`` — wall limit of each prediction call (default 120)
 """
 from __future__ import annotations
 
