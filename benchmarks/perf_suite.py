@@ -330,13 +330,20 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
     return off, on
 
 
+#: where a run without ``--out`` writes, so it never overwrites the
+#: checked-in ``BENCH_*.json`` baselines
+DEFAULT_OUT = Path(__file__).resolve().parent / "results" / "perf_suite.json"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="IsoPredict solve-path performance suite"
     )
     parser.add_argument(
-        "--out", default="BENCH_7.json",
-        help="output JSON path (default: %(default)s)",
+        "--out", type=Path, default=DEFAULT_OUT,
+        help="output JSON path (default: results/perf_suite.json beside "
+        "this script, which is gitignored; pass --out BENCH_<n>.json to "
+        "record a baseline)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -439,6 +446,7 @@ def main(argv=None) -> int:
         )
         results.extend([off, on])
 
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     doc = write_report(
         results,
         args.out,

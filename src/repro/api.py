@@ -330,8 +330,8 @@ class Analysis:
         The service counterpart of :meth:`predict`: instead of one
         whole-history solve, every run the source offers is segmented
         into overlapping windows of ``window`` transactions, ``stride``
-        apart, analyzed incrementally under the session's current
-        isolation and strategy, and deduplicated across overlaps (see
+        apart, each analyzed by one ``predict_many`` under the session's
+        current isolation and strategy, and deduplicated across overlaps (see
         :mod:`repro.serve`). Returns the
         :class:`~repro.serve.service.StreamingAnalysis` engine — call
         ``.run()`` for the :class:`~repro.serve.service.StreamReport`::
@@ -347,7 +347,7 @@ class Analysis:
         ``stream_kwargs`` pass through to ``StreamingAnalysis``
         (``max_runs``, ``max_windows``, ``max_findings``, ``on_finding``,
         …); the session's solver limits carry over, each bounding one
-        window's ``predict``.
+        window's ``predict_many``.
         """
         from .serve import StreamingAnalysis
 

@@ -301,14 +301,12 @@ class PredictionEnumeration:
         self._timings: dict = {}
         self._decode_seconds = 0.0
         self._candidates = 0
-        self._released_stats: dict = {}
-        self._released = False
 
     @property
     def stats(self) -> dict:
         """Size/timing stats of the enumeration so far."""
-        if self._solver is None:
-            stats = dict(self._released_stats)
+        if self._solver is None:  # nothing encoded yet
+            stats = {}
         else:
             stats = {
                 "literals": self._solver.num_literals,
@@ -341,13 +339,6 @@ class PredictionEnumeration:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self._released:
-            if len(self.predictions) >= k:
-                return  # already have them; nothing to extend
-            raise RuntimeError(
-                "enumeration was released; its solver is gone — build a "
-                "fresh enumerator to search further"
-            )
         analyzer = self.analyzer
         if max_seconds is _ANALYZER_LIMIT:
             max_seconds = analyzer.max_seconds
@@ -459,26 +450,6 @@ class PredictionEnumeration:
                 "from: the encoding and the decoded history disagree"
             )
         self._solver.add(refinement)
-
-    def release(self) -> dict:
-        """Drop the live solver, keeping its stats; returns the totals.
-
-        The predictions found so far stay readable (``predictions``,
-        :meth:`batch`), but the enumeration can no longer be extended —
-        a later :meth:`ensure` asking for more raises instead of
-        silently re-encoding. This is how bounded long-running sessions
-        (the streaming service's window families) keep one window's
-        solver alive at a time without leaking every previous window's
-        SAT state.
-        """
-        self._released_stats = self.stats
-        self._enc = self._solver = None
-        self._released = True
-        return self.stats
-
-    @property
-    def released(self) -> bool:
-        return self._released
 
     def batch(self, k: Optional[int] = None) -> PredictionBatch:
         """The first ``k`` predictions (all of them when ``k`` is None)."""

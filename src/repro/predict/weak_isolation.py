@@ -11,34 +11,38 @@ from ..isolation.levels import IsolationLevel
 from ..smt import And, Expr, Implies, OneSidedLt, Or, TRUE
 from .encoder import Encoding
 
-__all__ = [
-    "isolation_constraints",
-    "causal_constraints",
-    "read_atomic_constraints",
-    "rc_constraints",
-]
+__all__ = ["isolation_constraints"]
 
 
-def causal_constraints(enc: Encoding) -> list[Expr]:
-    """Causal consistency (B.3.1): (hb ∪ wwcausal)+ embeds in a total order."""
-    out: list[Expr] = []
-    co = {tid: f"cocausal[{tid}]" for tid in enc.tids}
-    for (t1, t2) in enc.pairs():
-        ww = _ww_causal(enc, t1, t2)
-        # the commit order is an existential witness appearing only in
-        # implication heads, so one-sided atoms suffice (acyclic forced
-        # pairs always extend to a strict total order)
-        out.append(
-            Implies(Or(enc.hb(t1, t2), ww), OneSidedLt(co[t1], co[t2]))
+def isolation_constraints(
+    enc: Encoding, level: IsolationLevel
+) -> list[Expr]:
+    """Constraints making the predicted execution valid under ``level``.
+
+    One loop for every level (B.3): for each transaction pair,
+    ``hb(t1, t2) ∨ ww(t1, t2)`` forces ``co(t1) < co(t2)``, where ``ww`` is
+    the level's arbitration order and ``co`` its own commit-order
+    positions. The commit order is an existential witness appearing only
+    in implication heads, so one-sided atoms suffice (acyclic forced pairs
+    always extend to a strict total order).
+    """
+    if level not in _LEVELS:
+        raise ValueError(
+            f"prediction targets weak levels (causal/ra/rc), not {level}"
         )
-    return out
+    ww, prefix = _LEVELS[level]
+    co = {tid: f"{prefix}[{tid}]" for tid in enc.tids}
+    return [
+        Implies(
+            Or(enc.hb(t1, t2), ww(enc, t1, t2)), OneSidedLt(co[t1], co[t2])
+        )
+        for (t1, t2) in enc.pairs()
+    ]
 
 
 def _ww_causal(enc: Encoding, t1: str, t2: str) -> Expr:
     """wwcausal(t1,t2): both write k; some t3 reads k from t2, hb(t1,t3)."""
-    shared = (
-        enc.txn(t1).write_keys & enc.txn(t2).write_keys
-    )
+    shared = enc.txn(t1).write_keys & enc.txn(t2).write_keys
     disjuncts = []
     for key in sorted(shared):
         for t3 in enc.readers_of(key):
@@ -54,46 +58,25 @@ def _ww_causal(enc: Encoding, t1: str, t2: str) -> Expr:
     return Or(*disjuncts)
 
 
-def read_atomic_constraints(enc: Encoding) -> list[Expr]:
-    """Read atomic (§8 extension): like causal with direct so/wr support.
-
-    ``ww_ra(t1, t2)`` holds when some transaction reads k from t2 while
-    being *directly* so-or-wr-after t1 (no closure), and t1 also writes k.
-    """
-    out: list[Expr] = []
-    co = {tid: f"cora[{tid}]" for tid in enc.tids}
-    for (t1, t2) in enc.pairs():
-        shared = enc.txn(t1).write_keys & enc.txn(t2).write_keys
-        disjuncts = []
-        for key in sorted(shared):
-            for t3 in enc.readers_of(key):
-                if t3 in (t1, t2):
-                    continue
-                support = TRUE if enc.so(t1, t3) else enc.wr(t1, t3)
-                disjuncts.append(
-                    And(
-                        enc.wr_k(key, t2, t3),
-                        support,
-                        enc.write_included(t1, key),
-                    )
+def _ww_ra(enc: Encoding, t1: str, t2: str) -> Expr:
+    """ww_ra(t1,t2) (read atomic, §8 extension): like causal with direct
+    so/wr support — some t3 reads k from t2 while being *directly*
+    so-or-wr-after t1 (no closure), and t1 also writes k."""
+    shared = enc.txn(t1).write_keys & enc.txn(t2).write_keys
+    disjuncts = []
+    for key in sorted(shared):
+        for t3 in enc.readers_of(key):
+            if t3 in (t1, t2):
+                continue
+            support = TRUE if enc.so(t1, t3) else enc.wr(t1, t3)
+            disjuncts.append(
+                And(
+                    enc.wr_k(key, t2, t3),
+                    support,
+                    enc.write_included(t1, key),
                 )
-        ww = Or(*disjuncts)
-        out.append(
-            Implies(Or(enc.hb(t1, t2), ww), OneSidedLt(co[t1], co[t2]))
-        )
-    return out
-
-
-def rc_constraints(enc: Encoding) -> list[Expr]:
-    """Read committed (B.3.2): (hb ∪ wwrc)+ embeds in a total order."""
-    out: list[Expr] = []
-    co = {tid: f"corc[{tid}]" for tid in enc.tids}
-    for (t1, t2) in enc.pairs():
-        ww = _ww_rc(enc, t1, t2)
-        out.append(
-            Implies(Or(enc.hb(t1, t2), ww), OneSidedLt(co[t1], co[t2]))
-        )
-    return out
+            )
+    return Or(*disjuncts)
 
 
 def _ww_rc(enc: Encoding, t1: str, t2: str) -> Expr:
@@ -134,16 +117,9 @@ def _ww_rc(enc: Encoding, t1: str, t2: str) -> Expr:
     return Or(*disjuncts)
 
 
-def isolation_constraints(
-    enc: Encoding, level: IsolationLevel
-) -> list[Expr]:
-    """Constraints making the predicted execution valid under ``level``."""
-    if level is IsolationLevel.CAUSAL:
-        return causal_constraints(enc)
-    if level is IsolationLevel.READ_ATOMIC:
-        return read_atomic_constraints(enc)
-    if level is IsolationLevel.READ_COMMITTED:
-        return rc_constraints(enc)
-    raise ValueError(
-        f"prediction targets weak levels (causal/ra/rc), not {level}"
-    )
+#: level → (its ww builder, its commit-order variable prefix)
+_LEVELS = {
+    IsolationLevel.CAUSAL: (_ww_causal, "cocausal"),
+    IsolationLevel.READ_ATOMIC: (_ww_ra, "cora"),
+    IsolationLevel.READ_COMMITTED: (_ww_rc, "corc"),
+}

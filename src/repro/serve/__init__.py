@@ -5,9 +5,9 @@ it; a production store emits an unbounded event stream. This package is
 the long-running mode: a :class:`StreamingAnalysis` engine (CLI
 ``isopredict watch``) consumes a live :class:`~repro.sources.HistorySource`
 run stream, segments committed transactions into bounded overlapping
-windows (:mod:`repro.serve.window`), analyzes each window through one
-incremental prediction enumeration per (isolation, strategy) *window
-family* (:mod:`repro.serve.incremental`), deduplicates anomalies across
+windows (:mod:`repro.serve.window`), analyzes each window with one
+:meth:`~repro.predict.analysis.IsoPredict.predict_many` call per
+isolation level (:mod:`repro.serve.service`), deduplicates anomalies across
 window overlaps by their PR 6 shape fingerprints plus the witnessing
 cycle (:mod:`repro.serve.dedup`), and emits service metrics —
 findings/sec, ingest lag, per-window wall and stage timings — in the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from .checkpoint import WatchCheckpoint
 from .dedup import AnomalyDeduper, finding_key
-from .incremental import WindowFamily
 from .metrics import StreamMetrics
 from .service import Finding, StreamingAnalysis, StreamReport
 from .stream import SqliteWatchSource, TailingJsonlSource
@@ -44,7 +43,6 @@ __all__ = [
     "WatchCheckpoint",
     "Window",
     "WindowConfig",
-    "WindowFamily",
     "finding_key",
     "segment_history",
     "uncovered_pairs",

@@ -95,20 +95,22 @@ class StreamMetrics:
             reg.counter("stream_runs").inc()
             reg.counter("stream_transactions").inc(transactions)
 
-    def observe_window(self, wall_seconds: float, stats: dict) -> None:
-        """Fold one analyzed window's wall time and analysis stats."""
+    def observe_window(self, wall_seconds: float, *lane_stats: dict) -> None:
+        """Fold one analyzed window's wall time and the analysis stats of
+        each lane that analyzed it."""
         self.windows += 1
         self.window_walls.append(wall_seconds)
-        for key in _STAGE_KEYS:
-            if key in stats:
-                self.stage_seconds[key] = (
-                    self.stage_seconds.get(key, 0.0) + float(stats[key])
-                )
-        for key in _COUNTER_KEYS:
-            if key in stats:
-                self.counters[key] = (
-                    self.counters.get(key, 0) + int(stats[key])
-                )
+        for stats in lane_stats:
+            for key in _STAGE_KEYS:
+                if key in stats:
+                    self.stage_seconds[key] = (
+                        self.stage_seconds.get(key, 0.0) + float(stats[key])
+                    )
+            for key in _COUNTER_KEYS:
+                if key in stats:
+                    self.counters[key] = (
+                        self.counters.get(key, 0) + int(stats[key])
+                    )
         reg = self._registry()
         if reg is not None:
             reg.counter("stream_windows").inc()

@@ -2,12 +2,13 @@
 
 :class:`StreamingAnalysis` glues the pieces into one loop::
 
-    source → segment_history → WindowFamily.analyze → dedup → Finding
+    source → segment_history → predict_many per lane → dedup → Finding
 
 Each run from the (possibly tailing) source is segmented into
-overlapping windows; every window flows through one incremental
-:class:`~repro.serve.incremental.WindowFamily` per requested isolation
-level; each satisfiable prediction is keyed
+overlapping windows; every window is analyzed by one
+:meth:`~repro.predict.analysis.IsoPredict.predict_many` call per
+requested isolation level (a *lane*), whose solver is freed when the
+call returns; each prediction is keyed
 (:func:`~repro.serve.dedup.finding_key`) and admitted at most once
 across all windows, runs and overlap regions. Soundness accounting —
 boundary reads and conflicting pairs no window covers — is folded into
@@ -29,11 +30,12 @@ from typing import Callable, Optional, Sequence, Union
 from ..faults import diff_fault_counters, fault_counters, fault_point
 from ..obs import monotonic as obs_monotonic
 from ..obs import span as obs_span
-from ..predict.analysis import MAX_CANDIDATES, PredictionResult
+from ..isolation.levels import IsolationLevel
+from ..predict.analysis import MAX_CANDIDATES, IsoPredict, PredictionResult
+from ..predict.strategies import PredictionStrategy
 from ..sources import HistorySource, as_source, iter_runs
 from .checkpoint import WatchCheckpoint
 from .dedup import AnomalyDeduper, finding_key
-from .incremental import WindowFamily
 from .metrics import StreamMetrics
 from .window import Window, WindowConfig, segment_history, uncovered_pairs
 
@@ -79,7 +81,8 @@ class StreamReport:
 
     findings: list
     metrics: StreamMetrics
-    families: dict = field(default_factory=dict)
+    #: lane names, ``"<isolation>/<strategy>"``, one per isolation level
+    families: tuple = ()
 
     def summary(self) -> dict:
         """The roll-up the CLI prints and tests assert on."""
@@ -93,10 +96,11 @@ class StreamingAnalysis:
     """Continuous windowed prediction over a live history source.
 
     ``isolation`` accepts one level or several — each gets its own
-    :class:`WindowFamily` lane, and findings deduplicate *within* a lane
-    (the finding key starts with the isolation level, so the same cycle
-    under two levels is two findings — level matters to the verdict).
-    ``max_seconds`` bounds each window's prediction call, and
+    :class:`~repro.predict.analysis.IsoPredict` lane, and findings
+    deduplicate *within* a lane (the finding key starts with the
+    isolation level, so the same cycle under two levels is two findings —
+    level matters to the verdict).
+    ``max_seconds`` bounds each window's ``predict_many`` call, and
     ``max_conflicts`` each solver check.
 
     ``checkpoint`` (a path or :class:`WatchCheckpoint`) makes the session
@@ -141,10 +145,10 @@ class StreamingAnalysis:
         )
         if not levels:
             raise ValueError("at least one isolation level is required")
-        self.families = [
-            WindowFamily(
-                level,
-                strategy,
+        self.lanes = [
+            IsoPredict(
+                IsolationLevel.parse(str(level)),
+                PredictionStrategy.parse(str(strategy)),
                 max_seconds=max_seconds,
                 max_conflicts=max_conflicts,
                 max_candidates=max_candidates,
@@ -232,25 +236,17 @@ class StreamingAnalysis:
         )
 
     def _analyze_window(self, run_index: int, window: Window) -> None:
-        """One window through every family lane, timed by its span."""
+        """One window through every lane, timed by its span."""
         admitted: list[Finding] = []
         duplicates_before = self.deduper.duplicates
-        combined_stats: dict = {}
+        lane_stats: list[dict] = []
         with obs_span(
             "watch.window", run=run_index, window=window.index
         ) as win_span:
-            for family in self.families:
-                predictions, stats = family.analyze(
-                    window, k=self.k, run_key=run_index
-                )
-                for key, value in stats.items():
-                    if isinstance(value, (int, float)):
-                        combined_stats[key] = (
-                            combined_stats.get(key, 0) + value
-                        )
-                for prediction in predictions:
-                    if not prediction.found:
-                        continue
+            for lane in self.lanes:
+                batch = lane.predict_many(window.history, self.k)
+                lane_stats.append(batch.stats)
+                for prediction in batch.predictions:
                     key = finding_key(prediction, window.history)
                     if not self.deduper.admit(key):
                         continue
@@ -273,7 +269,7 @@ class StreamingAnalysis:
                     if self.on_finding is not None:
                         self.on_finding(finding)
             win_span.set(findings=len(admitted))
-        self.metrics.observe_window(win_span.duration, combined_stats)
+        self.metrics.observe_window(win_span.duration, *lane_stats)
         self.metrics.observe_findings(
             len(admitted), self.deduper.duplicates - duplicates_before
         )
@@ -294,7 +290,7 @@ class StreamingAnalysis:
         if self.checkpoint is not None and self._committed_cursor is None:
             self._committed_cursor = self.source.cursor()
         session_span = obs_span(
-            "watch.session", families=len(self.families)
+            "watch.session", families=len(self.lanes)
         )
         session_span.__enter__()
         try:
@@ -346,8 +342,6 @@ class StreamingAnalysis:
                 ):
                     break
         finally:
-            for family in self.families:
-                family.release()
             self._fold_source_events()
             self.metrics.observe_faults(
                 diff_fault_counters(self._fault_before, fault_counters())
@@ -364,5 +358,7 @@ class StreamingAnalysis:
         return StreamReport(
             findings=list(self.findings),
             metrics=self.metrics,
-            families={f.name: f.stats for f in self.families},
+            families=tuple(
+                f"{lane.isolation}/{lane.strategy}" for lane in self.lanes
+            ),
         )

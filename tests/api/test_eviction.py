@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import Analysis
 from repro.bench_apps import TPCC, Smallbank, WorkloadConfig, record_observed
-from repro.serve import WindowConfig, WindowFamily, segment_history
+from repro.serve import StreamingAnalysis, WindowConfig, segment_history
 from repro.smt import Expr
 from repro.sources import BenchAppSource
 
@@ -123,15 +123,13 @@ class TestExpressionLifetime:
             assert _built_since(before) == 0, f"session {seed} leaked terms"
 
     def test_window_walk_leaves_no_terms(self):
-        app = Smallbank(WorkloadConfig.small())
-        windows = segment_history(
-            record_observed(app, 1).history, WindowConfig(size=4, stride=2)
-        )
+        history = record_observed(Smallbank(WorkloadConfig.small()), 1).history
+        config = WindowConfig(size=4, stride=2)
+        windows = segment_history(history, config)
         assert len(windows) >= 4
         before = _live_exprs()
-        family = WindowFamily("causal")
-        for window in windows:
-            family.analyze(window, k=1)
-        family.release()
-        assert family.windows == len(windows)
+        report = StreamingAnalysis(
+            history, window=config, isolation="causal", k=1
+        ).run()
+        assert report.metrics.windows == len(windows)
         assert _built_since(before) == 0

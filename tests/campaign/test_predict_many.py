@@ -166,23 +166,6 @@ def test_predict_reports_single_prediction_enumeration_totals(sat_history):
     assert single.stats["predictions"] == 1
 
 
-def test_enumeration_released_flag_lifecycle(sat_history):
-    analyzer = IsoPredict(
-        IsolationLevel.CAUSAL,
-        PredictionStrategy.APPROX_RELAXED,
-        max_seconds=30.0,
-    )
-    enum = analyzer.enumerator(sat_history)
-    assert enum.released is False
-    enum.ensure(1)
-    assert enum.released is False
-    enum.release()
-    assert enum.released is True
-    enum.ensure(1)  # already found: served without a solver
-    with pytest.raises(RuntimeError):
-        enum.ensure(2)
-
-
 def test_exact_strategy_enumeration(sat_history):
     # tiny smallbank admits no predictions under causal+strict, so use rc
     # (the Table 5 configuration) where the strict boundary is satisfiable

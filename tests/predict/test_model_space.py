@@ -67,7 +67,7 @@ CONFIGS = [
 
 @functools.lru_cache(maxsize=None)
 def drain(config: str) -> PredictionEnumeration:
-    """Every prediction of one configuration, its solver released.
+    """Every prediction of one configuration.
 
     ``ensure`` is re-called until the solver answers UNSAT: an exact
     strategy's call stops with UNKNOWN after ``max_candidates`` rejected
@@ -84,7 +84,6 @@ def drain(config: str) -> PredictionEnumeration:
         enum.ensure(DRAIN)
         if enum.batch().status is Result.UNSAT:
             break
-    enum.release()
     return enum
 
 

@@ -79,7 +79,6 @@ def trajectory(app_name: str, seed: int, level: str, strategy: str) -> dict:
         enum = analyzer.enumerator(history)
         enum.ensure(K)
     batch = enum.batch()
-    enum.release()
     counters = {
         key: value
         for key, value in batch.stats.items()
