@@ -166,6 +166,42 @@ def test_predict_reports_single_prediction_enumeration_totals(sat_history):
     assert single.stats["predictions"] == 1
 
 
+def test_enumeration_extends_without_reencoding(sat_history):
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    )
+    enum = analyzer.enumerator(sat_history)
+    enum.ensure(1)
+    first = list(enum.predictions)
+    before = enum.stats
+    enum.ensure(3)
+    after = enum.stats
+    # the same solver is re-checked: earlier predictions stay in place and
+    # the one-time encode and compile timings do not move
+    assert len(enum.predictions) == 3
+    assert enum.predictions[:1] == first
+    for key in ("encode_seconds", "compile_seconds"):
+        assert after.get(key) == before.get(key), key
+    assert after["candidates"] > before["candidates"]
+
+
+def test_enumeration_serves_found_predictions_without_checking(sat_history):
+    analyzer = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    )
+    enum = analyzer.enumerator(sat_history)
+    enum.ensure(2)
+    before = enum.stats
+    enum.ensure(1)
+    enum.ensure(2)
+    assert enum.stats == before
+    assert len(enum.batch(1)) == 1 and len(enum.batch(2)) == 2
+
+
 def test_exact_strategy_enumeration(sat_history):
     # tiny smallbank admits no predictions under causal+strict, so use rc
     # (the Table 5 configuration) where the strict boundary is satisfiable
