@@ -21,9 +21,10 @@ into directed-replay validation::
     batch = Analysis(TraceFileSource("trace.json")).under("rc").predict()
 
 The session is *staged and cached*: the source records once, and each
-(isolation, strategy) configuration keeps one incremental solver alive
-(:class:`repro.predict.PredictionEnumeration`), so sweeping ``k`` or
-re-querying re-checks the same encoding instead of re-encoding per call.
+(isolation, boundary) pair keeps one incremental solver alive
+(:class:`repro.predict.PredictionEnumeration`), so sweeping ``k``,
+switching between its approximate and exact strategies, or re-querying
+re-checks the same encoding instead of re-encoding per call.
 
 ``Analysis`` accepts a :class:`~repro.sources.HistorySource`, an
 :class:`~repro.bench_apps.base.AppSpec` subclass, a trace file path, or a
@@ -32,7 +33,6 @@ bare :class:`~repro.history.model.History` (see
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -107,10 +107,7 @@ class Analysis:
         source: Union[HistorySource, type, str, History],
         *,
         backend: Union[StoreBackend, str, None] = None,
-        max_cached_configs: int = 8,
     ):
-        if max_cached_configs < 1:
-            raise ValueError("max_cached_configs must be >= 1")
         self.source = as_source(source)
         # a backend the session builds from a spec string is the
         # session's to close; a passed-in instance stays its caller's
@@ -144,15 +141,9 @@ class Analysis:
         self.max_seconds: Optional[float] = 120.0
         self.max_conflicts: Optional[int] = None
         self.max_candidates = MAX_CANDIDATES
-        self.max_cached_configs = max_cached_configs
         self._recorded: Optional[RecordedRun] = None
-        # LRU of per-configuration incremental solvers: sweeping many
-        # (isolation, strategy) combinations no longer accumulates one
-        # live solver per configuration forever — least-recently-used
-        # enumerations (and their SAT state) are dropped past the cap.
-        self._enumerations: OrderedDict[tuple, PredictionEnumeration] = (
-            OrderedDict()
-        )
+        # one walk per (isolation, boundary): at most 3 x 2 live solvers
+        self._enumerations: dict[tuple, PredictionEnumeration] = {}
         self._last: Optional[PredictionBatch] = None
 
     # -- stages ---------------------------------------------------------
@@ -206,20 +197,6 @@ class Analysis:
         return self.recorded.history
 
     # -- predict --------------------------------------------------------
-    def _enumeration(self) -> PredictionEnumeration:
-        key = (self.isolation, self.strategy)
-        enum = self._enumerations.get(key)
-        if enum is None:
-            enum = IsoPredict(self.isolation, self.strategy).enumerator(
-                self.history
-            )
-            self._enumerations[key] = enum
-            while len(self._enumerations) > self.max_cached_configs:
-                self._enumerations.popitem(last=False)  # evict LRU
-        else:
-            self._enumerations.move_to_end(key)
-        return enum
-
     def close(self) -> None:
         """Release every cached incremental solver, and the store backend
         the session built from a ``backend=`` spec string (its archive
@@ -246,18 +223,24 @@ class Analysis:
     def predict(self, k: int = 1) -> PredictionBatch:
         """Up to ``k`` distinct predictions under the current configuration.
 
-        Repeated calls — same or different ``k`` — extend one incremental
-        solver per configuration rather than re-encoding the history; the
-        first ``k`` predictions of a configuration are stable across calls.
+        Repeated calls — any ``k`` or encoding mode — extend one solver per
+        (isolation, boundary) instead of re-encoding the history; the first
+        ``k`` predictions of a configuration are stable across calls.
         """
-        enum = self._enumeration()
+        key = (self.isolation, self.strategy.boundary)
+        if key not in self._enumerations:
+            self._enumerations[key] = IsoPredict(
+                self.isolation, self.strategy
+            ).enumerator(self.history)
+        enum = self._enumerations[key]
         enum.ensure(
             k,
+            self.strategy,
             max_seconds=self.max_seconds,
             max_conflicts=self.max_conflicts,
             max_candidates=self.max_candidates,
         )
-        self._last = enum.batch(k)
+        self._last = enum.batch(k, self.strategy)
         return self._last
 
     # -- validate -------------------------------------------------------

@@ -168,6 +168,7 @@ class Span:
         "attrs",
         "start_wall",
         "start_mono",
+        "stop_mono",
         "duration",
         "_child_occ",
     )
@@ -181,6 +182,7 @@ class Span:
         self.attrs = dict(attrs)
         self.start_wall = start_wall
         self.start_mono = start_mono
+        self.stop_mono: Optional[float] = None
         self.duration: Optional[float] = None
         self._child_occ: dict = {}
 
@@ -188,6 +190,11 @@ class Span:
         """Attach late attributes (status codes, result counts)."""
         self.attrs.update(attrs)
         return self
+
+    def stop(self) -> None:
+        """End the timed region early: attrs set before exit land untimed."""
+        rec = active_recorder()
+        self.stop_mono = rec.clock.monotonic() if rec else None
 
     # context-manager protocol: closing is the recorder's job so nesting
     # stays consistent even when the body raises
@@ -212,12 +219,17 @@ class _Stopwatch:
     def set(self, **attrs) -> "_Stopwatch":
         return self
 
+    def stop(self) -> None:
+        self.duration = time.monotonic() - self._start
+
     def __enter__(self) -> "_Stopwatch":
         self._start = time.monotonic()
+        self.duration = None
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.duration = time.monotonic() - self._start
+        if self.duration is None:
+            self.stop()
 
 
 _RECORDER: Optional["Recorder"] = None
@@ -323,9 +335,9 @@ class Recorder:
         if span in self.stack:
             self.stack.remove(span)
         # rounded as written: stats summing durations match the trace
-        span.duration = round(
-            max(0.0, self.clock.monotonic() - span.start_mono), _ROUND
-        )
+        stop = span.stop_mono
+        stop = self.clock.monotonic() if stop is None else stop
+        span.duration = round(max(0.0, stop - span.start_mono), _ROUND)
         self.closed += 1
         self._write(
             {

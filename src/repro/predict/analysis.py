@@ -1,9 +1,9 @@
 """The IsoPredict façade: end-to-end predictive analysis (§3, §4).
 
 Orchestrates encoding, solving and decoding through one enumeration loop
-(:class:`PredictionEnumeration`, a CEGIS loop shared by all four
-strategies, which differ only in how each candidate is checked), and
-reports the timing/size statistics the paper's Tables 4 and 5 track
+(:class:`PredictionEnumeration`, a CEGIS walk that the approximate and
+exact strategies of one boundary share, keeping different candidates),
+and reports the timing/size statistics the paper's Tables 4 and 5 track
 (constraint generation time, literal count, solving time split by
 outcome).
 """
@@ -38,8 +38,8 @@ __all__ = [
     "predict_unserializable",
 ]
 
-#: The candidates one ``ensure`` call of an exact strategy may reject,
-#: unless a caller sets ``max_candidates``.
+#: The candidates one ``ensure`` call of an exact strategy may refine
+#: away, unless a caller sets ``max_candidates``.
 MAX_CANDIDATES = 64
 #: ``ensure``'s default for a limit: the one its analyzer was built with.
 _ANALYZER_LIMIT = object()
@@ -51,7 +51,6 @@ class PredictionResult:
 
     status: Result
     isolation: IsolationLevel
-    strategy: PredictionStrategy
     predicted: Optional[History] = None
     boundaries: dict = field(default_factory=dict)
     cycle: list = field(default_factory=list)
@@ -71,10 +70,7 @@ class PredictionResult:
         write–read choices changed) — the textual form of the paper's
         blue-edge highlighting.
         """
-        lines = [
-            f"prediction under {self.isolation} [{self.strategy}]: "
-            f"{self.status.value}"
-        ]
+        lines = [f"prediction under {self.isolation}: {self.status.value}"]
         stats = self.stats
         lines.append(
             f"  literals={stats.get('literals', 0):,} "
@@ -113,9 +109,9 @@ class PredictionBatch:
     once and then walks the model space with blocking clauses on a single
     incremental solver — so ``stats`` reflects one constraint generation,
     however many predictions were found. ``status`` is the solver verdict
-    that *stopped* the enumeration: ``SAT`` when the requested ``k`` was
-    reached, ``UNSAT`` when the candidate space was exhausted first, and
-    ``UNKNOWN`` when a limit (time/conflicts/candidates) ran out.
+    that *stopped* the enumeration: ``SAT`` when ``k`` predictions of its
+    ``strategy`` were reached, ``UNSAT`` when the candidate space was
+    exhausted first, and ``UNKNOWN`` when a limit ran out.
     """
 
     status: Result
@@ -145,7 +141,6 @@ class PredictionBatch:
             return PredictionResult(
                 status=self.status,
                 isolation=self.isolation,
-                strategy=self.strategy,
                 stats=dict(self.stats),
             )
         return replace(best, stats={**best.stats, **self.stats})
@@ -168,7 +163,7 @@ class IsoPredict:
     one ``ensure`` call (so one :meth:`predict_many`) and ``max_conflicts``
     for each solver check (``None``: unbounded). ``max_candidates``
     bounds the candidates one ``ensure`` call of an exact strategy may
-    reject; an approximate walk is bounded by the solver limits alone,
+    refine away; an approximate walk is bounded by the solver limits alone,
     so its verdict never depends on how many candidates it refines away.
     """
 
@@ -198,9 +193,7 @@ class IsoPredict:
         """
         return self.predict_many(observed, k=1).primary
 
-    def predict_many(
-        self, observed: History, k: Optional[int] = None
-    ) -> PredictionBatch:
+    def predict_many(self, observed: History, k: int) -> PredictionBatch:
         """Enumerate up to ``k`` *distinct* unserializable predictions.
 
         The encoding is generated and asserted once; after each candidate a
@@ -211,16 +204,15 @@ class IsoPredict:
         on the writer of some read inside the boundaries — that is, when
         they decode to different histories.
 
-        ``max_seconds`` bounds the whole enumeration.
-        ``k`` defaults to ``max_candidates``. Every strategy walks the
-        feasibility+isolation models by CEGIS, blocking each prediction the
-        same way (see :class:`PredictionEnumeration`).
+        ``max_seconds`` bounds the whole enumeration. Every strategy walks
+        the feasibility+isolation models by CEGIS, blocking each
+        unserializable candidate the same way (see
+        :class:`PredictionEnumeration`).
 
         For repeated queries over one observed history (k sweeps, a fluent
         :class:`repro.api.Analysis` session) use :meth:`enumerator`, which
         keeps the incremental solver alive between calls.
         """
-        k = self.max_candidates if k is None else k
         if k < 1:
             raise ValueError("k must be >= 1")
         enum = self.enumerator(observed)
@@ -271,14 +263,14 @@ class PredictionEnumeration:
     solver twice more instead of re-encoding the history — the mechanism a
     fluent analysis session uses to make strategy/k sweeps cheap.
 
-    Every strategy asserts feasibility+isolation alone and runs CEGIS: each
-    candidate model is decoded and checked outside the solver
-    (:meth:`_check`). An exact strategy (§4.2.1) accepts an unserializable
-    candidate; an approximate one (§4.2.2) accepts a candidate whose pco
-    least fixpoint is cyclic. A serializable candidate's witness commit
-    order refines the encoding (see :meth:`_refine`); an accepted
-    candidate, and an approximate strategy's unserializable but
-    pco-acyclic one, are blocked alone.
+    The walk asserts feasibility+isolation alone and runs CEGIS: each
+    candidate model is decoded and checked outside the solver. A
+    serializable candidate's witness commit order refines the encoding
+    (see :meth:`_refine`); an unserializable one is blocked alone and
+    recorded with its pco cycle (``[]`` if acyclic). The strategies of
+    the walk's boundary only filter that record: exact (§4.2.1) keeps
+    every entry, approximate (§4.2.2) the cyclic ones. ``ensure`` and
+    ``batch`` take the strategy to filter by (default: the analyzer's).
 
     ``max_seconds`` bounds one ``ensure`` call, and so does an exact
     strategy's ``max_candidates``; ``max_conflicts`` bounds each solver
@@ -290,10 +282,8 @@ class PredictionEnumeration:
     def __init__(self, analyzer: IsoPredict, observed: History):
         self.analyzer = analyzer
         self.observed = observed
-        self.predictions: list[PredictionResult] = []
-        #: each prediction's (choice, boundary) assignment (``assignment_of``)
-        self.assignments: list[tuple[dict, dict]] = []
-        self._exact = analyzer.strategy.encoding is EncodingMode.EXACT
+        #: (prediction, ``assignment_of``) per unserializable candidate
+        self._found: list[tuple[PredictionResult, tuple[dict, dict]]] = []
         self._status = Result.UNSAT  # verdict that stopped the last extension
         self._exhausted = False  # the whole candidate space is drained
         self._enc = None
@@ -301,6 +291,25 @@ class PredictionEnumeration:
         self._timings: dict = {}
         self._decode_seconds = 0.0
         self._candidates = 0
+
+    def _kept(self, strategy: Optional[PredictionStrategy]) -> list:
+        """The recorded candidates ``strategy`` counts as predictions."""
+        strategy = strategy or self.analyzer.strategy
+        if strategy.boundary is not self.analyzer.strategy.boundary:
+            raise ValueError(f"{strategy} does not walk this boundary")
+        if strategy.encoding is EncodingMode.EXACT:
+            return self._found
+        return [entry for entry in self._found if entry[0].cycle]
+
+    @property
+    def predictions(self) -> list[PredictionResult]:
+        """The analyzer's strategy's predictions, in walk order."""
+        return [prediction for prediction, _ in self._kept(None)]
+
+    @property
+    def assignments(self) -> list[tuple[dict, dict]]:
+        """Each of :attr:`predictions`' (choice, boundary) assignment."""
+        return [assignment for _, assignment in self._kept(None)]
 
     @property
     def stats(self) -> dict:
@@ -318,24 +327,26 @@ class PredictionEnumeration:
                 **self._timings,
                 **self._solver.stats,
             }
-        stats["predictions"] = len(self.predictions)
+        stats["predictions"] = len(self._kept(None))
         return stats
 
     # -- the walk -------------------------------------------------------
     def ensure(
         self,
         k: int,
+        strategy: Optional[PredictionStrategy] = None,
         *,
         max_seconds=_ANALYZER_LIMIT,
         max_conflicts=_ANALYZER_LIMIT,
         max_candidates=_ANALYZER_LIMIT,
     ) -> None:
-        """Extend the enumeration until ``k`` predictions exist (if any do).
+        """Walk on until ``strategy`` keeps ``k`` predictions (if any do).
 
         Stops early when the candidate space exhausts (``UNSAT``), or when
-        a limit of this call runs out (``UNKNOWN``, resumable). A limit
-        not passed is the analyzer's; ``None`` lifts the wall or conflict
-        limit. This is the one place ``max_seconds`` becomes a deadline.
+        a limit of this call runs out (``UNKNOWN``, resumable). The
+        strategy and a limit not passed are the analyzer's; ``None`` lifts
+        the wall or conflict limit. This is the one place ``max_seconds``
+        becomes a deadline.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -353,8 +364,9 @@ class PredictionEnumeration:
             self._enc, self._solver, self._timings = analyzer._build(
                 self.observed, analyzer.strategy.boundary
             )
-        rejected = 0  # CEGIS candidates rejected by THIS call
-        while len(self.predictions) < k and not self._exhausted:
+        exact = (strategy or analyzer.strategy).encoding is EncodingMode.EXACT
+        refined = 0  # CEGIS candidates refined away by THIS call
+        while len(self._kept(strategy)) < k and not self._exhausted:
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -372,65 +384,47 @@ class PredictionEnumeration:
                 self._status = status  # a limit ran out; resumable
                 return
             self._candidates += 1
-            with obs_span(
-                "stage.decode", candidate=self._candidates
-            ) as decode_span:
+            with obs_span("stage.decode",
+                          candidate=self._candidates) as decode_span:
                 model = self._solver.model()
                 predicted = decode_history(self._enc, model)
+                decode_span.stop()  # classifying is not decode time
+                witness = is_serializable(predicted)
+                cycle = None if witness else pco_cycle(predicted)
+                decode_span.set(kind="refined" if witness else (
+                    "cyclic" if cycle else "acyclic"))
             self._decode_seconds += decode_span.duration
-            cycle = self._check(model, predicted)
-            if cycle is None:
-                rejected += 1
-                if self._exact and rejected >= max_candidates:
-                    # the candidate is already excluded: a later ensure()
-                    # resumes with a fresh candidate limit
-                    self._status = Result.UNKNOWN
-                    return
+            if cycle is not None:
+                self._record(model, predicted, cycle)
                 continue
-            self._accept(model, predicted, cycle)
-        if len(self.predictions) >= k:
-            self._status = Result.SAT
-
-    def _check(self, model, predicted: History) -> Optional[list]:
-        """Decide one candidate: its pco cycle if it is a prediction.
-
-        A serializable candidate is refined away. An unserializable one is
-        a prediction when the strategy is exact or its pco is cyclic; an
-        accepted exact candidate may be pco-acyclic (``[]``). A rejected
-        candidate is excluded before this returns ``None``.
-        """
-        report = is_serializable(predicted)
-        if report:
             # a commit order serializing the candidate also contains its
             # pco fixpoint, so the refinement never excludes a cyclic one
-            self._refine(model, report.commit_order)
-            return None
-        cycle = pco_cycle(predicted)
-        if self._exact or cycle:
-            return cycle
-        # unserializable, but not by a pco cycle: no witness order to
-        # refine with, so exclude this candidate alone
-        self._solver.add(blocking_clause(self._enc, model))
-        return None
+            self._refine(model, witness.commit_order)
+            refined += 1
+            if exact and refined >= max_candidates:
+                # the candidate is already excluded: a later ensure()
+                # resumes with a fresh candidate limit
+                self._status = Result.UNKNOWN
+                return
+        if len(self._kept(strategy)) >= k:
+            self._status = Result.SAT
 
-    def _accept(self, model, predicted: History, cycle: list) -> None:
-        """Record an unserializable candidate as a prediction and block it."""
+    def _record(self, model, predicted: History, cycle: list) -> None:
+        """Record an unserializable candidate and block it alone (it has
+        no witness order to refine with)."""
         with obs_span("stage.decode", candidate=self._candidates,
                       part="boundaries") as decode_span:
             boundaries = decode_boundaries(self._enc, model)
         self._decode_seconds += decode_span.duration
-        self.predictions.append(
-            PredictionResult(
-                status=Result.SAT,
-                isolation=self.analyzer.isolation,
-                strategy=self.analyzer.strategy,
-                predicted=predicted,
-                boundaries=boundaries,
-                cycle=cycle,
-                stats={"candidates": self._candidates},
-            )
+        prediction = PredictionResult(
+            status=Result.SAT,
+            isolation=self.analyzer.isolation,
+            predicted=predicted,
+            boundaries=boundaries,
+            cycle=cycle,
+            stats={"candidates": self._candidates},
         )
-        self.assignments.append(assignment_of(self._enc, model))
+        self._found.append((prediction, assignment_of(self._enc, model)))
         self._solver.add(blocking_clause(self._enc, model))
 
     def _refine(self, model, commit_order: list[str]) -> None:
@@ -451,22 +445,32 @@ class PredictionEnumeration:
             )
         self._solver.add(refinement)
 
-    def batch(self, k: Optional[int] = None) -> PredictionBatch:
-        """The first ``k`` predictions (all of them when ``k`` is None)."""
-        predictions = (
-            list(self.predictions) if k is None else self.predictions[:k]
-        )
-        status = (
-            Result.SAT
-            if k is not None and len(self.predictions) >= k
-            else self._status
-        )
+    def batch(
+        self,
+        k: Optional[int] = None,
+        strategy: Optional[PredictionStrategy] = None,
+    ) -> PredictionBatch:
+        """``strategy``'s first ``k`` predictions (all when ``k`` is None).
+
+        It reads ``SAT`` only with ``k`` of them (one when ``k`` is None):
+        a walk stopped at another strategy's target leaves it ``UNKNOWN``.
+        """
+        strategy = strategy or self.analyzer.strategy
+        kept = [prediction for prediction, _ in self._kept(strategy)]
+        predictions = kept if k is None else kept[:k]
+        status = self._status
+        if k is not None and len(kept) >= k:
+            status = Result.SAT
+        elif self._exhausted:
+            status = Result.UNSAT
+        elif status is Result.SAT and (k is not None or not kept):
+            status = Result.UNKNOWN
         stats = self.stats
         stats["predictions"] = len(predictions)
         return PredictionBatch(
             status=status,
             isolation=self.analyzer.isolation,
-            strategy=self.analyzer.strategy,
+            strategy=strategy,
             predictions=predictions,
             stats=stats,
         )

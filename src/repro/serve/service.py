@@ -253,7 +253,7 @@ class StreamingAnalysis:
                     finding = Finding(
                         key=key,
                         isolation=str(prediction.isolation),
-                        strategy=str(prediction.strategy),
+                        strategy=str(lane.strategy),
                         run_index=run_index,
                         window_index=window.index,
                         window_start=window.start,

@@ -124,6 +124,33 @@ class TestEncodingReuse:
         assert len(resumed) == 2
         assert len(session._enumerations) == 1
 
+    def test_strategies_of_one_boundary_share_one_solver(self, tmp_path):
+        """approx-strict then exact-strict extends one walk: one cached
+        enumeration, one encoding, and exact keeps approx's predictions."""
+        from repro.obs import load_events, telemetry_session
+
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="test"):
+            session = (
+                Analysis(BenchAppSource(Smallbank, WorkloadConfig.small(), 2))
+                .under("rc")
+                .using("approx-strict", max_seconds=30.0)
+            )
+            approx = session.predict(k=2)
+            exact = session.using("exact-strict").predict(k=6)
+        assert len(session._enumerations) == 1
+        assert approx.status is Result.SAT and len(approx) == 2
+        assert approx.strategy == PredictionStrategy.APPROX_STRICT
+        assert exact.strategy == PredictionStrategy.EXACT_STRICT
+        assert all(
+            any(p is q for q in exact.predictions) for p in approx.predictions
+        )
+        encodes = [
+            e for e in load_events(str(sink))
+            if e.get("event") == "span" and e["name"] == "stage.encode"
+        ]
+        assert len(encodes) == 1
+
     def test_configurations_get_separate_solvers(self):
         session = _session()
         session.predict()

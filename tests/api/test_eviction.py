@@ -1,15 +1,12 @@
-"""Analysis solver-cache lifecycle: close() and LRU eviction.
+"""Analysis solver-cache lifecycle: close() frees what a session holds.
 
-PR 2 left a known gap: a session kept one incremental solver per swept
-(isolation, strategy) configuration forever, so memory grew without bound
-under configuration sweeps. These tests prove the cap and the explicit
-release actually free the solver state (via weakref + gc, not just dict
-length).
+A session keeps one incremental solver per (isolation, boundary) walk it
+has queried, at most six. These tests prove the explicit release actually
+frees that solver state (via weakref + gc, not just dict length), and
+that a closed analysis leaves no terms behind.
 """
 import gc
 import weakref
-
-import pytest
 
 from repro.api import Analysis
 from repro.bench_apps import TPCC, Smallbank, WorkloadConfig, record_observed
@@ -17,14 +14,9 @@ from repro.serve import StreamingAnalysis, WindowConfig, segment_history
 from repro.smt import Expr
 from repro.sources import BenchAppSource
 
-STRATEGIES = ("approx-relaxed", "approx-strict", "exact-relaxed",
-              "exact-strict")
-LEVELS = ("causal", "rc", "ra")
-
-
-def _session(**kwargs):
+def _session():
     return Analysis(
-        BenchAppSource(Smallbank, WorkloadConfig.tiny(), 2), **kwargs
+        BenchAppSource(Smallbank, WorkloadConfig.tiny(), 2)
     ).using(max_seconds=30.0)
 
 
@@ -59,40 +51,6 @@ class TestClose:
             session.predict()
             assert session._enumerations
         assert not session._enumerations
-
-
-class TestLruEviction:
-    def test_cache_never_exceeds_cap(self):
-        session = _session(max_cached_configs=3)
-        for level in LEVELS:
-            for strategy in STRATEGIES[:2]:
-                session.under(level).using(strategy).predict(k=1)
-                assert len(session._enumerations) <= 3
-
-    def test_evicted_solver_memory_is_released(self):
-        session = _session(max_cached_configs=1)
-        session.under("causal").using("approx-relaxed").predict(k=1)
-        (victim,) = _enum_refs(session)
-        session.under("rc").using("approx-relaxed").predict(k=1)
-        gc.collect()
-        assert victim() is None, "evicted enumeration must be collectable"
-
-    def test_recently_used_config_survives(self):
-        session = _session(max_cached_configs=2)
-        session.under("causal").predict(k=1)
-        causal_enum = session._enumerations[
-            next(iter(session._enumerations))
-        ]
-        session.under("rc").predict(k=1)
-        # touch causal again, then add a third config: rc is now the LRU
-        session.under("causal").predict(k=1)
-        session.under("ra").predict(k=1)
-        assert causal_enum in session._enumerations.values()
-        assert len(session._enumerations) == 2
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            _session(max_cached_configs=0)
 
 
 def _live_exprs() -> dict[int, Expr]:

@@ -147,7 +147,7 @@ def test_primary_of_empty_batch_reports_status_and_stats():
     assert not primary.found and primary.predicted is None
     assert primary.status is Result.UNSAT
     assert primary.isolation is IsolationLevel.CAUSAL
-    assert primary.strategy is PredictionStrategy.APPROX_RELAXED
+    assert batch.strategy is PredictionStrategy.APPROX_RELAXED
     assert primary.stats == batch.stats
     assert primary.stats is not batch.stats  # a copy, not an alias
 
@@ -185,6 +185,23 @@ def test_enumeration_extends_without_reencoding(sat_history):
     for key in ("encode_seconds", "compile_seconds"):
         assert after.get(key) == before.get(key), key
     assert after["candidates"] > before["candidates"]
+
+
+def test_drained_enumeration_reads_unsat_past_its_predictions(sat_history):
+    """A batch is SAT only with k predictions: once the walk is drained,
+    asking past its count reads UNSAT whatever ensure() ran last."""
+    enum = IsoPredict(
+        IsolationLevel.CAUSAL,
+        PredictionStrategy.APPROX_RELAXED,
+        max_seconds=30.0,
+    ).enumerator(sat_history)
+    enum.ensure(100)
+    n = len(enum.predictions)
+    assert 1 <= n < 100
+    enum.ensure(1)
+    for k in (n + 1, 100, None):
+        assert enum.batch(k).status is Result.UNSAT, k
+    assert enum.batch(n).status is Result.SAT
 
 
 def test_enumeration_serves_found_predictions_without_checking(sat_history):

@@ -45,6 +45,14 @@ class TestDisabled:
         assert active_recorder() is None
         assert span("a") is not span("a")  # each region its own stopwatch
 
+    def test_a_disabled_span_stops_early(self):
+        with span("x") as s:
+            s.stop()
+            start = time.monotonic()
+            while time.monotonic() - start < 0.005:
+                pass
+        assert s.duration < 0.005
+
     def test_noop_supports_the_full_span_protocol(self):
         with span("x", a=1) as s:
             s.set(b=2)
@@ -67,6 +75,26 @@ class TestClosing:
         assert len(events) == 1
         assert events[0]["name"] == "outer"
         assert events[0]["attrs"] == {"k": 1}
+
+    def test_stop_ends_the_timed_region_and_keeps_late_attrs(self, tmp_path):
+        class Ticks:  # every monotonic read is one second later
+            now = 0.0
+
+            def wall(self):
+                return 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        rec = install(tmp_path / "t.jsonl", env=False, clock=Ticks())
+        with span("decode") as s:  # opens at 1
+            s.stop()  # 2
+            rec.clock.monotonic()  # 3: after stop(), so untimed
+            s.set(kind="refined")
+        (doc,) = read_part(rec)
+        assert doc["dur"] == s.duration == 1.0
+        assert doc["attrs"] == {"kind": "refined"}
 
     def test_double_exit_is_a_no_op(self, tmp_path):
         rec = install(tmp_path / "t.jsonl", env=False)

@@ -289,6 +289,23 @@ class TestApproxCheck:
         assert not enum.predictions
         assert enum.stats["candidates"] >= len(exact)
 
+    def test_batch_is_sat_only_with_k_of_its_own(self, monkeypatch):
+        """An exact walk that stops at a pco-acyclic prediction leaves the
+        approximate count open: that batch is no SAT with nothing in it."""
+        monkeypatch.setattr(analysis, "pco_cycle", lambda history: [])
+        exact = PredictionStrategy.parse("exact-relaxed")
+        approx = PredictionStrategy.APPROX_RELAXED
+        enum = IsoPredict(CAUSAL, approx).enumerator(
+            gallery.deposit_observed()
+        )
+        enum.ensure(1, strategy=exact)
+        assert enum.batch(1, exact).status is Result.SAT
+        assert not enum.predictions
+        for k in (1, None):
+            batch = enum.batch(k, approx)
+            assert batch.status is Result.UNKNOWN
+            assert not batch.predictions and batch.strategy is approx
+
 
 class TestReport:
     def test_report_mentions_outcome_and_cycle(self):
