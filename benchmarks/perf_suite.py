@@ -45,6 +45,7 @@ from repro.bench_apps import ALL_APPS, WorkloadConfig, record_observed
 from repro.isolation import IsolationLevel
 from repro.store.backends import make_store_backend, store_backend_spec
 from repro.perf import (
+    COUNTER_KEYS,
     ScenarioResult,
     compare_profiles,
     load_report,
@@ -252,8 +253,8 @@ def run_stream_scenario(
 
 
 #: The telemetry overhead pair (PR 8): a mid-size reference scenario
-#: measured with telemetry off and on (spans + registry + trace export to
-#: a scratch file) in interleaved repeats. The reference is tpcc-small's
+#: measured with telemetry off and on (spans, span-attr counts and the
+#: trace export to a scratch file) in interleaved repeats. The reference is tpcc-small's
 #: approx-strict UNSAT walk (about 1 s, 20 candidates, a decode span
 #: each). The overhead percentage is printed and recorded as trend data
 #: only: with two repeats of a ~1 s wall, run-to-run noise is wider than
@@ -270,7 +271,7 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
     import shutil
     import tempfile
 
-    from repro.obs import observe_analysis_stats, telemetry_session
+    from repro.obs import tally, telemetry_session
 
     history = record_observed(
         _APPS["tpcc"](WorkloadConfig.small()), RECORD_SEED
@@ -302,11 +303,12 @@ def run_telemetry_pair(repeats: int, max_seconds: float):
     trace_counts: set[tuple[int, int]] = set()
 
     def analyze_with_telemetry() -> dict:
-        # the full enabled path: session install, stage spans, stat
-        # counters, part merge at exit — everything a --telemetry run pays
+        # the full enabled path: session install, stage spans, solver
+        # counts on the root span, part merge and metrics fold at exit —
+        # everything a --telemetry run pays
         with telemetry_session(trace, command="bench"):
             stats = analyze()
-            observe_analysis_stats(stats)
+            tally("solver", stats, COUNTER_KEYS)
         with open(trace) as fh:
             events = [json.loads(line)["event"] for line in fh]
         trace_counts.add((events.count("span"), events.count("point")))

@@ -31,6 +31,7 @@ import json
 import multiprocessing
 import os
 import signal
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -45,9 +46,7 @@ from ..faults import (
 from ..jsonl import JsonlReader, open_append
 from ..obs import (
     deterministic as obs_deterministic,
-    enabled as obs_enabled,
     event as obs_event,
-    get_registry,
     propagate_context,
     span as obs_span,
 )
@@ -244,21 +243,11 @@ class CampaignExecutor:
         if not obs_deterministic():
             attrs["jobs"] = self.jobs
         with obs_span("campaign.run", **attrs) as root:
-            report = self._run_observed()
-            root.set(
-                rounds=len(report.results),
-                cancelled=report.cancelled,
-            )
+            report = self._run_observed(root)
         report.wall_seconds = root.duration
-        if obs_enabled():
-            events = self._events
-            reg = get_registry()
-            for key in events:
-                if events[key]:
-                    reg.counter(f"campaign_{key}").inc(events[key])
         return report
 
-    def _run_observed(self) -> CampaignReport:
+    def _run_observed(self, root) -> CampaignReport:
         prior, pending = self.plan()
         total = len(prior) + len(pending)
         if prior:
@@ -285,15 +274,6 @@ class CampaignExecutor:
                 try:
                     for result in stream:
                         results.append(result)
-                        if obs_enabled():
-                            reg = get_registry()
-                            reg.counter("campaign_rounds").inc(
-                                key=result.status
-                            )
-                            if result.predicted:
-                                reg.counter("campaign_predictions").inc(
-                                    result.predicted
-                                )
                         if sink is not None:
                             sink.write(json.dumps(result.to_dict()) + "\n")
                             sink.flush()
@@ -323,6 +303,14 @@ class CampaignExecutor:
         finally:
             if sink is not None:
                 sink.close()
+        ran = results[len(prior):]
+        root.set(
+            rounds=len(results),
+            cancelled=cancelled,
+            statuses=dict(Counter(result.status for result in ran)),
+            predicted=sum(result.predicted for result in ran),
+            events=dict(self._events),
+        )
         return CampaignReport.build(
             self.spec,
             results,

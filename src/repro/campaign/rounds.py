@@ -31,12 +31,10 @@ from ..faults import (
 from ..isolation.checkers import is_serializable
 from ..isolation.levels import IsolationLevel
 from ..obs import (
-    enabled as obs_enabled,
-    flush_process_metrics,
-    get_registry,
-    observe_analysis_stats,
     span as obs_span,
+    tally as obs_tally,
 )
+from ..perf import COUNTER_KEYS
 from ..smt import Result
 from ..store.backend import StoreBackend
 from ..store.backends import close_store_backend, make_store_backend
@@ -172,7 +170,7 @@ def _run_predict(
     run = session.recorded
     _characteristics(result, run.history)
     batch = session.predict(k=spec.max_predictions)
-    observe_analysis_stats(batch.stats)
+    obs_tally("solver", batch.stats, COUNTER_KEYS)  # on campaign.round
     result.predicted = len(batch)
     result.literals = batch.stats.get("literals", 0)
     result.clauses = batch.stats.get("clauses", 0)
@@ -331,9 +329,6 @@ def _run_round(
     result.attempts = attempt + 1
     result.faults = diff_fault_counters(before, fault_counters())
     result.wall_seconds = wall
-    if obs_enabled():
-        get_registry().counter("worker_rounds").inc(key=result.status)
-        flush_process_metrics()
     # memoize only deterministic outcomes: an "error" may be transient and
     # an "unknown" is a wall-clock artifact (the solver hit its budget
     # under this run's load) — replaying either for the remaining seeds

@@ -152,6 +152,14 @@ def _print_prediction(result, args) -> None:
             print(f"  predicted history written to {args.out}")
 
 
+def _tally_solver(stats: dict) -> None:
+    """Count the analysis's solver effort on the command's root span."""
+    from .obs import tally
+    from .perf import COUNTER_KEYS
+
+    tally("solver", stats, COUNTER_KEYS)
+
+
 def _cmd_predict(args) -> int:
     session = (
         Analysis(TraceFileSource(args.trace))
@@ -163,9 +171,7 @@ def _cmd_predict(args) -> int:
         )
     )
     result = session.run(k=1, validate=False).prediction
-    from .obs import observe_analysis_stats
-
-    observe_analysis_stats(result.stats)
+    _tally_solver(result.stats)
     _print_prediction(result, args)
     return 0 if result.status is not Result.UNKNOWN else 2
 
@@ -218,9 +224,7 @@ def _analyze(source, args) -> int:
     print(f"analyzing {session.source.name}: {len(run.history)} committed "
           f"transactions ({meta})")
     batch = session.predict(k=args.k)
-    from .obs import observe_analysis_stats
-
-    observe_analysis_stats(batch.stats)
+    _tally_solver(batch.stats)
     best = AnalysisResult(run=run, batch=batch).prediction
     if args.k > 1:
         print(f"predictions found: {len(batch)}/{args.k}")
@@ -692,19 +696,6 @@ def _cmd_watch(args) -> int:
         )
         return 2
     levels = [s.strip() for s in args.isolation.split(",") if s.strip()]
-    metrics_server = None
-    if args.metrics_addr:
-        from .obs import MetricsServer
-
-        try:
-            metrics_server = MetricsServer(args.metrics_addr)
-            metrics_server.start()
-        except (OSError, ValueError) as exc:
-            print(f"error: bad --metrics-addr: {exc}", file=sys.stderr)
-            return 2
-        if not args.quiet:
-            print(f"metrics: http://{metrics_server.address}/metrics")
-    out_fh = open_append(args.out)[0] if args.out else None
 
     def on_finding(finding):
         if out_fh is not None:
@@ -734,6 +725,20 @@ def _cmd_watch(args) -> int:
         log=None if args.quiet else print,
         checkpoint=args.checkpoint,
     )
+    metrics_server = None
+    if args.metrics_addr:
+        from .obs import MetricsServer
+
+        try:
+            metrics_server = MetricsServer(args.metrics_addr, engine.metrics)
+            metrics_server.start()
+        except (OSError, ValueError) as exc:
+            close_store_backend(getattr(source, "backend", None))
+            print(f"error: bad --metrics-addr: {exc}", file=sys.stderr)
+            return 2
+        if not args.quiet:
+            print(f"metrics: http://{metrics_server.address}/metrics")
+    out_fh = open_append(args.out)[0] if args.out else None
     interrupted = False
     try:
         report = engine.run()

@@ -33,9 +33,10 @@ Every fault fired and retry spent is counted here so
 harnesses can assert the run *witnessed* its plan — an injected fault
 that never shows up in counters is a silently-swallowed failure, which
 the chaos suite treats as a bug.  When the telemetry layer is active
-(:mod:`repro.obs`), the same accounting is mirrored as instant trace
-events and registry counters, so a merged trace shows exactly which
-span each fault fired under.
+(:mod:`repro.obs`), each fired fault is an instant ``fault.injected``
+trace event and each retry a ``fault_retries`` count on the span that
+spent it, so a merged trace shows exactly which span each fault fired
+and was recovered under.
 
 Seams that cannot tolerate an exception escaping mid-state — a fuzz
 iteration whose RNG stream must not be perturbed, a sharded commit
@@ -153,7 +154,6 @@ def fault_point(point: str, **context) -> None:
 
 def _fire(spec, point: str, hit: int, context: dict) -> None:
     _STATE.injected[f"{point}:{spec.kind}"] += 1
-    _observe_fault("faults_injected", f"{point}:{spec.kind}")
     _observe_event(point, spec.kind, hit)
     detail = f"injected {spec.kind} at {point} (hit {hit})"
     if context:
@@ -172,14 +172,6 @@ def _fire(spec, point: str, hit: int, context: dict) -> None:
         return
     if spec.kind == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _observe_fault(counter: str, key: str, times: int = 1) -> None:
-    """Mirror fault accounting into the telemetry registry (if active)."""
-    from ..obs import enabled, get_registry
-
-    if enabled():
-        get_registry().counter(counter).inc(times, key=key)
 
 
 def _observe_event(point: str, kind: str, hit: int) -> None:
@@ -223,7 +215,9 @@ def guarded_fault_point(point: str, **context) -> None:
 def count_retry(key: str, times: int = 1) -> None:
     """Record retries spent recovering at a named seam."""
     _STATE.retries[key] += times
-    _observe_fault("fault_retries", key, times)
+    from ..obs import tally
+
+    tally("fault_retries", {key: times})  # on the span that retried
 
 
 def fault_counters() -> dict:

@@ -33,12 +33,7 @@ from typing import Callable, Optional, Union
 from ..faults import guarded_fault_point
 from ..isolation.levels import IsolationLevel
 from ..jsonl import write_atomic
-from ..obs import (
-    enabled as obs_enabled,
-    flush_process_metrics,
-    get_registry,
-    span as obs_span,
-)
+from ..obs import span as obs_span
 from .corpus import (
     CorpusEntry,
     append_entry,
@@ -289,11 +284,6 @@ class Fuzzer:
                 else:
                     parent.energy = max(_MIN_ENERGY, parent.energy * 0.7)
             it_span.set(status=batch.status.value, novel=len(novel))
-        if obs_enabled():
-            reg = get_registry()
-            reg.counter("fuzz_iterations").inc()
-            if novel:
-                reg.counter("fuzz_finds").inc(len(novel))
         self.records.append(record)
         self.iteration += 1
         return record
@@ -385,7 +375,6 @@ def _fuzz_worker(payload: dict) -> dict:
     preload = [CorpusEntry.from_json(row) for row in payload["preload"]]
     with obs_span("fuzz.worker", worker=payload.get("worker", 0)):
         report = Fuzzer(config, preload=preload).run()
-    flush_process_metrics()
     return {
         "iterations": report.iterations,
         "finds": [entry.to_json() for entry in report.finds],

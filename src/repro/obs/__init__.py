@@ -1,4 +1,4 @@
-"""Unified telemetry: structured spans, metric registry, trace export.
+"""Unified telemetry: structured spans, trace export, live metrics.
 
 The observability layer of the reproduction (see
 ``docs/observability.md``).  Three pieces:
@@ -7,33 +7,24 @@ The observability layer of the reproduction (see
   (``with span("campaign.round", ...)``) emitting schema-versioned
   JSONL, with cross-process context propagated through the environment
   and deterministic byte-identical streams under the fixed clock;
-* :mod:`repro.obs.registry` — typed counter/gauge/histogram registry
-  with deterministic per-worker sidecar merge and Prometheus text
-  exposition (``isopredict watch --metrics-addr``);
 * :mod:`repro.obs.export` — the ``--telemetry PATH`` session wrapper
-  and part-file merger; :mod:`repro.obs.report` — the post-hoc
-  ``isopredict obs report`` / ``obs validate`` analysis.
+  and part-file merger, whose ``metrics`` event folds the counts the
+  spans carry; :mod:`repro.obs.report` — the post-hoc
+  ``isopredict obs report`` / ``obs validate`` analysis;
+* :mod:`repro.obs.prometheus` — Prometheus text exposition of a live
+  source (``isopredict watch --metrics-addr``).
 
 Everything is off by default: without ``--telemetry`` (or a sink
-installed programmatically) every ``span()`` call returns a shared
-no-op object.
+installed programmatically) every ``span()`` call returns a stopwatch
+that records nothing.
 """
 from .export import (
     TelemetrySession,
-    flush_process_metrics,
+    fold_events,
     merge_parts,
-    observe_analysis_stats,
     telemetry_session,
 )
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsServer,
-    get_registry,
-    reset_registry,
-)
+from .prometheus import MetricsServer, to_prometheus
 from .report import build_report, format_report, load_events, validate_events
 from .trace import (
     CLOCK_ENV,
@@ -52,6 +43,7 @@ from .trace import (
     propagate_context,
     reset_telemetry,
     span,
+    tally,
     uninstall,
     wall,
 )
@@ -61,11 +53,7 @@ __all__ = [
     "CONTEXT_ENV",
     "SCHEMA_VERSION",
     "TELEMETRY_ENV",
-    "Counter",
     "FixedClock",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "MetricsServer",
     "SystemClock",
     "TelemetrySession",
@@ -75,19 +63,18 @@ __all__ = [
     "deterministic",
     "enabled",
     "event",
-    "flush_process_metrics",
+    "fold_events",
     "format_report",
-    "get_registry",
     "install",
     "load_events",
     "merge_parts",
     "monotonic",
-    "observe_analysis_stats",
     "propagate_context",
-    "reset_registry",
     "reset_telemetry",
     "span",
+    "tally",
     "telemetry_session",
+    "to_prometheus",
     "uninstall",
     "validate_events",
     "wall",

@@ -4,18 +4,19 @@
 installs the process recorder (exporting the sink path through the
 environment so children join the trace), opens one root span named
 after the command, and on exit performs the **merge**: every
-``<path>.part.<pid>`` JSONL stream plus every
-``<path>.metrics.<pid>.json`` registry sidecar — from this process and
-every worker — collapses into the single final ``<path>`` file:
+``<path>.part.<pid>`` JSONL stream — from this process and every
+worker — collapses into the single final ``<path>`` file:
 
 1. one ``meta`` header event (schema version, trace id);
 2. all span/point events, sorted by ``(ts, trace, span)`` — a
    deterministic total order, so two byte-identical sets of part files
    merge to byte-identical traces regardless of worker scheduling;
-3. one ``metrics`` event holding the deterministically merged registry.
+3. one ``metrics`` event: :func:`fold_events` over those events.
 
-Intermediate files are deleted on success; the merge is the telemetry
-analogue of the campaign executor folding per-worker JSONL rows.
+Counts reach the trace only as span attrs and points, so a worker's
+counts travel in its part file like its spans. Part files are deleted
+on success; the merge is the telemetry analogue of the campaign
+executor folding per-worker JSONL rows.
 """
 from __future__ import annotations
 
@@ -25,56 +26,107 @@ import os
 from typing import Optional
 
 from ..jsonl import JsonlReader, write_atomic
-from ..perf import COUNTER_KEYS
-from . import registry as _registry
 from . import trace as _trace
 
 __all__ = [
+    "DECODE_KINDS",
     "TelemetrySession",
-    "flush_process_metrics",
+    "fold_events",
     "merge_parts",
-    "observe_analysis_stats",
     "telemetry_session",
 ]
 
+#: ``stage.decode`` ``kind`` attrs: how the CEGIS walk classified each
+#: candidate, in the order ``obs report`` prints them.
+DECODE_KINDS = ("refined", "acyclic", "cyclic")
 
-def flush_process_metrics() -> Optional[str]:
-    """Write this process's registry sidecar next to the active sink.
 
-    Safe to call unconditionally from instrumented seams (campaign
-    round completion, fuzz worker exit): a no-op while telemetry is off.
+def _count(metrics: dict, name: str, amount, key: str = "") -> None:
+    if amount:  # a counter exists once something lands in it
+        values = metrics.setdefault(
+            name, {"kind": "counter", "values": {}}
+        )["values"]
+        values[key] = values.get(key, 0) + amount
+
+
+def _merge(metrics: dict, series: dict) -> None:
+    """Fold series in the ``metrics`` event's own shape."""
+    for name, entry in series.items():
+        for key, value in entry["values"].items():
+            if entry["kind"] == "counter":
+                _count(metrics, name, value, key)
+                continue
+            cells = metrics.setdefault(
+                name, {"kind": "histogram", "values": {}}
+            )["values"]
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = dict(value)
+            else:
+                cell["count"] += value["count"]
+                cell["sum"] += value["sum"]
+                cell["min"] = min(cell["min"], value["min"])
+                cell["max"] = max(cell["max"], value["max"])
+
+
+def fold_events(events) -> tuple[dict, dict]:
+    """One pass over a trace's events: ``(metrics, candidates)``.
+
+    ``metrics`` is the ``metrics`` event, ``{name: {kind, values}}`` in
+    name order, summed from what the events carry:
+
+    * any span's ``solver`` attr (``solver_<key>``), ``fault_retries``
+      attr (keyed by retry seam) and ``metrics`` attr (series in this
+      same shape: a watch session's ``stream_*`` counts);
+    * ``campaign.run``'s ``statuses`` (``campaign_rounds``),
+      ``predicted`` (``campaign_predictions``) and ``events``
+      (``campaign_<event>``);
+    * each ``campaign.round`` attempt that ended the round
+      (``worker_rounds`` by status) and each completed
+      ``fuzz.iteration`` (``fuzz_iterations``, ``fuzz_finds``);
+    * each ``fault.injected`` point (``faults_injected``).
+
+    ``candidates`` counts the ``stage.decode`` spans by their ``kind``
+    attr (:data:`DECODE_KINDS`), which ``obs report`` prints.
     """
-    sink = _trace.active_sink()
-    if sink is None:
-        return None
-    return _registry.write_sidecar(sink)
-
-
-#: ``Analysis.stats()`` keys folded into registry counters; ``*_seconds``
-#: keys flow into a histogram instead. Those seconds are span durations,
-#: so under the fixed clock the histogram holds zeros and stays
-#: deterministic.
-_STAT_COUNTERS = COUNTER_KEYS
-
-
-def observe_analysis_stats(stats: dict, prefix: str = "solver") -> None:
-    """Fold one analysis/prediction stats dict into the registry."""
-    if not _trace.enabled():
-        return
-    reg = _registry.get_registry()
-    for key in _STAT_COUNTERS:
-        value = stats.get(key)
-        if isinstance(value, (int, float)) and value:
-            reg.counter(f"{prefix}_{key}").inc(value)
-    for key, value in stats.items():
-        if key.endswith("_seconds") and isinstance(value, (int, float)):
-            reg.histogram(f"{prefix}_seconds").observe(value, key=key)
+    metrics: dict = {}
+    candidates = dict.fromkeys(DECODE_KINDS, 0)
+    for event in events:
+        name, attrs = event.get("name"), event.get("attrs", {})
+        if event.get("event") == "point":
+            if name == "fault.injected":
+                _count(metrics, "faults_injected", 1,
+                       f"{attrs.get('point')}:{attrs.get('kind')}")
+            continue
+        if event.get("event") != "span":
+            continue
+        for key, amount in attrs.get("solver", {}).items():
+            _count(metrics, f"solver_{key}", amount)
+        for key, amount in attrs.get("fault_retries", {}).items():
+            _count(metrics, "fault_retries", amount, key)
+        _merge(metrics, attrs.get("metrics", {}))
+        if name == "stage.decode" and attrs.get("kind") in candidates:
+            candidates[attrs["kind"]] += 1
+        elif name == "campaign.run":
+            for status, amount in attrs.get("statuses", {}).items():
+                _count(metrics, "campaign_rounds", amount, status)
+            _count(metrics, "campaign_predictions",
+                   attrs.get("predicted", 0))
+            for key, amount in attrs.get("events", {}).items():
+                _count(metrics, f"campaign_{key}", amount)
+        elif name == "campaign.round" and attrs.get("status") not in (
+            None, "retry"
+        ):
+            _count(metrics, "worker_rounds", 1, attrs["status"])
+        elif name == "fuzz.iteration" and "novel" in attrs:
+            _count(metrics, "fuzz_iterations", 1)
+            _count(metrics, "fuzz_finds", attrs["novel"])
+    return {name: metrics[name] for name in sorted(metrics)}, candidates
 
 
 def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
-    """Merge part files + metric sidecars into the final trace file."""
+    """Merge the part files into the final trace file."""
     parts = sorted(glob.glob(glob.escape(path) + ".part.*"))
-    sidecars = sorted(glob.glob(glob.escape(path) + ".metrics.*.json"))
 
     events = []
     for part in parts:
@@ -88,17 +140,6 @@ def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
             e.get("name", ""),
         )
     )
-
-    merged = _registry.MetricsRegistry()
-    own_sidecar = f"{path}.metrics.{os.getpid()}.json"
-    for sidecar in sidecars:
-        # sidecars are cumulative snapshots; the merging process's live
-        # registry supersedes its own sidecar (inline --jobs 1 rounds
-        # flush one), so folding both would double-count
-        if sidecar != own_sidecar:
-            for snapshot in JsonlReader(sidecar):  # one line, or none
-                merged.merge(snapshot)
-    merged.merge(_registry.get_registry().snapshot())
 
     meta = {
         "event": "meta",
@@ -114,13 +155,13 @@ def merge_parts(path: str, trace_id: str, deterministic: bool) -> str:
         meta["argv"] = sys.argv[1:]
 
     metrics = {"event": "metrics", "trace": trace_id,
-               "metrics": merged.snapshot()}
+               "metrics": fold_events(events)[0]}
     write_atomic(path, "".join(
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         for doc in [meta, *events, metrics]
     ))
 
-    for stale in parts + sidecars:
+    for stale in parts:
         try:
             os.remove(stale)
         except OSError:
@@ -162,7 +203,6 @@ class TelemetrySession:
             merge_parts(self.path, trace_id, deterministic)
         finally:
             _trace.uninstall()
-            _registry.reset_registry()
 
 
 def telemetry_session(path: Optional[str], command: str = "run",

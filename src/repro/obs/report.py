@@ -4,7 +4,10 @@ A telemetry JSONL answers "where did the wall time go" without
 re-running under ``--profile``: stage spans (``stage.encode`` …
 ``stage.decode``) aggregate back into the exact vocabulary of
 ``repro.perf.format_profile``, but post-hoc and across every process in
-the trace.  Beyond the stage table the report adds what ``--profile``
+the trace, plus how the CEGIS walks classified their candidates (the
+``kind`` attrs of the ``stage.decode`` spans, counted by the same
+:func:`repro.obs.export.fold_events` pass that builds the ``metrics``
+event).  Beyond the stage table the report adds what ``--profile``
 structurally cannot show: a per-name rollup (count / total / self /
 max) over all spans and the trace's **critical path** — the chain of
 maximum-duration children from the root, which is where optimization
@@ -23,6 +26,7 @@ from collections import defaultdict
 
 from ..jsonl import JsonlReader
 from ..perf import STAGES
+from .export import DECODE_KINDS, fold_events
 from .trace import SCHEMA_VERSION
 
 __all__ = [
@@ -174,6 +178,7 @@ def build_report(events: list) -> dict:
         cell["self"] += max(0.0, event["dur"] - child_time)
 
     path = _critical_path(spans, children)
+    candidates = fold_events(events)[1]
     metrics = next(
         (e.get("metrics") for e in events if e.get("event") == "metrics"),
         None,
@@ -187,6 +192,7 @@ def build_report(events: list) -> dict:
         "processes": pids,
         "stages": stages,
         "stage_counts": stage_counts,
+        "candidates": candidates,
         "names": {name: names[name] for name in sorted(names)},
         "critical_path": [
             {"name": s["name"], "dur": s["dur"], "pid": s["pid"],
@@ -220,6 +226,10 @@ def format_report(report: dict, top: int = 12) -> str:
             f"  ({count} span{'s' if count != 1 else ''})"
         )
     lines.append(f"  {'total':<8} {_fmt_seconds(total):>12}")
+    candidates = report["candidates"]
+    lines.append("candidates: " + ", ".join(
+        f"{candidates[kind]} {kind}" for kind in DECODE_KINDS
+    ))
     lines.append("")
 
     lines.append(f"top spans by total time (of {len(report['names'])} names):")

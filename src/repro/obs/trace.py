@@ -50,7 +50,8 @@ Event schema (one JSON object per line; see ``docs/observability.md``):
            in non-deterministic mode)
 ``span``   ``trace span parent name ts dur pid attrs``
 ``point``  an instant annotation: ``trace span name ts pid attrs``
-``metrics`` the merged :mod:`repro.obs.registry` snapshot
+``metrics`` the counts the spans and points carry, folded at merge
+           (:func:`repro.obs.export.fold_events`)
 =========  ==============================================================
 """
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "propagate_context",
     "reset_telemetry",
     "span",
+    "tally",
     "uninstall",
     "wall",
 ]
@@ -426,9 +428,7 @@ def _clear_stale_parts(path) -> None:
         os.makedirs(parent, exist_ok=True)
         return
     for name in os.listdir(parent):
-        if name.startswith(base + ".part.") or name.startswith(
-            base + ".metrics."
-        ):
+        if name.startswith(base + ".part."):
             try:
                 os.remove(os.path.join(parent, name))
             except OSError:
@@ -506,6 +506,24 @@ def event(name: str, **attrs) -> None:
     rec = active_recorder() if enabled() else None
     if rec is not None:
         rec.point(name, attrs)
+
+
+def tally(attr: str, counts: dict, keys=None) -> None:
+    """Add ``counts`` (only ``keys`` of it, when given) into the ``attr``
+    dict of the innermost open span; zeros are skipped.
+
+    This is how a count the code already holds becomes span data: the
+    trace's ``metrics`` event sums these dicts over every span. A no-op
+    while telemetry is off, so nothing is built on that path.
+    """
+    rec = active_recorder() if enabled() else None
+    if rec is None or not rec.stack:
+        return
+    totals = rec.stack[-1].attrs.setdefault(attr, {})
+    for key in counts if keys is None else keys:
+        amount = counts.get(key)
+        if amount:
+            totals[key] = totals.get(key, 0) + amount
 
 
 def current_context() -> Optional[str]:

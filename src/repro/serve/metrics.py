@@ -9,14 +9,17 @@ counters and rates — and flattens them into one stats dict that
 :func:`repro.perf.profile_from_stats` splits into the
 stages/counters/rates shape ``BENCH_*.json`` streaming rows record.
 
-Accounting convention (shared with :mod:`repro.obs.registry`): every
-``observe_*`` call carries a **delta** and the metrics object
-accumulates.  Sources that only expose cumulative totals (the tailing
-readers report running hazard counts) are diffed *here*, at the
-observation boundary — ``observe_source`` keeps the previous totals and
-folds only the increase — so a caller can never double-count by
-re-reporting, and the same feed can simultaneously increment the
-process-wide registry without drift.
+Accounting convention: every ``observe_*`` call carries a **delta**
+and the metrics object accumulates.  Sources that only expose cumulative
+totals (the tailing readers report running hazard counts) are diffed
+*here*, at the observation boundary — ``observe_source`` keeps the
+previous totals and folds only the increase — so a caller can never
+double-count by re-reporting.
+
+This object is the one home of a session's counts, telemetry on or off:
+:meth:`series` renders them for the live ``/metrics`` page
+(:class:`repro.obs.MetricsServer`), and the ``watch.session`` span
+carries the same series into the trace's ``metrics`` event.
 
 Window walls and stage seconds are span durations; elapsed time and
 ingest lags read :func:`repro.obs.monotonic`. So a telemetry session
@@ -29,8 +32,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from ..obs import enabled as obs_enabled
-from ..obs import get_registry
 from ..obs import monotonic as obs_monotonic
 from ..perf import STAGES
 
@@ -82,18 +83,10 @@ class StreamMetrics:
     _finished: bool = field(default=False, repr=False)
     _source_last: dict = field(default_factory=dict, repr=False)
 
-    def _registry(self):
-        """The live obs registry, or None while telemetry is off."""
-        return get_registry() if obs_enabled() else None
-
     # -- observation ----------------------------------------------------
     def observe_run(self, transactions: int) -> None:
         self.runs += 1
         self.transactions += transactions
-        reg = self._registry()
-        if reg is not None:
-            reg.counter("stream_runs").inc()
-            reg.counter("stream_transactions").inc(transactions)
 
     def observe_window(self, wall_seconds: float, *lane_stats: dict) -> None:
         """Fold one analyzed window's wall time and the analysis stats of
@@ -111,34 +104,18 @@ class StreamMetrics:
                     self.counters[key] = (
                         self.counters.get(key, 0) + int(stats[key])
                     )
-        reg = self._registry()
-        if reg is not None:
-            reg.counter("stream_windows").inc()
-            reg.histogram("stream_window_seconds").observe(wall_seconds)
 
     def observe_findings(self, admitted: int, duplicates: int) -> None:
         self.findings += admitted
         self.duplicates += duplicates
-        reg = self._registry()
-        if reg is not None:
-            if admitted:
-                reg.counter("stream_findings").inc(admitted)
-            if duplicates:
-                reg.counter("stream_duplicates").inc(duplicates)
 
     def observe_gaps(self, pairs: int, boundary_reads: int) -> None:
         self.coverage_gap_pairs += pairs
         self.boundary_reads += boundary_reads
-        reg = self._registry()
-        if reg is not None and pairs:
-            reg.counter("stream_coverage_gap_pairs").inc(pairs)
 
     def observe_lag(self, seconds: float) -> None:
         """Ingest lag: arrival of a run → its last window analyzed."""
         self.lag_seconds.append(max(0.0, seconds))
-        reg = self._registry()
-        if reg is not None:
-            reg.histogram("stream_lag_seconds").observe(max(0.0, seconds))
 
     #: Source ``events`` counters mirrored into same-named fields.
     _SOURCE_EVENT_KEYS = (
@@ -157,7 +134,6 @@ class StreamMetrics:
         no-op, and two sources folded through one metrics object no
         longer clobber each other).
         """
-        reg = self._registry()
         for key in self._SOURCE_EVENT_KEYS:
             if key not in events:
                 continue
@@ -167,8 +143,6 @@ class StreamMetrics:
             if delta <= 0:
                 continue
             setattr(self, key, getattr(self, key) + delta)
-            if reg is not None:
-                reg.counter(f"stream_{key}").inc(delta)
 
     def observe_faults(self, diff: dict) -> None:
         """Fold a fault-counter delta (see ``diff_fault_counters``)."""
@@ -176,12 +150,6 @@ class StreamMetrics:
         retries = sum(diff.get("retries", {}).values())
         self.faults_injected += injected
         self.fault_retries += retries
-        reg = self._registry()
-        if reg is not None:
-            if injected:
-                reg.counter("stream_faults_injected").inc(injected)
-            if retries:
-                reg.counter("stream_fault_retries").inc(retries)
 
     def start(self) -> None:
         """Start the session clock; the run calls this as it begins, so a
@@ -227,6 +195,43 @@ class StreamMetrics:
         )
 
     # -- export ---------------------------------------------------------
+    #: Fields exported as ``stream_<field>`` counters by :meth:`series`.
+    _SERIES_COUNTERS = (
+        "runs",
+        "transactions",
+        "windows",
+        "findings",
+        "duplicates",
+        "coverage_gap_pairs",
+        *_SOURCE_EVENT_KEYS,
+        "faults_injected",
+        "fault_retries",
+    )
+
+    def series(self) -> dict:
+        """The counts in the trace ``metrics`` event's ``{name: {kind,
+        values}}`` shape: each nonzero ``stream_*`` counter, plus window
+        walls and ingest lags as count/sum/min/max summaries."""
+        series = {
+            f"stream_{key}": {"kind": "counter",
+                              "values": {"": getattr(self, key)}}
+            for key in self._SERIES_COUNTERS
+            if getattr(self, key)
+        }
+        # copies: a scrape reads while the engine thread appends
+        for name, values in (
+            ("stream_window_seconds", tuple(self.window_walls)),
+            ("stream_lag_seconds", tuple(self.lag_seconds)),
+        ):
+            if values:
+                series[name] = {"kind": "histogram", "values": {"": {
+                    "count": len(values),
+                    "sum": sum(values),
+                    "min": min(values),
+                    "max": max(values),
+                }}}
+        return series
+
     def to_stats(self) -> dict:
         """The flat stats dict ``repro.perf.profile_from_stats`` reads."""
         stats: dict = {}

@@ -348,7 +348,9 @@ class StreamingAnalysis:
             )
             self.metrics.finish()
             session_span.set(
-                windows=windows_done, findings=len(self.findings)
+                windows=windows_done,
+                findings=len(self.findings),
+                metrics=self.metrics.series(),
             )
             session_span.__exit__(None, None, None)
         return self.report()

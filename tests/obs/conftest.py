@@ -1,4 +1,4 @@
-"""Isolation for the telemetry suite: no recorder, no registry, no env.
+"""Isolation for the telemetry suite: no recorder, no fault state, no env.
 
 Telemetry state is process-global on purpose (one trace per run), so
 every test starts and ends with it fully torn down — otherwise one
@@ -11,7 +11,6 @@ from repro.obs import (
     CLOCK_ENV,
     CONTEXT_ENV,
     TELEMETRY_ENV,
-    reset_registry,
     reset_telemetry,
 )
 
@@ -23,9 +22,7 @@ def clean_obs_state(monkeypatch):
     for var in OBS_ENV:
         monkeypatch.delenv(var, raising=False)
     reset_telemetry()
-    reset_registry()
     reset_fault_state()
     yield
     reset_telemetry()
-    reset_registry()
     reset_fault_state()

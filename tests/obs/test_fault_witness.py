@@ -3,8 +3,10 @@ seams, absorbed in place and witnessed in telemetry.
 
 The robustness invariant extends to the new points — **faults never
 change verdicts** (nor fuzz corpora), and every injected fault is
-visible both in ``fault_counters()`` and, when telemetry is on, as a
-registry counter plus an instant ``fault.injected`` trace event.
+visible both in ``fault_counters()`` and, when telemetry is on, as an
+instant ``fault.injected`` trace event (each retry as a ``fault_retries``
+count on the span that spent it), both folded into the trace's
+``metrics`` event.
 """
 import pytest
 
@@ -17,7 +19,7 @@ from repro.faults import (
     reset_fault_state,
 )
 from repro.fuzz import FuzzConfig, Fuzzer
-from repro.obs import get_registry, load_events, telemetry_session
+from repro.obs import enabled, load_events, telemetry_session
 from repro.store import ShardedBackend
 
 
@@ -101,15 +103,14 @@ class TestFuzzIterationFaults:
 
 
 class TestTelemetryWitness:
-    def test_fired_faults_mirror_into_registry_and_trace(self, tmp_path):
+    def test_fired_faults_are_witnessed_in_the_trace(self, tmp_path):
         sink = tmp_path / "t.jsonl"
         install_plan("seam:io*2")
         with telemetry_session(str(sink), command="chaos"):
             guarded_fault_point("seam")
-            reg = get_registry()
-            assert reg.counter("faults_injected").value("seam:io") == 2
-            assert reg.counter("fault_retries").value("seam|inline") == 2
         events = load_events(str(sink))
+        (root,) = [e for e in events if e.get("name") == "cli.chaos"]
+        assert root["attrs"]["fault_retries"] == {"seam|inline": 2}
         points = [e for e in events if e.get("event") == "point"
                   and e["name"] == "fault.injected"]
         assert len(points) == 2
@@ -118,9 +119,11 @@ class TestTelemetryWitness:
         (metrics,) = [e["metrics"] for e in events
                       if e.get("event") == "metrics"]
         assert metrics["faults_injected"]["values"] == {"seam:io": 2}
+        assert metrics["fault_retries"]["values"] == {"seam|inline": 2}
 
     def test_faults_count_without_telemetry_too(self):
         install_plan("seam:io")
         guarded_fault_point("seam")
         assert fault_counters()["injected"] == {"seam:io": 1}
-        assert get_registry().snapshot() == {}
+        assert fault_counters()["retries"] == {"seam|inline": 1}
+        assert not enabled()

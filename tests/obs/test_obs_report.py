@@ -140,3 +140,51 @@ class TestReport:
             want = batch.stats[f"{stage}_seconds"]
             assert abs(report["stages"][stage] - want) <= 1e-9, stage
         assert report["stages"]["encode"] > 0
+
+
+class TestCandidateKinds:
+    """``obs report`` counts how the CEGIS walk classified candidates."""
+
+    def test_decode_kinds_are_counted(self):
+        events = [
+            meta(),
+            span_event("d1", "stage.decode", 0.0, 1.0,
+                       attrs={"candidate": 1, "kind": "refined"}),
+            span_event("d2", "stage.decode", 1.0, 1.0,
+                       attrs={"candidate": 2, "kind": "cyclic"}),
+            span_event("b2", "stage.decode", 2.0, 1.0,
+                       attrs={"candidate": 2, "part": "boundaries"}),
+        ]
+        report = build_report(events)
+        assert report["candidates"] == {
+            "refined": 1, "acyclic": 0, "cyclic": 1,
+        }
+        assert "candidates: 1 refined, 0 acyclic, 1 cyclic" in (
+            format_report(report).splitlines()
+        )
+
+    def test_tpcc_unsat_walk_refines_every_candidate(self, tmp_path,
+                                                      capsys):
+        """tpcc-small seed 1 under causal approx-strict is UNSAT after 20
+        candidates, every one of them serializable."""
+        import json
+
+        from repro.cli import main
+
+        sink = str(tmp_path / "t.jsonl")
+        assert main([
+            "analyze", "--app", "tpcc", "--workload", "small",
+            "--seed", "1", "--isolation", "causal",
+            "--strategy", "approx-strict", "--telemetry", sink,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", sink]) == 0
+        text = capsys.readouterr().out
+        assert "candidates: 20 refined, 0 acyclic, 0 cyclic" in (
+            text.splitlines()
+        )
+        assert main(["obs", "report", sink, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["candidates"] == {
+            "refined": 20, "acyclic": 0, "cyclic": 0,
+        }

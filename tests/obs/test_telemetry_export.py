@@ -3,14 +3,14 @@ import json
 
 from repro.obs import (
     enabled,
-    get_registry,
+    fold_events,
     load_events,
-    observe_analysis_stats,
     span,
+    tally,
     telemetry_session,
     validate_events,
 )
-from repro.obs.export import flush_process_metrics
+from repro.perf import COUNTER_KEYS
 
 
 def run_session(path, clock=None):
@@ -19,7 +19,8 @@ def run_session(path, clock=None):
             pass
         with span("stage.solve", backend="inprocess") as s:
             s.set(result="sat")
-        get_registry().counter("worker_rounds").inc(key="sat")
+        with span("campaign.round", round_id="r0") as s:
+            s.set(status="sat")
 
 
 class TestSession:
@@ -55,7 +56,7 @@ class TestSession:
         assert spans["stage.encode"]["parent"] == root_id
         assert spans["stage.solve"]["parent"] == root_id
 
-    def test_metrics_event_holds_the_registry(self, tmp_path):
+    def test_metrics_event_folds_the_spans(self, tmp_path):
         sink = tmp_path / "t.jsonl"
         run_session(sink)
         (metrics,) = [e for e in load_events(str(sink))
@@ -78,7 +79,6 @@ class TestSession:
     def test_session_exit_resets_global_state(self, tmp_path):
         run_session(tmp_path / "t.jsonl")
         assert not enabled()
-        assert get_registry().snapshot() == {}
 
     def test_intermediate_files_are_cleaned_up(self, tmp_path):
         run_session(tmp_path / "t.jsonl")
@@ -101,39 +101,99 @@ class TestDeterministicMerge:
         assert meta["deterministic"] is True
         assert "python" not in meta and "argv" not in meta
 
-    def test_own_sidecar_never_double_counts(self, tmp_path):
-        """An inline (--jobs 1) run flushes a sidecar from the merging
-        process itself; the live registry must supersede it."""
-        sink = tmp_path / "t.jsonl"
-        with telemetry_session(str(sink), command="test"):
-            get_registry().counter("worker_rounds").inc(key="sat")
-            flush_process_metrics()
-            get_registry().counter("worker_rounds").inc(key="sat")
-        (metrics,) = [e for e in load_events(str(sink))
-                      if e.get("event") == "metrics"]
-        assert metrics["metrics"]["worker_rounds"]["values"] == {
-            "sat": 2
+
+def _span(name, **attrs):
+    return {"event": "span", "name": name, "attrs": attrs}
+
+
+class TestFold:
+    def test_counts_from_several_processes_add(self):
+        """Each worker's counts travel in its own part file as span
+        attrs; the fold over the merged events sums them."""
+        metrics, _ = fold_events([
+            _span("campaign.round", status="sat", solver={"clauses": 5}),
+            _span("campaign.round", status="retry",
+                  fault_retries={"campaign.round|r1": 1}),
+            _span("campaign.round", status="unsat", solver={"clauses": 7}),
+            _span("campaign.run", statuses={"sat": 1, "unsat": 1},
+                  predicted=1, events={"torn_lines": 0}),
+        ])
+        assert metrics == {
+            "campaign_predictions": {"kind": "counter",
+                                     "values": {"": 1}},
+            "campaign_rounds": {"kind": "counter",
+                                "values": {"sat": 1, "unsat": 1}},
+            "fault_retries": {"kind": "counter",
+                              "values": {"campaign.round|r1": 1}},
+            "solver_clauses": {"kind": "counter", "values": {"": 12}},
+            "worker_rounds": {"kind": "counter",
+                              "values": {"sat": 1, "unsat": 1}},
+        }
+        assert list(metrics) == sorted(metrics)
+
+    def test_series_attrs_merge(self):
+        def session(*walls):
+            return _span("watch.session", metrics={
+                "stream_windows": {"kind": "counter",
+                                   "values": {"": len(walls)}},
+                "stream_window_seconds": {"kind": "histogram", "values": {
+                    "": {"count": len(walls), "sum": sum(walls),
+                         "min": min(walls), "max": max(walls)},
+                }},
+            })
+
+        metrics, _ = fold_events([session(1.0, 3.0), session(2.0)])
+        assert metrics["stream_windows"]["values"] == {"": 3}
+        assert metrics["stream_window_seconds"]["values"][""] == {
+            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
+        }
+
+    def test_points_count_faults_and_decodes_count_candidates(self):
+        metrics, candidates = fold_events([
+            {"event": "point", "name": "fault.injected",
+             "attrs": {"point": "seam", "kind": "io", "hit": 0}},
+            _span("stage.decode", candidate=1, kind="refined"),
+            _span("stage.decode", candidate=2, kind="cyclic"),
+            _span("stage.decode", candidate=2, part="boundaries"),
+            _span("fuzz.iteration", iteration=0, status="sat", novel=2),
+            _span("fuzz.iteration", iteration=1, error="KeyError"),
+        ])
+        assert metrics["faults_injected"]["values"] == {"seam:io": 1}
+        assert metrics["fuzz_iterations"]["values"] == {"": 1}
+        assert metrics["fuzz_finds"]["values"] == {"": 2}
+        assert candidates == {"refined": 1, "acyclic": 0, "cyclic": 1}
+
+    def test_zero_counts_make_no_series(self):
+        metrics, _ = fold_events([
+            _span("campaign.run", statuses={}, predicted=0,
+                  events={"worker_stalls": 0}),
+            _span("fuzz.iteration", iteration=0, status="unsat", novel=0),
+        ])
+        assert metrics == {
+            "fuzz_iterations": {"kind": "counter", "values": {"": 1}},
         }
 
 
-class TestAnalysisStats:
-    def test_counters_fold_into_the_registry(self, tmp_path):
-        with telemetry_session(str(tmp_path / "t.jsonl"), command="t"):
-            observe_analysis_stats(
-                {"decisions": 10, "conflicts": 3, "encode_seconds": 0.5}
-            )
-            reg = get_registry()
-            assert reg.counter("solver_decisions").value() == 10
-            assert reg.counter("solver_conflicts").value() == 3
-            assert reg.histogram("solver_seconds").value(
-                "encode_seconds"
-            )["count"] == 1
+class TestSolverTally:
+    def test_counts_land_on_the_innermost_span(self, tmp_path):
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="t"):
+            with span("campaign.round", round_id="r0"):
+                tally("solver", {"decisions": 10, "conflicts": 0,
+                                 "encode_seconds": 0.5}, COUNTER_KEYS)
+                tally("solver", {"decisions": 2}, COUNTER_KEYS)
+        events = load_events(str(sink))
+        (round_span,) = [e for e in events
+                         if e.get("name") == "campaign.round"]
+        assert round_span["attrs"]["solver"] == {"decisions": 12}
+        assert events[-1]["metrics"] == {
+            "solver_decisions": {"kind": "counter", "values": {"": 12}},
+        }
 
-    def test_every_folded_name_is_a_real_stats_key(self, tmp_path):
-        """The folded names and a real ``PredictionBatch.stats`` share one
-        vocabulary, so learned-clause counts reach the registry."""
+    def test_every_tallied_name_is_a_real_stats_key(self, tmp_path):
+        """The tallied names and a real ``PredictionBatch.stats`` share
+        one vocabulary, so learned-clause counts reach the trace."""
         from repro.api import Analysis
-        from repro.obs.export import _STAT_COUNTERS
         from repro.sources import BenchAppSource
 
         batch = (
@@ -141,41 +201,17 @@ class TestAnalysisStats:
             .under("causal")
             .predict(2)
         )
-        assert [k for k in _STAT_COUNTERS if k not in batch.stats] == []
-        with telemetry_session(str(tmp_path / "t.jsonl"), command="t"):
-            observe_analysis_stats(batch.stats)
-            reg = get_registry()
-            assert batch.stats["learned"] > 0
-            assert (
-                reg.counter("solver_learned").value()
-                == batch.stats["learned"]
-            )
+        assert [k for k in COUNTER_KEYS if k not in batch.stats] == []
+        assert batch.stats["learned"] > 0
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="t"):
+            tally("solver", batch.stats, COUNTER_KEYS)
+        metrics = load_events(str(sink))[-1]["metrics"]
+        assert metrics["solver_learned"]["values"] == {
+            "": batch.stats["learned"]
+        }
 
-    def test_a_fixed_clock_analysis_folds_zero_seconds(self, tmp_path):
-        """Stage seconds are span durations, so a real analysis under the
-        fixed clock reports, and folds, zeros: the histogram stays
-        deterministic without skipping anything."""
-        from repro.api import Analysis
-        from repro.sources import BenchAppSource
-
-        with telemetry_session(str(tmp_path / "t.jsonl"), command="t",
-                               clock="fixed"):
-            batch = (
-                Analysis(BenchAppSource("smallbank", seed=2))
-                .under("causal")
-                .predict(2)
-            )
-            observe_analysis_stats(batch.stats)
-            reg = get_registry()
-            assert reg.counter("solver_decisions").value() == (
-                batch.stats["decisions"]
-            )
-            for stage in ("encode", "compile", "solve", "decode", "gen"):
-                key = f"{stage}_seconds"
-                assert batch.stats[key] == 0.0
-                cell = reg.histogram("solver_seconds").value(key)
-                assert cell["count"] == 1 and cell["sum"] == 0.0, key
-
-    def test_disabled_telemetry_ignores_stats(self):
-        observe_analysis_stats({"decisions": 10})
-        assert get_registry().snapshot() == {}
+    def test_disabled_telemetry_tallies_nothing(self):
+        with span("campaign.round") as s:
+            tally("solver", {"decisions": 10})
+        assert not hasattr(s, "attrs")

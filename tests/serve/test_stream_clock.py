@@ -1,7 +1,7 @@
 """The stream clock starts with the run, not with the engine's construction."""
 import pytest
 
-from repro.obs import reset_registry, reset_telemetry, telemetry_session
+from repro.obs import reset_telemetry, telemetry_session
 from repro.serve import StreamingAnalysis
 from repro.sources import FuzzSource
 
@@ -9,10 +9,8 @@ from repro.sources import FuzzSource
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     reset_telemetry()
-    reset_registry()
     yield
     reset_telemetry()
-    reset_registry()
 
 
 def test_engine_built_before_a_fixed_clock_session_reads_zero(tmp_path):

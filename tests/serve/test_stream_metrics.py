@@ -1,4 +1,4 @@
-"""StreamMetrics: the delta convention, sealed rates, registry mirror.
+"""StreamMetrics: the delta convention, sealed rates, its series.
 
 Regression suite for the PR 8 inconsistency: ``observe_source`` used to
 overwrite fields with the source's *cumulative* totals while every other
@@ -7,12 +7,13 @@ and re-reports double-counted downstream. Now the diff happens at the
 observation boundary and the object seals on :meth:`finish`.
 """
 import json
+import urllib.request
 
 import pytest
 
 from repro.obs import (
-    get_registry,
-    reset_registry,
+    MetricsServer,
+    enabled,
     reset_telemetry,
     telemetry_session,
 )
@@ -24,10 +25,8 @@ from repro.sources import FuzzSource
 @pytest.fixture(autouse=True)
 def clean_obs():
     reset_telemetry()
-    reset_registry()
     yield
     reset_telemetry()
-    reset_registry()
 
 
 class TestSourceDeltas:
@@ -118,34 +117,79 @@ class TestFixedClockStream:
             assert cell["count"] > 0 and cell["sum"] == 0.0, name
 
 
-class TestRegistryMirror:
-    def test_observations_mirror_into_the_registry(self, tmp_path):
-        with telemetry_session(str(tmp_path / "t.jsonl"), command="w"):
-            m = StreamMetrics()
-            m.observe_run(transactions=7)
-            m.observe_window(0.25, {"solve_seconds": 0.2,
-                                    "conflicts": 3})
-            m.observe_findings(admitted=2, duplicates=1)
-            m.observe_source({"corrupt_lines": 2})
-            m.observe_faults({"retries": {"p": 1}})
-            reg = get_registry()
-            assert reg.counter("stream_runs").value() == 1
-            assert reg.counter("stream_transactions").value() == 7
-            assert reg.counter("stream_windows").value() == 1
-            assert reg.counter("stream_findings").value() == 2
-            assert reg.counter("stream_duplicates").value() == 1
-            assert reg.counter("stream_corrupt_lines").value() == 2
-            assert reg.counter("stream_fault_retries").value() == 1
-            assert reg.histogram("stream_window_seconds").value()[
-                "count"
-            ] == 1
-
-    def test_no_registry_writes_while_disabled(self):
+class TestSeries:
+    def test_series_holds_every_observation(self):
         m = StreamMetrics()
-        m.observe_run(transactions=3)
-        m.observe_source({"corrupt_lines": 1})
-        assert get_registry().snapshot() == {}
-        assert m.runs == 1 and m.corrupt_lines == 1
+        m.observe_run(transactions=7)
+        m.observe_window(0.25, {"solve_seconds": 0.2, "conflicts": 3})
+        m.observe_findings(admitted=2, duplicates=1)
+        m.observe_source({"corrupt_lines": 2})
+        m.observe_faults({"retries": {"p": 1}})
+        m.observe_lag(-1.0)
+        series = m.series()
+        assert {
+            name: entry["values"][""]
+            for name, entry in series.items()
+            if entry["kind"] == "counter"
+        } == {
+            "stream_runs": 1,
+            "stream_transactions": 7,
+            "stream_windows": 1,
+            "stream_findings": 2,
+            "stream_duplicates": 1,
+            "stream_corrupt_lines": 2,
+            "stream_fault_retries": 1,
+        }
+        assert series["stream_window_seconds"]["values"][""] == {
+            "count": 1, "sum": 0.25, "min": 0.25, "max": 0.25,
+        }
+        assert series["stream_lag_seconds"]["values"][""]["max"] == 0.0
+
+    def test_an_idle_session_has_no_series(self):
+        m = StreamMetrics()
+        m.observe_findings(admitted=0, duplicates=0)
+        m.observe_gaps(0, 0)
+        assert m.series() == {}
+
+    def test_the_session_span_carries_the_series(self, tmp_path):
+        sink = tmp_path / "t.jsonl"
+        with telemetry_session(str(sink), command="watch"):
+            report = StreamingAnalysis(
+                FuzzSource(shape_seed=3), window=8, k=1, max_runs=2
+            ).run()
+        events = [json.loads(line) for line in sink.read_text().splitlines()]
+        (session,) = [e for e in events if e.get("name") == "watch.session"]
+        series = report.metrics.series()
+        assert session["attrs"]["metrics"] == series
+        (metrics,) = [e["metrics"] for e in events
+                      if e["event"] == "metrics"]
+        assert {k: v for k, v in metrics.items()
+                if k.startswith("stream_")} == series
+
+
+class TestLivePage:
+    def test_telemetry_off_watch_serves_its_counts(self):
+        """The page renders the engine's own metrics, so it lists the
+        summary's counts without ``--telemetry``."""
+        engine = StreamingAnalysis(
+            FuzzSource(shape_seed=3), window=8, k=1, max_runs=2
+        )
+        server = MetricsServer("127.0.0.1:0", engine.metrics).start()
+        try:
+            report = engine.run()
+            url = f"http://{server.address}/metrics"
+            body = urllib.request.urlopen(url).read().decode()
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(f"http://{server.address}/nope")
+        finally:
+            server.stop()
+        assert not enabled()
+        summary = report.summary()
+        assert summary["windows"] > 0 and summary["findings"] > 0
+        lines = body.splitlines()
+        assert f"isopredict_stream_windows {summary['windows']}" in lines
+        assert f"isopredict_stream_findings {summary['findings']}" in lines
+        assert "# TYPE isopredict_stream_window_seconds summary" in lines
 
     def test_stats_shape_is_unchanged(self):
         m = StreamMetrics()
